@@ -37,6 +37,7 @@ from .pipeline import (
     derive_streams,
     run_protocol_session,
     run_sweep,
+    shared_basis_plan,
 )
 from .randtest import compare_raw_vs_final, run_battery
 from .seeds import SeedSource
@@ -181,11 +182,13 @@ def cmd_pipeline(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
 
+    # one active plan serves the sweep and the session alike
+    plan, plan_bits = shared_basis_plan(config)
     if config.sweep is not None:
-        points = run_sweep(config)
+        points = run_sweep(config, plan, plan_bits)
         fileio.atomic_write_bytes(out / "sweep.csv", curve_csv(points).encode())
 
-    result = run_protocol_session(config, keep_stream=True)
+    result = run_protocol_session(config, plan, plan_bits, keep_stream=True)
     fileio.write_click_file(out / "clicks.siqc", result.stream)
     fileio.write_bit_file(out / "zbits.siq", result.tally.z_bits)
     fileio.write_json(out / "tally.json", result.tally.to_dict())

@@ -215,31 +215,44 @@ def curve_point_from_session(result: SessionResult) -> CurvePoint:
     )
 
 
-def run_sweep(config: RunConfig) -> list[CurvePoint]:
+def shared_basis_plan(config: RunConfig) -> tuple[np.ndarray | None, int]:
+    """The active basis plan of ``config`` and its seed cost, for sharing.
+
+    Every session of one run derives the same plan from the master seed, so
+    computing it once and handing it to :func:`run_protocol_session` changes
+    no artifact.  Passive mode returns ``(None, 0)``: its per-pulse basis
+    draw belongs to each session's own physics stream.
+    """
+    if config.basis_choice != "active":
+        return None, 0
+    streams = derive_streams(config.master_seed)
+    return choose_basis_plan(config, streams), streams.basis.bits_consumed
+
+
+def run_sweep(
+    config: RunConfig,
+    basis_plan: np.ndarray | None = None,
+    basis_plan_bits: int = 0,
+) -> list[CurvePoint]:
     """Run one session per sweep value with matched seeds.
 
     Every point reuses the same master seed, so detector-click uniforms and
-    seed streams are common random numbers across points; when the sweep
-    does not vary the session shape, the active basis plan is computed once
-    and shared (the derived plan is identical at every point anyway).
+    seed streams are common random numbers across points.  The sweep keys
+    (``loss_db``, ``mean_photon_number``) never change ``total_pulses`` or
+    ``planned_x_count``, so every point has the same active basis plan: it
+    is computed once, or taken precomputed (with its seed cost) like
+    :func:`run_protocol_session` does.
     """
     if config.sweep is None:
         raise ValueError("config has no sweep specification")
-    points = []
-    shared_plan: np.ndarray | None = None
-    shared_plan_bits = 0
-    for value in config.sweep.values:
-        point_config = config.with_sweep_value(value)
-        if config.basis_choice == "active" and shared_plan is None:
-            streams = derive_streams(point_config.master_seed)
-            shared_plan = choose_basis_plan(point_config, streams)
-            shared_plan_bits = streams.basis.bits_consumed
-        if config.basis_choice == "active":
-            result = run_protocol_session(point_config, shared_plan, shared_plan_bits)
-        else:
-            result = run_protocol_session(point_config)
-        points.append(curve_point_from_session(result))
-    return points
+    if basis_plan is None:
+        basis_plan, basis_plan_bits = shared_basis_plan(config)
+    return [
+        curve_point_from_session(
+            run_protocol_session(config.with_sweep_value(value), basis_plan, basis_plan_bits)
+        )
+        for value in config.sweep.values
+    ]
 
 
 def curve_csv(points: list[CurvePoint]) -> str:

@@ -161,18 +161,22 @@ def squash_and_tally(stream: ClickStream, seed: SeedSource) -> SessionTally:
     )
 
 
-def _comb_from_neighbor(value: int, m: int, r: int) -> int:
-    """C(m-1, r) from value = C(m, r); exact integer arithmetic."""
-    return value * (m - r) // m
+# neighbour steps while the expected stride m / k_rem is at most this
+_SHORT_STRIDE = 8
 
 
 def unrank_combination(index: int, n: int, k: int) -> list[int]:
     """Return the ``index``-th k-subset of {0..n-1} in lexicographic order.
 
-    Bijective over ``0 <= index < C(n, k)``; all arithmetic is exact.  Two
-    strategies with identical output: an incremental-binomial walk for
-    dense subsets, and a float-guided jump with exact verification for
-    sparse subsets of very large ranges.
+    Bijective over ``0 <= index < C(n, k)``; all arithmetic is exact.  With
+    ``m`` positions left and ``k_rem`` still to choose, the exact integer
+    ``t = C(m, k_rem) - rank`` fixes the next chosen position: it is the
+    ``s``-th candidate, for the smallest stride ``s >= 1`` with
+    ``C(m - s, k_rem) < t``.  Short expected strides walk candidate by
+    candidate with exact neighbour steps; long ones jump to a
+    float-lgamma estimate of ``s``, evaluate the binomial there exactly and
+    finish with exact neighbour steps, so floats only seed the search.
+    After each slot ``t`` drops by ``C(m - s, k_rem)``.
 
     Raises
     ------
@@ -184,83 +188,69 @@ def unrank_combination(index: int, n: int, k: int) -> list[int]:
     total = math.comb(n, k)
     if not 0 <= index < total:
         raise ValueError(f"combination index {index} out of range [0, C({n},{k})={total})")
-    if k == 0:
-        return []
-    if k == n:
-        return list(range(n))
-    # cost crossover: the walk is ~n increment steps, the sparse path is
-    # ~k^2/2 multiplies inside fresh binomials; prefer sparse iff k^2 <~ 4n
-    if k * k <= 4 * n:
-        return _unrank_sparse(index, n, k, total)
-    return _unrank_walk(index, n, k)
-
-
-def _unrank_walk(index: int, n: int, k: int) -> list[int]:
-    """One candidate position at a time; O(last chosen position) steps."""
     out: list[int] = []
-    b = math.comb(n - 1, k - 1)  # subsets containing the current candidate
-    n_rem, k_rem, c, r = n, k, 0, index
+    t = total - index          # 1 <= t <= C(m, k_rem)
+    y = total * (n - k) // n if n else 0  # C(m - 1, k_rem): the binomial at stride 1
+    m, k_rem = n, k
     while k_rem > 0:
-        if r < b:
-            out.append(c)
-            if k_rem > 1:
-                b = b * (k_rem - 1) // (n_rem - 1)
-            k_rem -= 1
+        if m <= _SHORT_STRIDE * k_rem:
+            s, x = 1, y
         else:
-            r -= b
-            b = b * (n_rem - k_rem) // (n_rem - 1)
-        n_rem -= 1
-        c += 1
-    return out
-
-def _log_comb(m: int, r: int) -> float:
-    if r < 0 or r > m:
-        return -math.inf
-    return math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-
-
-def _unrank_sparse(index: int, n: int, k: int, total: int) -> list[int]:
-    """Per slot, locate the next chosen position by a float-guided jump.
-
-    The float guess only seeds the search; minimality of each position is
-    established by exact big-integer comparisons, so the result is exact
-    regardless of float accuracy.
-    """
-    out: list[int] = []
-    base, r = 0, index
-    ways = total  # C(n - base, k_rem)
-    k_rem = k
-    while k_rem > 0:
-        target = ways - r  # want smallest c >= base with C(n-1-c, k_rem) < target
-        log_target = math.log(target)
-        lo, hi = base, n - k_rem
-        while hi - lo > 2:
-            mid = (lo + hi) // 2
-            if _log_comb(n - 1 - mid, k_rem) < log_target - 1e-9:
-                hi = mid
-            else:
-                lo = mid
-        c = lo
-        v = math.comb(n - 1 - c, k_rem)
-        while v >= target:
-            c += 1
-            v = _comb_from_neighbor(v, n - c, k_rem)
-        while c > base:
-            prev = math.comb(n - c, k_rem) if v == 0 else v * (n - c) // (n - c - k_rem)
-            if prev < target:
-                c -= 1
-                v = prev
-            else:
-                break
-        out.append(c)
-        # w = C(n-1-c, k_rem-1): the subsets remaining after fixing c
-        denom = n - c - k_rem
-        w = v * k_rem // denom if denom > 0 else math.comb(n - 1 - c, k_rem - 1)
-        r -= ways - (v + w)  # consumed = subsets starting before c
-        ways = w
-        base = c + 1
+            s = _stride_estimate(m, k_rem, t)
+            x = _comb_at_stride(y, m, k_rem, s)
+        # x = C(m - s, k_rem); make s the smallest stride with x < t
+        if x >= t:
+            while x >= t:
+                x = x * (m - s - k_rem) // (m - s)
+                s += 1
+        else:
+            while s > 1:
+                free = m - s + 1 - k_rem
+                prev = x * (m - s + 1) // free if free else 1  # C(m - s + 1, k_rem)
+                if prev >= t:
+                    break
+                x, s = prev, s - 1
+        out.append(n - m + s - 1)
+        t -= x
+        m -= s
+        if k_rem > 1:
+            y = x * k_rem // m  # C(m - 1, k_rem - 1) from x = C(m, k_rem)
         k_rem -= 1
     return out
+
+
+def _stride_estimate(m: int, r: int, t: int) -> int:
+    """Float estimate of the smallest s in [1, m - r + 1] with C(m - s, r) < t.
+
+    Newton's method on f(j) = log C(j, r) - log t over the real j = m - s,
+    from j = m - 1 down: f is increasing and concave for j >= r, so after
+    the first step the iterates approach the root from below.
+    """
+    base = math.lgamma(r + 1) + math.log(t)
+    j = float(m - 1)
+    for _ in range(32):
+        f = math.lgamma(j + 1) - math.lgamma(j - r + 1) - base
+        step = f / math.log((j + 0.5) / (j - r + 0.5))
+        j = max(j - step, float(r))
+        if abs(step) < 0.25:
+            break
+    return min(max(m - math.floor(j), 1), m - r + 1)
+
+
+def _comb_at_stride(y: int, m: int, r: int, s: int) -> int:
+    """C(m - s, r) exactly, from y = C(m - 1, r).
+
+    For s - 1 < r the ratio C(m - s, r) / C(m - 1, r) equals
+    C(m - 1 - r, s - 1) / C(m - 1, s - 1), whose binomials are far shorter
+    than y for short jumps; a long jump, whose ratio would outgrow y,
+    takes a fresh binomial instead.
+    """
+    j = s - 1
+    if j == 0:
+        return y
+    if j >= r or j * (m - 1).bit_length() > y.bit_length():
+        return math.comb(m - s, r)
+    return y * math.comb(m - 1 - r, j) // math.comb(m - 1, j)
 
 
 def seed_length_required(n: int, k: int) -> int:

@@ -2,8 +2,9 @@
 
 These deliberately re-derive results by a different route than the
 package: arbitrary-precision arithmetic for the entropy formulas, a
-direct matrix-vector product for the Toeplitz hash, and the textbook
-ranking formula as the inverse of unranking.
+direct matrix-vector product for the Toeplitz hash, the textbook ranking
+formula as the inverse of unranking, and a candidate-by-candidate walk
+as a second unranker.
 """
 
 import math
@@ -62,3 +63,29 @@ def rank_combination(positions, n: int) -> int:
             rank += math.comb(n - 1 - c, k - slot - 1)
         prev = pos
     return rank
+
+
+def walk_unrank(index: int, n: int, k: int) -> list[int]:
+    """Lexicographic unranking one candidate position at a time.
+
+    For each candidate in turn, ``b`` counts the remaining subsets that
+    contain it: the candidate is chosen when the rank falls below ``b``,
+    and skipped otherwise.  O(last chosen position) exact steps.
+    """
+    out: list[int] = []
+    if k == 0:
+        return out
+    b = math.comb(n - 1, k - 1)  # subsets containing the current candidate
+    n_rem, k_rem, c, r = n, k, 0, index
+    while k_rem > 0:
+        if r < b:
+            out.append(c)
+            if k_rem > 1:
+                b = b * (k_rem - 1) // (n_rem - 1)
+            k_rem -= 1
+        else:
+            r -= b
+            b = b * (n_rem - k_rem) // (n_rem - 1)
+        n_rem -= 1
+        c += 1
+    return out

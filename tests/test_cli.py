@@ -2,13 +2,16 @@
 the exact seed ledger."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import siqrng
 from siqrng.cli import main
-from siqrng.config import config_from_dict
+from siqrng.config import config_from_dict, load_config
 from siqrng.fileio import read_bit_file, read_click_file, read_json
 
 HONEST_DOC = {
@@ -88,6 +91,29 @@ class TestPipeline:
         security = read_json(out / "security.json")
         assert ledger["toeplitz_seed_bits"] == security["toeplitz_seed_bits"]
         assert ledger["output_bits"] == len(read_bit_file(out / "final.siq"))
+
+    def test_sweep_plans_the_active_basis_once(self, honest_config, tmp_path, monkeypatch):
+        import siqrng.pipeline as pipeline
+
+        calls = []
+        real_plan = pipeline.plan_basis_positions
+
+        def counting_plan(*args, **kwargs):
+            calls.append(args[:2])
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "plan_basis_positions", counting_plan)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(honest_config), "--out", str(out),
+                     "--sweep", "loss_db=0,6"]) == 0
+        assert calls == [(HONEST_DOC["total_pulses"], HONEST_DOC["planned_x_count"])]
+        assert (out / "sweep.csv").exists()
+
+        # a session that derives its own plan spends the same seed, bit for bit
+        own = pipeline.run_protocol_session(load_config(honest_config))
+        assert len(calls) == 2
+        assert read_json(out / "seed_ledger.json") == own.seed_ledger
+        assert read_bit_file(out / "final.siq") == own.final_bits
 
     def test_adversarial_source_aborts_with_exit_2(self, adversarial_config, tmp_path):
         out = tmp_path / "run"
@@ -172,10 +198,15 @@ class TestErrorHandling:
 
 def test_module_entry_point(honest_config, tmp_path):
     out = tmp_path / "proc"
+    # the child finds the package where this process found it, also when
+    # that is a pytest ``pythonpath`` entry rather than PYTHONPATH
+    package_root = str(Path(siqrng.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "siqrng", "pipeline",
          "--config", str(honest_config), "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "final.siq").exists()
