@@ -4,19 +4,29 @@ The extraction matrix T has shape K x n_z and is constant along
 diagonals: ``T[i][j] = seed[i - j + n_z - 1]`` for a seed of
 ``n_z + K - 1`` bits, and ``y[i] = XOR_j T[i][j] & x[j]``.  This indexing
 convention is normative; the fast path below computes the same map as a
-GF(2) polynomial product, taking coefficients ``n_z-1 .. n_z+K-2`` of
-``seed(t) * x(t)``.
+GF(2) polynomial product, taking the band of coefficients
+``n_z-1 .. n_z+K-2`` of ``seed(t) * x(t)``.
 
-The product is evaluated as an integer convolution by real FFT and reduced
-mod 2.  For 0/1 sequences the FFT round-off is bounded far below 1/2 at any
-block size this module accepts, and a runtime guard verifies the margin, so
-the result is bit-identical to the naive matrix-vector definition.
+The product is evaluated as an integer convolution by a *circular* real
+FFT of length ``L = next_fast_len(seed_length)`` and reduced mod 2.  The
+wrap-around adds linear coefficient ``c+L`` to coefficient ``c``; the
+linear product ends at coefficient ``n_z + seed_length - 2`` and every band
+coefficient has ``c+L >= n_z-1+seed_length``, so no alias reaches the band
+and it is exact.  For 0/1 sequences the FFT round-off is bounded far below
+1/2 at any block size this module accepts; a runtime guard checks the
+margin, so the result is bit-identical to the naive matrix-vector
+definition.  The worst margin of a session is reported as
+``fft_max_deviation``.
 
 Long inputs are split into balanced sub-blocks (default around 2**20 raw
 bits) extracted independently; each block contributes its own 2**(-t_e)
 failure term via a union bound.  One Toeplitz seed, sized for the largest
 block, is consumed per session and reused across its blocks: the hash is a
-strong extractor, so outputs remain independent of the seed.
+strong extractor, so outputs remain independent of the seed.  Its spectrum
+is computed once.  A block's band reads only seed indices below its own
+``seed_length``, and the alias argument holds for any seed no longer than
+``L``, so the longest block's seed and its spectrum give every block the
+same bits as its own prefix of the seed would.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .bits import BitBlock
 from .entropy_math import (
@@ -87,6 +97,34 @@ def make_plan(tally: SessionTally, est: EstimationResult, t_e: int) -> Extractio
     return ExtractionPlan(n_z=tally.n_z, K=k, t_e=t_e)
 
 
+def _seed_spectrum(seed01: np.ndarray) -> tuple[np.ndarray, int]:
+    """Real-FFT spectrum of a seed at the circular length ``next_fast_len(len(seed01))``."""
+    length = next_fast_len(seed01.size, real=True)
+    return rfft(seed01.astype(np.float64), n=length), length
+
+
+def _hash_band(
+    raw01: np.ndarray, spectrum: np.ndarray, length: int, plan: ExtractionPlan
+) -> tuple[np.ndarray, float]:
+    """Output bits of one block and its rounding deviation.
+
+    ``spectrum`` comes from :func:`_seed_spectrum` on a seed of at least
+    ``plan.seed_length`` bits; only its first ``plan.seed_length`` bits
+    reach the band.
+    """
+    product = rfft(raw01.astype(np.float64), n=length)
+    product *= spectrum
+    conv = irfft(product, n=length, overwrite_x=True)
+    band = conv[plan.n_z - 1 : plan.n_z - 1 + plan.K]
+    counts = np.rint(band)
+    deviation = float(np.max(np.abs(band - counts))) if band.size else 0.0
+    if deviation >= _ROUNDING_GUARD:
+        raise ArithmeticError(
+            f"FFT convolution rounding margin violated (deviation {deviation:.3g})"
+        )
+    return (counts.astype(np.int64) & 1).astype(np.uint8), deviation
+
+
 def toeplitz_extract(raw: BitBlock, seed: BitBlock, plan: ExtractionPlan) -> BitBlock:
     """Apply the K x n_z Toeplitz hash defined by ``seed`` to ``raw``.
 
@@ -99,15 +137,9 @@ def toeplitz_extract(raw: BitBlock, seed: BitBlock, plan: ExtractionPlan) -> Bit
         raise ValueError(f"raw length {len(raw)} != plan n_z {plan.n_z}")
     if len(seed) != plan.seed_length:
         raise ValueError(f"seed length {len(seed)} != plan seed length {plan.seed_length}")
-    conv = fftconvolve(raw.to01().astype(np.float64), seed.to01().astype(np.float64))
-    band = conv[plan.n_z - 1 : plan.n_z - 1 + plan.K]
-    counts = np.rint(band)
-    deviation = float(np.max(np.abs(band - counts))) if band.size else 0.0
-    if deviation >= _ROUNDING_GUARD:
-        raise ArithmeticError(
-            f"FFT convolution rounding margin violated (deviation {deviation:.3g})"
-        )
-    return BitBlock.from01(counts.astype(np.int64) & 1)
+    spectrum, length = _seed_spectrum(seed.to01())
+    bits, _ = _hash_band(raw.to01(), spectrum, length, plan)
+    return BitBlock.from01(bits)
 
 
 def _balanced_blocks(n: int, block_size: int) -> list[int]:
@@ -129,8 +161,9 @@ def extract_session(
 
     Returns the concatenated output, the composed security report
     (``eps_f = eps_theta + n_blocks * 2**(-t_e)``), and a summary dict with
-    block shapes and exact Toeplitz seed consumption.  An efficiency ratio
-    below 1 shortens each block via the mismatch-adjusted length formula.
+    block shapes, exact Toeplitz seed consumption and the worst FFT rounding
+    deviation of any block.  An efficiency ratio below 1 shortens each block
+    via the mismatch-adjusted length formula.
 
     Raises
     ------
@@ -154,15 +187,18 @@ def extract_session(
     plans = [ExtractionPlan(n_z=m, K=output_length(m), t_e=t_e) for m in sizes]
 
     seed_length = max(p.seed_length for p in plans)
-    seed = BitBlock.from01(seed_source.take_bits(seed_length))
+    spectrum, length = _seed_spectrum(seed_source.take_bits(seed_length))
 
+    z01 = z_bits.to01()
     outputs = []
+    max_deviation = 0.0
     start = 0
     for plan in plans:
-        block = z_bits.slice(start, start + plan.n_z)
-        outputs.append(toeplitz_extract(block, seed.slice(0, plan.seed_length), plan))
+        bits, deviation = _hash_band(z01[start : start + plan.n_z], spectrum, length, plan)
+        outputs.append(bits)
+        max_deviation = max(max_deviation, deviation)
         start += plan.n_z
-    final = BitBlock.concat(outputs)
+    final = BitBlock.from01(np.concatenate(outputs))
 
     report = composed_security(est.eps_theta, t_e, extraction_blocks=len(plans))
     summary = {
@@ -172,5 +208,6 @@ def extract_session(
         "n_blocks": len(plans),
         "block_sizes": sizes,
         "toeplitz_seed_bits": seed_length,
+        "fft_max_deviation": max_deviation,
     }
     return final, report, summary

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, gammaincc
-from scipy.stats import norm
+from scipy.special import erfc, gammaincc, ndtr
 
 from .bits import BitBlock
 
@@ -164,8 +163,8 @@ def cusum_test(bits) -> tuple[float, float]:
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
     p = (
         1.0
-        - float(np.sum(norm.cdf((4 * k1 + 1) * z / sqrt_n) - norm.cdf((4 * k1 - 1) * z / sqrt_n)))
-        + float(np.sum(norm.cdf((4 * k2 + 3) * z / sqrt_n) - norm.cdf((4 * k2 + 1) * z / sqrt_n)))
+        - float(np.sum(ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)))
+        + float(np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)))
     )
     return float(z), float(min(max(p, 0.0), 1.0))
 

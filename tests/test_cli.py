@@ -92,6 +92,12 @@ class TestPipeline:
         assert ledger["toeplitz_seed_bits"] == security["toeplitz_seed_bits"]
         assert ledger["output_bits"] == len(read_bit_file(out / "final.siq"))
 
+    def test_security_reports_fft_rounding_margin(self, honest_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(honest_config), "--out", str(out)]) == 0
+        deviation = read_json(out / "security.json")["fft_max_deviation"]
+        assert 0.0 <= deviation < 1e-6
+
     def test_sweep_plans_the_active_basis_once(self, honest_config, tmp_path, monkeypatch):
         import siqrng.pipeline as pipeline
 
@@ -196,20 +202,36 @@ class TestErrorHandling:
         assert main(["estimate"]) == 1
 
 
-def test_module_entry_point(honest_config, tmp_path):
-    out = tmp_path / "proc"
-    # the child finds the package where this process found it, also when
+def _child_env() -> dict:
+    # a child finds the package where this process found it, also when
     # that is a pytest ``pythonpath`` entry rather than PYTHONPATH
     package_root = str(Path(siqrng.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(honest_config, tmp_path):
+    out = tmp_path / "proc"
     proc = subprocess.run(
         [sys.executable, "-m", "siqrng", "pipeline",
          "--config", str(honest_config), "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "final.siq").exists()
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    # both subpackages cost most of a cold start and nothing needs them
+    code = (
+        "import sys, siqrng.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_expansion_property_at_protocol_scale(tmp_path):

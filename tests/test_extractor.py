@@ -1,11 +1,18 @@
 """Toeplitz extraction: bit-exact agreement with the naive GF(2) oracle,
 linearity, planning arithmetic, and session-level block accounting."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from scipy.fft import next_fast_len
 
 from siqrng.bits import BitBlock
+from siqrng.entropy_math import final_length
 from siqrng.estimation import EstimationResult
 from siqrng.extractor import (
     ExtractionError,
@@ -98,6 +105,32 @@ class TestToeplitzExtract:
         n_z, k_out = 6000, 4200
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
+        plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
+        fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
+        assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
+
+    @pytest.mark.parametrize("n_z,k_out", [
+        (1, 1),        # smallest hash: seed_length 1, L 1
+        (700, 700),    # K = n_z
+        (700, 1),      # K = 1
+        (600, 401),    # seed_length 1000 = 2^3 5^3, so L == seed_length
+        (300, 213),    # seed_length 512
+        (1024, 1),     # seed_length 1024 with K = 1
+    ])
+    def test_matches_naive_oracle_at_edge_shapes(self, rng, n_z, k_out):
+        raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
+        seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
+        plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
+        fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
+        assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
+
+    def test_alias_boundary_with_all_ones(self):
+        # L == seed_length: the first aliased coefficient lands one past the
+        # band's top, and all-ones inputs make every coefficient maximal
+        n_z, k_out = 600, 401
+        assert next_fast_len(n_z + k_out - 1, real=True) == n_z + k_out - 1
+        raw01 = np.ones(n_z, dtype=np.uint8)
+        seed01 = np.ones(n_z + k_out - 1, dtype=np.uint8)
         plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
         fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
         assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
@@ -210,3 +243,56 @@ class TestExtractSession:
             outputs.append(toeplitz_extract(raw, seed, plan).to01())
         _, p_value = monobit_test(np.concatenate(outputs))
         assert p_value >= 0.01
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_z=st.integers(min_value=60, max_value=3000),
+        n_blocks=st.integers(min_value=1, max_value=5),
+        e_bx=st.sampled_from([0.0, 0.02, 0.05, 0.11]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n_z=2999, n_blocks=3, e_bx=0.02, seed=1)  # K 853, 853, 852
+    def test_shared_seed_spectrum_matches_per_block_naive(self, n_z, n_blocks, e_bx, seed):
+        # one spectrum of the longest seed serves blocks whose K differ by one
+        rng = np.random.default_rng(seed)
+        raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
+        est = _est(e_bx=e_bx, log2_eps=-60.0)
+        t_e = 5
+        block_size = math.ceil(n_z / n_blocks)
+        final, _, summary = extract_session(
+            BitBlock.from01(raw01), est, t_e,
+            SeedSource.from_rng(np.random.default_rng(seed)), block_size=block_size,
+        )
+        sizes = summary["block_sizes"]
+        assert sum(sizes) == n_z and max(sizes) - min(sizes) <= 1
+        plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e), t_e=t_e)
+                 for m in sizes]
+        seed_bits = SeedSource.from_rng(np.random.default_rng(seed)).take_bits(
+            max(p.seed_length for p in plans)
+        )
+        assert summary["toeplitz_seed_bits"] == seed_bits.size
+        pieces, start = [], 0
+        for plan in plans:
+            block = raw01[start : start + plan.n_z]
+            pieces.append(naive_toeplitz(block, seed_bits[: plan.seed_length], plan.K))
+            start += plan.n_z
+        assert np.array_equal(final.to01(), np.concatenate(pieces))
+        assert 0.0 <= summary["fft_max_deviation"] < 1e-6
+
+    def test_multi_block_output_is_unchanged(self):
+        # the Toeplitz definition fixes every output bit, so a multi-block
+        # session at fixed seeds is pinned: blocks of 1000001, 1000001 and
+        # 1000000 bits, whose K differ by one, share one 1858460-bit seed
+        raw = BitBlock.from01(
+            np.random.default_rng(20261018).integers(0, 2, 3_000_002, dtype=np.uint8)
+        )
+        final, _, summary = extract_session(
+            raw, _est(e_bx=0.02, log2_eps=-100.0), 100,
+            SeedSource.from_rng(np.random.default_rng(7)),
+        )
+        assert summary["block_sizes"] == [1_000_001, 1_000_001, 1_000_000]
+        assert summary["toeplitz_seed_bits"] == 1_858_460
+        assert len(final) == 2_575_379
+        assert hashlib.sha256(final.data.tobytes()).hexdigest() == (
+            "c895164e191f4808a3122ec45c69f7cf2c7b837e8a512f7ebe9c61a84ef76ab0"
+        )
