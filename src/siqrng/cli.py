@@ -39,7 +39,7 @@ from .pipeline import (
     run_sweep,
     shared_basis_plan,
 )
-from .randtest import compare_raw_vs_final, run_battery
+from .randtest import battery_min_bits, compare_raw_vs_final, run_battery
 from .seeds import SeedSource
 from .squash_sample import squash_and_tally
 
@@ -203,8 +203,13 @@ def cmd_pipeline(args) -> int:
                       {k: getattr(curve_point_from_session(result), k)
                        for k in ("loss_db", "K", "rate_bits_per_s", "eps_t")})
 
-    report = run_battery(result.final_bits)
-    fileio.write_json(out / "randtest.json", report.to_dict())
+    # too short a certified output is still a success; it only goes untested
+    if len(result.final_bits) >= (minimum := battery_min_bits()):
+        report = run_battery(result.final_bits)
+        fileio.write_json(out / "randtest.json", report.to_dict())
+    else:
+        print(f"statistical battery skipped: {len(result.final_bits)} certified bits, "
+              f"needs >= {minimum}", file=sys.stderr)
     if min(result.tally.n_z, len(result.final_bits)) >= 10**5:
         comparison = compare_raw_vs_final(result.tally.z_bits, result.final_bits)
         fileio.atomic_write_bytes(

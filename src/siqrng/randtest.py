@@ -7,6 +7,27 @@ when its P value is at least 0.01; a battery additionally reports, per
 test, the proportion of equal-length sub-sequences passing (the deployment
 threshold is 96%).
 
+The costly statistics run on the packed bits (LSB first, as in
+:class:`~siqrng.bits.BitBlock`) with integer arithmetic only:
+
+* ``autocorrelation`` views the bytes as little-endian uint64 words and
+  counts ``c_j = popcount(x & (x >> j))``, the number of ones ``j`` apart.
+  With ``s`` ones in ``n`` bits and ``A_j``/``B_j`` the ones outside the
+  last/first ``j`` bits, the divide-by-n estimator (full-block mean, biased
+  variance) is exactly::
+
+      R(j) = (n^2 c_j - n s (A_j + B_j) + (n - j) s^2) / (n (n s - s^2))
+
+  evaluated in Python integers with one correctly rounded division per lag.
+  No float sum is formed, so the curve is a function of the bits alone and
+  does not depend on the BLAS library or its thread count.
+* ``cusum_test`` walks byte by byte: three 256-entry tables give each
+  byte's walk end and its highest and lowest prefix, and a cumulative sum
+  of the walk ends places them on the walk.
+* ``longest_run_test`` ANDs each packed block with itself shifted by one
+  bit, once per run length up to the last category boundary (at most 16
+  passes), and counts the blocks that still hold a set bit.
+
 Exported bit files can be fed to external full-suite implementations; this
 module only covers the mechanics needed to validate sessions in-toolkit.
 """
@@ -24,6 +45,8 @@ from .bits import BitBlock
 P_VALUE_THRESHOLD = 0.01
 PROPORTION_THRESHOLD = 0.96
 DEFAULT_PARTITIONS = 100
+# largest per-test minimum: longest run, and block frequency at its default block length
+MIN_TEST_BITS = 128
 
 
 class DegenerateSequenceError(ValueError):
@@ -43,15 +66,23 @@ def _as01(bits) -> np.ndarray:
     return arr
 
 
-def _require(bits: np.ndarray, minimum: int, test: str):
-    if bits.size < minimum:
-        raise InsufficientLengthError(f"{test} needs >= {minimum} bits, got {bits.size}")
+def _as_block(bits) -> BitBlock:
+    if isinstance(bits, BitBlock):
+        return bits
+    x = _as01(bits)
+    return BitBlock(np.packbits(x, bitorder="little"), x.size)
+
+
+def _require(n: int, minimum: int, test: str):
+    if n < minimum:
+        raise InsufficientLengthError(f"{test} needs >= {minimum} bits, got {n}")
 
 
 def autocorrelation(bits, max_lag: int) -> np.ndarray:
     """Sample autocorrelation R(1..max_lag) with the divide-by-n estimator.
 
     Uses the sample mean and biased sample variance of the full block.
+    Each R(j) is the correctly rounded value of the exact estimator.
 
     Raises
     ------
@@ -60,23 +91,43 @@ def autocorrelation(bits, max_lag: int) -> np.ndarray:
     InsufficientLengthError
         If fewer than max_lag + 2 bits are supplied.
     """
-    x = _as01(bits).astype(np.float64)
-    _require(x, max_lag + 2, "autocorrelation")
-    d = x - x.mean()
-    var = float(np.mean(d * d))
-    if var == 0.0:
+    block = _as_block(bits)
+    data, n = block.data, block.length
+    _require(n, max_lag + 2, "autocorrelation")
+    ones = int(np.bitwise_count(data).sum(dtype=np.int64))
+    scale = n * (n * ones - ones * ones)  # n^3 times the biased variance
+    if scale == 0:
         raise DegenerateSequenceError("constant sequence has undefined autocorrelation")
-    n = x.size
+    # ones among the first j and among the last j bits, j = 1..max_lag
+    first = np.cumsum(
+        np.unpackbits(data[: (max_lag + 7) // 8], count=max_lag, bitorder="little")
+    ).tolist()
+    tail_byte = (n - max_lag) // 8
+    tail = np.unpackbits(data[tail_byte:], count=n - 8 * tail_byte, bitorder="little")
+    last = np.cumsum(tail[::-1][:max_lag]).tolist()
+
+    n_words = -(-data.size // 8)
+    # zero words past the end stand in for the bits shifted in from beyond n
+    words = np.zeros(n_words + max_lag // 64 + 1, dtype="<u8")
+    words.view(np.uint8)[: data.size] = data
+    x = words[:n_words]
     out = np.empty(max_lag, dtype=np.float64)
     for j in range(1, max_lag + 1):
-        out[j - 1] = float(np.dot(d[:-j], d[j:])) / n / var
+        q, r = divmod(j, 64)
+        shifted = words[q : q + n_words] >> r
+        if r:
+            shifted |= words[q + 1 : q + 1 + n_words] << (64 - r)
+        shifted &= x
+        c = int(np.bitwise_count(shifted).sum(dtype=np.int64))
+        outside = 2 * ones - first[j - 1] - last[j - 1]  # A_j + B_j
+        out[j - 1] = (n * n * c - n * ones * outside + (n - j) * ones * ones) / scale
     return out
 
 
 def monobit_test(bits) -> tuple[float, float]:
     """Frequency test: overall balance of ones and zeros."""
     x = _as01(bits)
-    _require(x, 100, "monobit test")
+    _require(x.size, 100, "monobit test")
     s = 2.0 * int(np.count_nonzero(x)) - x.size
     statistic = abs(s) / math.sqrt(x.size)
     return statistic, float(erfc(statistic / math.sqrt(2.0)))
@@ -87,7 +138,7 @@ def block_frequency_test(bits, block_len: int = 128) -> tuple[float, float]:
     x = _as01(bits)
     if block_len < 2:
         raise ValueError(f"block length must be >= 2, got {block_len}")
-    _require(x, max(100, block_len), "block frequency test")
+    _require(x.size, max(100, block_len), "block frequency test")
     n_blocks = x.size // block_len
     pi = x[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
     chi2 = 4.0 * block_len * float(np.sum((pi - 0.5) ** 2))
@@ -101,7 +152,7 @@ def runs_test(bits) -> tuple[float, float]:
     fraction is already outside the 2/sqrt(n) frequency band.
     """
     x = _as01(bits)
-    _require(x, 100, "runs test")
+    _require(x.size, 100, "runs test")
     n = x.size
     pi = float(np.count_nonzero(x)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
@@ -121,43 +172,61 @@ _LONGEST_RUN_REGIMES = (
 )
 
 
-def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 0/1 matrix."""
-    current = np.zeros(blocks.shape[0], dtype=np.int64)
-    best = np.zeros(blocks.shape[0], dtype=np.int64)
-    for col in range(blocks.shape[1]):
-        current = (current + 1) * blocks[:, col]
-        np.maximum(best, current, out=best)
-    return best
-
-
 def longest_run_test(bits) -> tuple[float, float]:
     """Distribution of the longest run of ones over fixed-length blocks."""
-    x = _as01(bits)
-    _require(x, 128, "longest run test")
-    regime = next(r for r in reversed(_LONGEST_RUN_REGIMES) if x.size >= r[0])
+    block = _as_block(bits)
+    data, n = block.data, block.length
+    _require(n, MIN_TEST_BITS, "longest run test")
+    regime = next(r for r in reversed(_LONGEST_RUN_REGIMES) if n >= r[0])
     _, m, bounds, pi = regime
-    n_blocks = x.size // m
-    longest = _longest_run_per_block(x[: n_blocks * m].reshape(n_blocks, m).astype(np.int64))
+    n_blocks = n // m
+    # every block length is a whole number of bytes; bit i of a row of
+    # `run` is set while bits i .. i+k-1 of that block are all ones
+    run = data[: n_blocks * m // 8].reshape(n_blocks, m // 8)
+    at_least = [n_blocks]  # at_least[k]: blocks holding a run of >= k ones
+    for k in range(1, bounds[-1] + 1):
+        if k > 1:
+            shifted = run >> 1
+            shifted[:, :-1] |= run[:, 1:] << 7
+            run = run & shifted
+        at_least.append(int(np.count_nonzero(run.any(axis=1))))
     counts = np.zeros(len(bounds), dtype=np.int64)
-    counts[0] = int(np.count_nonzero(longest <= bounds[0]))
+    counts[0] = n_blocks - at_least[bounds[0] + 1]
     for i in range(1, len(bounds) - 1):
-        counts[i] = int(np.count_nonzero(longest == bounds[i]))
-    counts[-1] = int(np.count_nonzero(longest >= bounds[-1]))
+        counts[i] = at_least[bounds[i]] - at_least[bounds[i] + 1]
+    counts[-1] = at_least[bounds[-1]]
     expected = n_blocks * np.asarray(pi)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
 
 
+def _byte_walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk end, highest and lowest prefix of the +/-1 walk over each byte."""
+    steps = 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1  # LSB first
+    prefix = np.cumsum(steps, axis=1)
+    return prefix[:, -1], prefix.max(axis=1), prefix.min(axis=1)
+
+
+_BYTE_END, _BYTE_HIGH, _BYTE_LOW = _byte_walk_tables()
+
+
 def cusum_test(bits) -> tuple[float, float]:
     """Maximum excursion of the +/-1 partial-sum walk (forward mode)."""
-    x = _as01(bits)
-    _require(x, 100, "cumulative sums test")
-    n = x.size
-    walk = np.cumsum(2 * x.astype(np.int64) - 1)
-    z = int(np.max(np.abs(walk)))
-    if z == 0:
-        return 0.0, 0.0
+    block = _as_block(bits)
+    data, n = block.data, block.length
+    _require(n, 100, "cumulative sums test")
+    whole = data[: n // 8]
+    after = np.cumsum(_BYTE_END[whole])  # walk after each whole byte
+    before = after - _BYTE_END[whole]
+    high = int(np.max(before + _BYTE_HIGH[whole]))
+    low = int(np.min(before + _BYTE_LOW[whole]))
+    if n % 8:
+        # the partial last byte: only its first n % 8 steps are on the walk
+        tail = np.unpackbits(data[-1:], count=n % 8, bitorder="little")
+        walk = int(after[-1]) + np.cumsum(2 * tail.astype(np.int64) - 1)
+        high = max(high, int(walk.max()))
+        low = min(low, int(walk.min()))
+    z = max(high, -low)  # >= 1: the first step already moves the walk
     sqrt_n = math.sqrt(n)
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
@@ -223,13 +292,25 @@ class TestReport:
         }
 
 
+def battery_min_bits(n_partitions: int = DEFAULT_PARTITIONS) -> int:
+    """Shortest input the battery takes: every partition holds MIN_TEST_BITS."""
+    return n_partitions * MIN_TEST_BITS
+
+
 def run_battery(
     bits,
     n_partitions: int = DEFAULT_PARTITIONS,
     max_lag: int = 100,
 ) -> TestReport:
-    """Run every implemented test on the full sequence and on equal partitions."""
+    """Run every implemented test on the full sequence and on equal partitions.
+
+    Raises
+    ------
+    InsufficientLengthError
+        If fewer than ``battery_min_bits(n_partitions)`` bits are supplied.
+    """
     x = _as01(bits)
+    _require(x.size, battery_min_bits(n_partitions), "statistical battery")
     part_len = x.size // n_partitions
     report = TestReport(n_partitions=n_partitions)
     for name, test in ALL_TESTS.items():
@@ -279,11 +360,11 @@ def compare_raw_vs_final(raw, final, max_lag: int = 100) -> AutocorrelationCompa
     Both sequences must be at least 10**5 bits so the curves are meaningful
     at lags up to ``max_lag``.
     """
-    raw01, final01 = _as01(raw), _as01(final)
-    _require(raw01, 10**5, "raw-vs-final comparison")
-    _require(final01, 10**5, "raw-vs-final comparison")
-    raw_curve = autocorrelation(raw01, max_lag)
-    final_curve = autocorrelation(final01, max_lag)
+    raw, final = _as_block(raw), _as_block(final)
+    _require(len(raw), 10**5, "raw-vs-final comparison")
+    _require(len(final), 10**5, "raw-vs-final comparison")
+    raw_curve = autocorrelation(raw, max_lag)
+    final_curve = autocorrelation(final, max_lag)
     return AutocorrelationComparison(
         lags=np.arange(1, max_lag + 1),
         raw_curve=raw_curve,

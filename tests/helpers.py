@@ -3,16 +3,37 @@
 These deliberately re-derive results by a different route than the
 package: arbitrary-precision arithmetic for the entropy formulas, a
 direct matrix-vector product for the Toeplitz hash, the textbook ranking
-formula as the inverse of unranking, and a candidate-by-candidate walk
-as a second unranker.
+formula as the inverse of unranking, a candidate-by-candidate walk
+as a second unranker, exact rationals and float64 dot products for the
+lag autocorrelation, and an int64 walk and a column-by-column scan for
+the cusum and longest-run tests.
+Also the environment for tests that run the package in a fresh interpreter.
 """
 
 import math
+import os
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from mpmath import mp, mpf
+from scipy.special import gammaincc, ndtr
+
+import siqrng
+from siqrng.randtest import _LONGEST_RUN_REGIMES
 
 mp.dps = 50
+
+
+def child_env(**extra: str) -> dict:
+    """os.environ plus ``extra``, with the package importable in a child.
+
+    A child finds the package where this process found it, also when that
+    is a pytest ``pythonpath`` entry rather than PYTHONPATH.
+    """
+    package_root = str(Path(siqrng.__file__).parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
 def mp_binary_entropy(e) -> mpf:
@@ -89,3 +110,65 @@ def walk_unrank(index: int, n: int, k: int) -> list[int]:
         n_rem -= 1
         c += 1
     return out
+
+
+def exact_autocorrelation(x01, max_lag: int) -> list[Fraction]:
+    """R(1..max_lag) as exact rationals, from the centred bits n*x_i - s.
+
+    sum_i (n x_i - s)(n x_{i+j} - s) is n^2 times the lag-j sum of centred
+    products, and n^2 times the biased variance is n s - s^2.
+    """
+    x = [int(b) for b in x01]
+    n, s = len(x), sum(x)
+    centred = [n * b - s for b in x]
+    return [
+        Fraction(sum(centred[i] * centred[i + j] for i in range(n - j)), n * (n * s - s * s))
+        for j in range(1, max_lag + 1)
+    ]
+
+
+def dot_autocorrelation(x01: np.ndarray, max_lag: int) -> np.ndarray:
+    """Divide-by-n lag autocorrelation from float64 dot products of the centred bits."""
+    x = np.asarray(x01, dtype=np.float64)
+    d = x - x.mean()
+    var = float(np.mean(d * d))
+    n = x.size
+    return np.array([float(np.dot(d[:-j], d[j:])) / n / var for j in range(1, max_lag + 1)])
+
+
+def walk_cusum_test(x01: np.ndarray) -> tuple[float, float]:
+    """Forward cumulative-sums test over the int64 partial sums of every bit."""
+    n = x01.size
+    walk = np.cumsum(2 * np.asarray(x01, dtype=np.int64) - 1)
+    z = int(np.max(np.abs(walk)))
+    sqrt_n = math.sqrt(n)
+    k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
+    k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
+    p = (
+        1.0
+        - float(np.sum(ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)))
+        + float(np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)))
+    )
+    return float(z), float(min(max(p, 0.0), 1.0))
+
+
+def column_longest_run_test(x01: np.ndarray) -> tuple[float, float]:
+    """Longest-run-of-ones test, scanning each block's columns one at a time."""
+    x = np.asarray(x01, dtype=np.uint8)
+    regime = next(r for r in reversed(_LONGEST_RUN_REGIMES) if x.size >= r[0])
+    _, m, bounds, pi = regime
+    n_blocks = x.size // m
+    blocks = x[: n_blocks * m].reshape(n_blocks, m).astype(np.int64)
+    current = np.zeros(n_blocks, dtype=np.int64)
+    longest = np.zeros(n_blocks, dtype=np.int64)
+    for col in range(m):
+        current = (current + 1) * blocks[:, col]
+        np.maximum(longest, current, out=longest)
+    counts = np.zeros(len(bounds), dtype=np.int64)
+    counts[0] = int(np.count_nonzero(longest <= bounds[0]))
+    for i in range(1, len(bounds) - 1):
+        counts[i] = int(np.count_nonzero(longest == bounds[i]))
+    counts[-1] = int(np.count_nonzero(longest >= bounds[-1]))
+    expected = n_blocks * np.asarray(pi)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))

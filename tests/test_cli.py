@@ -2,14 +2,12 @@
 the exact seed ledger."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from helpers import child_env
 
-import siqrng
 from siqrng.cli import main
 from siqrng.config import config_from_dict, load_config
 from siqrng.fileio import read_bit_file, read_click_file, read_json
@@ -121,6 +119,23 @@ class TestPipeline:
         assert read_json(out / "seed_ledger.json") == own.seed_ledger
         assert read_bit_file(out / "final.siq") == own.final_bits
 
+    def test_short_certified_output_skips_battery(self, tmp_path, capsys):
+        # 8906 certified bits: too few for 100 battery partitions of 128 bits
+        doc = {**HONEST_DOC, "total_pulses": 60_000, "planned_x_count": 3000,
+               "master_seed": 11, "basis_choice": "passive"}
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        assert len(read_bit_file(out / "final.siq")) == 8906
+        assert not (out / "randtest.json").exists()
+        assert "battery skipped" in capsys.readouterr().err
+
+        assert main(["test", "--bits", str(out / "final.siq"), "--out", str(out)]) == 1
+        assert ("statistical battery needs >= 12800 bits, got 8906"
+                in capsys.readouterr().err)
+        assert not (out / "randtest.json").exists()
+
     def test_adversarial_source_aborts_with_exit_2(self, adversarial_config, tmp_path):
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(adversarial_config), "--out", str(out)]) == 2
@@ -202,20 +217,12 @@ class TestErrorHandling:
         assert main(["estimate"]) == 1
 
 
-def _child_env() -> dict:
-    # a child finds the package where this process found it, also when
-    # that is a pytest ``pythonpath`` entry rather than PYTHONPATH
-    package_root = str(Path(siqrng.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-
-
 def test_module_entry_point(honest_config, tmp_path):
     out = tmp_path / "proc"
     proc = subprocess.run(
         [sys.executable, "-m", "siqrng", "pipeline",
          "--config", str(honest_config), "--out", str(out)],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "final.siq").exists()
@@ -229,7 +236,7 @@ def test_cli_import_skips_scipy_signal_and_stats():
         "             if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
     )
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=_child_env())
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,9 +1,23 @@
 """Statistical battery tests: constructed extremes, null-distribution
-uniformity via Kolmogorov-Smirnov, and the raw-vs-final autocorrelation
-contract."""
+uniformity via Kolmogorov-Smirnov, exactness of the packed-word kernels
+against their oracles, and the raw-vs-final autocorrelation contract."""
+
+import hashlib
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from helpers import (
+    child_env,
+    column_longest_run_test,
+    dot_autocorrelation,
+    exact_autocorrelation,
+    walk_cusum_test,
+)
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from siqrng.bits import BitBlock
@@ -13,6 +27,7 @@ from siqrng.randtest import (
     DegenerateSequenceError,
     InsufficientLengthError,
     autocorrelation,
+    battery_min_bits,
     block_frequency_test,
     compare_raw_vs_final,
     cusum_test,
@@ -52,6 +67,62 @@ class TestAutocorrelation:
     def test_needs_enough_bits(self):
         with pytest.raises(InsufficientLengthError):
             autocorrelation(np.array([0, 1, 0], dtype=np.uint8), max_lag=10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=700),
+        lag=st.integers(min_value=1, max_value=130),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        density=st.sampled_from([0.5, 0.05, 0.95]),
+    )
+    @example(n=102, lag=100, seed=1, density=0.5)  # n = max_lag + 2
+    @example(n=130, lag=128, seed=2, density=0.5)
+    @example(n=191, lag=129, seed=3, density=0.95)  # n % 64 != 0
+    @example(n=640, lag=65, seed=4, density=0.05)
+    def test_equals_exact_estimator(self, n, lag, seed, density):
+        max_lag = min(lag, n - 2)
+        x = (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
+        assume(0 < x.sum() < n)
+        got = autocorrelation(x, max_lag).tolist()
+        assert got == [float(r) for r in exact_autocorrelation(x, max_lag)]
+        assert autocorrelation(BitBlock.from01(x), max_lag).tolist() == got
+
+    @pytest.mark.parametrize("n", [192, 200, 257, 320])
+    def test_single_pairs_across_word_boundaries(self, n):
+        # ones at 0, 63, 64, 65 and 128: every pair distance from 1 to 128
+        # that straddles a 64-bit word edge shows up in c_j
+        x = np.zeros(n, dtype=np.uint8)
+        x[[0, 63, 64, 65, 128]] = 1
+        got = autocorrelation(x, 130).tolist()
+        assert got == [float(r) for r in exact_autocorrelation(x, 130)]
+
+    def test_matches_dot_product_oracle(self, rng):
+        n = 3 * 10**5 + 13
+        flips = rng.random(n) < 0.4
+        markov = (np.cumsum(flips) & 1).astype(np.uint8)
+        for x in (rng.integers(0, 2, n, dtype=np.uint8), markov):
+            np.testing.assert_allclose(
+                autocorrelation(x, 100), dot_autocorrelation(x, 100), rtol=0, atol=1e-12
+            )
+
+    def test_curve_does_not_depend_on_blas_threads(self):
+        # an 8.4M-bit curve summed by float dot products differs between
+        # one and two OpenBLAS threads; integer lag counts cannot
+        code = (
+            "import hashlib, numpy as np\n"
+            "from siqrng.bits import BitBlock\n"
+            "from siqrng.randtest import autocorrelation\n"
+            "data = np.random.default_rng(20261018).integers(0, 256, 2**20, dtype=np.uint8)\n"
+            "curve = autocorrelation(BitBlock(data, 2**23), 100)\n"
+            "print(hashlib.sha256(curve.tobytes()).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=child_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestIndividualTests:
@@ -111,6 +182,44 @@ class TestIndividualTests:
         assert kstest(p_values, "uniform").pvalue > 1e-3
 
 
+class TestPackedKernelsMatchOracles:
+    # regime edges of the longest-run test, and lengths with a partial last byte
+    LENGTHS = [100, 127, 128, 129, 6271, 6272, 749999, 750000]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("density", [0.5, 0.9])
+    def test_random_input(self, n, density, rng):
+        x = (rng.random(n) < density).astype(np.uint8)
+        assert cusum_test(x) == walk_cusum_test(x)
+        assert cusum_test(BitBlock.from01(x)) == walk_cusum_test(x)
+        if n >= 128:
+            assert longest_run_test(x) == column_longest_run_test(x)
+            assert longest_run_test(BitBlock.from01(x)) == column_longest_run_test(x)
+
+    @pytest.mark.parametrize("n", LENGTHS[2:])
+    def test_runs_of_ones_across_block_edges(self, n):
+        # runs of 1..20 ones, each straddling one edge of the 8-, 128- and
+        # 10^4-bit blocks, on a background of zeros
+        x = np.zeros(n, dtype=np.uint8)
+        for i, edge in enumerate(range(8, n, 997)):
+            length = 1 + i % 20
+            for block in (8, 128, 10**4):
+                start = edge - edge % block - length // 2
+                x[max(start, 0) : start + length] = 1
+        assert longest_run_test(x) == column_longest_run_test(x)
+        assert cusum_test(x) == walk_cusum_test(x)
+
+    @pytest.mark.parametrize("n", [129, 6271, 749999])
+    def test_walk_peaks_in_the_partial_last_byte(self, n):
+        # all zeros fall to -n and all ones rise to +n, each reaching its
+        # extreme only at the last bit, which lies in a partial byte
+        ones = np.ones(n, dtype=np.uint8)
+        for x in (1 - ones, ones):
+            assert cusum_test(x)[0] == float(n)
+            assert cusum_test(x) == walk_cusum_test(x)
+        assert longest_run_test(ones) == column_longest_run_test(ones)
+
+
 class TestBattery:
     def test_ideal_rng_passes_battery(self, rng):
         report = run_battery(rng.integers(0, 2, 2**21, dtype=np.uint8))
@@ -119,6 +228,26 @@ class TestBattery:
         assert len(report.autocorrelation) == 100
         for record in report.records:
             assert record.p_value >= 0.01
+
+    def test_records_are_unchanged(self):
+        # sha256 of the records and of the minimum proportion, recorded
+        # before the tests moved onto packed words
+        x = np.random.default_rng(0xC0FFEE).integers(0, 2, 2**21, dtype=np.uint8)
+        doc = run_battery(x).to_dict()
+        assert hashlib.sha256(json.dumps(doc["tests"]).encode()).hexdigest() == (
+            "0fd7b4044fd4e0e3988b4401f43f2847b53b17111275e73bfdfcbf2663b3cc37")
+        assert hashlib.sha256(json.dumps(doc["proportion_pass"]).encode()).hexdigest() == (
+            "b8cbc38948375ba9789be4c7b4da56d790594cd5f488169fee62dd03cf39c9c3")
+
+    @pytest.mark.parametrize("n_partitions", [100, 10])
+    def test_rejects_input_below_partition_minimum(self, n_partitions, rng):
+        minimum = battery_min_bits(n_partitions)
+        assert minimum == 128 * n_partitions
+        with pytest.raises(InsufficientLengthError, match="statistical battery"):
+            run_battery(rng.integers(0, 2, minimum - 1, dtype=np.uint8), n_partitions)
+        report = run_battery(rng.integers(0, 2, minimum, dtype=np.uint8), n_partitions,
+                             max_lag=10)
+        assert len(report.records) == 5
 
     def test_biased_input_fails_battery(self, rng):
         report = run_battery((rng.random(2**21) < 0.53).astype(np.uint8))
