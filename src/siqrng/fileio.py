@@ -9,9 +9,12 @@ Click-record file:
     one byte per pulse: bits 0-1 = pattern (0 none, 1 d0, 2 d1, 3 double),
     bit 2 = basis (0 Z, 1 X), upper bits zero.
 
-One byte per pulse is deliberately uncompressed: the records can be audited
-with any hex viewer.  All writes go through a temp file + rename so partial
-files are never observed.
+The record byte is also the in-memory form of a session
+(:class:`~siqrng.photonic_sim.ClickStream` holds ``records``), so the file
+is written from it and read back into it without conversion.  One byte per
+pulse is deliberately uncompressed: the records can be audited with any hex
+viewer.  All writes go through a temp file + rename so partial files are
+never observed.
 """
 
 from __future__ import annotations
@@ -30,21 +33,27 @@ BIT_MAGIC = b"SIQ1"
 CLICK_MAGIC = b"SIQC"
 FORMAT_VERSION = 1
 
-_PATTERN_MASK = 0b0000_0011
-_BASIS_BIT = 2
+_HEADER_BYTES = 13
+_MAX_RECORD = 0b111
 
 
 class FormatError(ValueError):
     """Raised when a file does not match the expected binary format."""
 
 
-def atomic_write_bytes(path: Path, payload: bytes):
-    """Write via temp file + rename in the destination directory."""
+def atomic_write_bytes(path: Path, payload, header: bytes = b""):
+    """Write ``header`` then ``payload`` via temp file + rename in the
+    destination directory.
+
+    ``payload`` is any contiguous buffer (bytes, a uint8 array); it is
+    written as it is, without a copy.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -75,23 +84,24 @@ def read_bit_file(path: Path) -> BitBlock:
 
 def write_click_file(path: Path, stream: ClickStream):
     header = CLICK_MAGIC + bytes([FORMAT_VERSION]) + len(stream).to_bytes(8, "little")
-    body = (stream.pattern | (stream.basis << _BASIS_BIT)).astype(np.uint8)
-    atomic_write_bytes(path, header + body.tobytes())
+    atomic_write_bytes(path, stream.records, header)
 
 
 def read_click_file(path: Path) -> ClickStream:
     raw = Path(path).read_bytes()
     if raw[:4] != CLICK_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {CLICK_MAGIC!r}")
+    if len(raw) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated header of {len(raw)} bytes")
     if raw[4] != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {raw[4]}")
-    count = int.from_bytes(raw[5:13], "little")
-    body = np.frombuffer(raw[13:], dtype=np.uint8)
-    if body.size != count:
-        raise FormatError(f"{path}: {body.size} pulse records, header says {count}")
-    if body.size and int(body.max()) > 0b111:
+    count = int.from_bytes(raw[5:_HEADER_BYTES], "little")
+    records = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER_BYTES)
+    if records.size != count:
+        raise FormatError(f"{path}: {records.size} pulse records, header says {count}")
+    if records.size and int(records.max()) > _MAX_RECORD:
         raise FormatError(f"{path}: pulse record with nonzero reserved bits")
-    return ClickStream(basis=(body >> _BASIS_BIT) & 1, pattern=body & _PATTERN_MASK)
+    return ClickStream.from_records(records)
 
 
 def write_json(path: Path, payload: dict):

@@ -105,28 +105,64 @@ class ClickEvent:
     pattern: Pattern
 
 
-class ClickStream:
-    """All click events of one session, held as compact per-pulse arrays."""
+# pulses per simulation block; it fixes which uniforms go to which detector,
+# so it is part of the stream's definition, and the passive basis draw and
+# the tally walk the same blocks
+BLOCK_SIZE = 1 << 21
 
-    def __init__(self, basis: np.ndarray, pattern: np.ndarray):
-        if basis.shape != pattern.shape:
-            raise ValueError("basis and pattern arrays must have the same shape")
-        self.basis = basis.astype(np.uint8, copy=False)
-        self.pattern = pattern.astype(np.uint8, copy=False)
+_PATTERN_MASK = 0b011
+_BASIS_SHIFT = 2
+X_RECORD = Basis.X << _BASIS_SHIFT  # X records are X_RECORD + pattern
+
+
+class ClickStream:
+    """All click events of one session, one record byte per pulse.
+
+    ``records`` holds the pattern in bits 0-1 and the basis in bit 2, the
+    same byte the click file stores (see :mod:`siqrng.fileio`);
+    ``basis`` and ``pattern`` are derived from it on each access.
+    """
+
+    def __init__(self, basis, pattern):
+        basis, pattern = np.asarray(basis), np.asarray(pattern)
+        if basis.ndim != 1 or basis.shape != pattern.shape:
+            raise ValueError(
+                "basis and pattern must be 1-d arrays of one length, got shapes "
+                f"{basis.shape} and {pattern.shape}"
+            )
+        if not np.isin(basis, (Basis.Z, Basis.X)).all():
+            raise ValueError("basis values must be 0 (Z) or 1 (X)")
+        if not np.isin(pattern, tuple(Pattern)).all():
+            raise ValueError("pattern values must be in 0..3")
+        self.records = pattern.astype(np.uint8) | (basis.astype(np.uint8) << _BASIS_SHIFT)
+
+    @classmethod
+    def from_records(cls, records: np.ndarray) -> "ClickStream":
+        """Wrap valid record bytes (upper five bits zero) without a copy."""
+        stream = cls.__new__(cls)
+        stream.records = records
+        return stream
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.records >> _BASIS_SHIFT
+
+    @property
+    def pattern(self) -> np.ndarray:
+        return self.records & _PATTERN_MASK
 
     def __len__(self) -> int:
-        return self.basis.size
+        return self.records.size
 
     def __iter__(self) -> Iterator[ClickEvent]:
-        for i in range(self.basis.size):
-            yield ClickEvent(i, Basis(int(self.basis[i])), Pattern(int(self.pattern[i])))
+        basis, pattern = self.basis, self.pattern
+        for i in range(basis.size):
+            yield ClickEvent(i, Basis(int(basis[i])), Pattern(int(pattern[i])))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClickStream):
             return NotImplemented
-        return np.array_equal(self.basis, other.basis) and np.array_equal(
-            self.pattern, other.pattern
-        )
+        return np.array_equal(self.records, other.records)
 
 
 def detector_intensities(source: SourceConfig, basis: Basis) -> tuple[float, float]:
@@ -185,39 +221,47 @@ def run_session(
     det: DetectorConfig,
     basis_plan,
     rng: np.random.Generator,
-    block_size: int = 1 << 21,
+    block_size: int = BLOCK_SIZE,
 ) -> ClickStream:
     """Simulate all pulses of one session.
 
     ``params`` may be full protocol parameters or a bare pulse count.
     ``basis_plan`` is the set of pulse indices measured in the X basis
-    (any iterable of ints, or a boolean mask of length N).  Pulses are
-    generated in fixed-size blocks with two uniform draws per pulse, so a
-    given rng seed reproduces the stream exactly.
+    (any iterable of ints, or a boolean mask of length N).
+
+    The X bits of the plan are set in the records first.  Pulses are then
+    simulated in blocks of ``block_size``: each block draws one uniform per
+    pulse for detector 0, then one per pulse for detector 1, and a detector
+    clicks when its uniform is below the click probability of the pulse's
+    basis.  The block size therefore decides which uniforms go to which
+    detector and is part of the stream's definition: a given rng seed and
+    block size reproduce the stream exactly.  Memory beyond the one record
+    byte per pulse is bounded by the block.
     """
     n = params.total_pulses if isinstance(params, ProtocolParams) else int(params)
-    basis = np.zeros(n, dtype=np.uint8)
+    records = np.zeros(n, dtype=np.uint8)
     plan = np.asarray(list(basis_plan) if not isinstance(basis_plan, np.ndarray) else basis_plan)
     if plan.dtype == np.bool_:
         if plan.size != n:
             raise ValueError(f"boolean basis plan must have length {n}, got {plan.size}")
-        basis[plan] = Basis.X
+        records[plan] = X_RECORD
     elif plan.size:
         if plan.min() < 0 or plan.max() >= n:
             raise ValueError("basis plan positions out of range")
-        basis[plan] = Basis.X
+        records[plan] = X_RECORD
 
     pz = click_probabilities(source, channel, det, Basis.Z)
     px = click_probabilities(source, channel, det, Basis.X)
 
-    pattern = np.empty(n, dtype=np.uint8)
+    uniforms = np.empty(min(block_size, n))
+    clicks = np.empty(uniforms.size, dtype=np.bool_)
     for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        m = stop - start
-        is_x = basis[start:stop] == Basis.X
-        p0 = np.where(is_x, px[0], pz[0])
-        p1 = np.where(is_x, px[1], pz[1])
-        c0 = rng.random(m) < p0
-        c1 = rng.random(m) < p1
-        pattern[start:stop] = c0.astype(np.uint8) | (c1.astype(np.uint8) << 1)
-    return ClickStream(basis, pattern)
+        block = records[start : start + block_size]
+        m = block.size
+        x = np.flatnonzero(block)  # only the basis bit is set so far
+        for detector in (0, 1):
+            u = rng.random(m, out=uniforms[:m])
+            click = np.less(u, pz[detector], out=clicks[:m])
+            click[x] = u[x] < px[detector]
+            block |= click.view(np.uint8) << detector
+    return ClickStream.from_records(records)

@@ -11,7 +11,12 @@ Basis choice is *active* by default: positions are planned by exact seed
 dilution before the session.  The *passive* mode instead draws each
 pulse's basis independently with probability ``planned_x_count /
 total_pulses`` (a biased-splitter stand-in); it consumes no plan seed and
-is the practical choice for very large sessions.
+is the practical choice for very large sessions.  The passive draw takes
+one uniform per pulse from the physics stream, in the simulator's blocks
+of :data:`~siqrng.photonic_sim.BLOCK_SIZE` pulses; drawing in blocks
+consumes the same uniforms in the same order as one draw of N, so the
+plan is the same, while the transient stays one block in size.  The whole
+plan is drawn before the session's click draws begin.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .config import RunConfig
 from .entropy_math import ProtocolAbortError, composed_security
 from .estimation import EstimationResult, estimate_session
 from .extractor import ExtractionError, extract_session
-from .photonic_sim import ClickStream, run_session
+from .photonic_sim import BLOCK_SIZE, ClickStream, run_session
 from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
 
@@ -78,8 +83,11 @@ def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> np.ndarray:
     if config.basis_choice == "active":
         return plan_basis_positions(n, n_x, streams.basis)
     # passive: biased-splitter behaviour, one independent draw per pulse
-    mask = streams.physics.random(n) < n_x / n
-    return np.flatnonzero(mask)
+    p = n_x / n
+    return np.concatenate([
+        np.flatnonzero(streams.physics.random(min(BLOCK_SIZE, n - start)) < p) + start
+        for start in range(0, n, BLOCK_SIZE)
+    ])
 
 
 def run_protocol_session(
@@ -264,5 +272,5 @@ def curve_csv(points: list[CurvePoint]) -> str:
 def autocorrelation_csv(lags, raw_curve, final_curve) -> str:
     lines = ["j,R_raw,R_final"]
     for j, r_raw, r_final in zip(lags, raw_curve, final_curve):
-        lines.append(f"{j},{r_raw!r},{r_final!r}")
+        lines.append(f"{j},{float(r_raw)!r},{float(r_final)!r}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import BitBlock
-from .photonic_sim import Basis, ClickEvent, ClickStream, Pattern
+from .photonic_sim import BLOCK_SIZE, X_RECORD, Basis, ClickEvent, ClickStream, Pattern
 from .seeds import SeedSource
 
 
@@ -129,31 +129,31 @@ def squash_and_tally(stream: ClickStream, seed: SeedSource) -> SessionTally:
 
     Equivalent to squashing every event in pulse order and folding with
     :func:`tally_session`; Z double clicks consume seed bits in pulse order.
+    The records are walked in blocks of :data:`BLOCK_SIZE` pulses, so the
+    transient memory is bounded by a block plus the selected Z records.
     """
-    basis = stream.basis
-    pattern = stream.pattern
-    is_x = basis == Basis.X
-    non_vacuum = pattern != Pattern.NONE
-
-    x_events = is_x & non_vacuum
-    n_x = int(np.count_nonzero(x_events))
-    x_minus = int(np.count_nonzero(x_events & (pattern == Pattern.D1)))
-    x_double = int(np.count_nonzero(x_events & (pattern == Pattern.DOUBLE)))
-
-    z_events = ~is_x & non_vacuum
-    z_patterns = pattern[z_events]
-    z_bits01 = np.empty(z_patterns.size, dtype=np.uint8)
-    z_bits01[z_patterns == Pattern.D0] = 0
-    z_bits01[z_patterns == Pattern.D1] = 1
-    doubles = z_patterns == Pattern.DOUBLE
+    x_counts = np.zeros(X_RECORD + len(Pattern), dtype=np.int64)
+    z_blocks = []
+    for start in range(0, len(stream), BLOCK_SIZE):
+        block = stream.records[start : start + BLOCK_SIZE]
+        x_counts += np.bincount(block[block >= X_RECORD], minlength=x_counts.size)
+        # Z single and double clicks are the records 1..3
+        z_blocks.append(block[(block - np.uint8(1)) < 3])
+    z_bits01 = np.concatenate(z_blocks) if z_blocks else np.zeros(0, dtype=np.uint8)
+    z_bits01 -= 1  # D0 -> bit 0, D1 -> bit 1, and 2 marks a double click
+    doubles = z_bits01 == 2
     n_doubles = int(np.count_nonzero(doubles))
     if n_doubles:
+        # one call: the seed's bounded draw is buffered, so splitting it
+        # per block would change the assigned bits
         z_bits01[doubles] = seed.take_bits(n_doubles)
 
+    _, x_plus, x_minus, x_double = (int(c) for c in x_counts[X_RECORD:])
+    n_x = x_plus + x_minus + x_double
     return SessionTally(
-        n=n_x + z_patterns.size,
+        n=n_x + z_bits01.size,
         n_x=n_x,
-        n_z=int(z_patterns.size),
+        n_z=int(z_bits01.size),
         x_minus=x_minus,
         x_double=x_double,
         z_bits=BitBlock.from01(z_bits01),

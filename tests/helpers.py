@@ -6,7 +6,9 @@ direct matrix-vector product for the Toeplitz hash, the textbook ranking
 formula as the inverse of unranking, a candidate-by-candidate walk
 as a second unranker, exact rationals and float64 dot products for the
 lag autocorrelation, and an int64 walk and a column-by-column scan for
-the cusum and longest-run tests.
+the cusum and longest-run tests.  The simulator, the passive basis draw
+and the tally are also kept in their full-length form: per-pulse
+probability arrays, one draw of N uniforms, and whole-stream masks.
 Also the environment for tests that run the package in a fresh interpreter.
 """
 
@@ -20,7 +22,10 @@ from mpmath import mp, mpf
 from scipy.special import gammaincc, ndtr
 
 import siqrng
+from siqrng.bits import BitBlock
+from siqrng.photonic_sim import Basis, ClickStream, Pattern, click_probabilities
 from siqrng.randtest import _LONGEST_RUN_REGIMES
+from siqrng.squash_sample import SessionTally
 
 mp.dps = 50
 
@@ -172,3 +177,55 @@ def column_longest_run_test(x01: np.ndarray) -> tuple[float, float]:
     expected = n_blocks * np.asarray(pi)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
+
+
+def where_run_session(n, source, channel, det, basis_plan, rng, block_size) -> ClickStream:
+    """The simulator over full-length basis and pattern arrays.
+
+    Each block compares its two uniform draws against per-pulse click
+    probabilities chosen by ``np.where`` from the pulse's basis.
+    """
+    basis = np.zeros(n, dtype=np.uint8)
+    plan = np.asarray(basis_plan)
+    basis[plan if plan.dtype == np.bool_ else plan.astype(np.int64)] = Basis.X
+    pz = click_probabilities(source, channel, det, Basis.Z)
+    px = click_probabilities(source, channel, det, Basis.X)
+    pattern = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        is_x = basis[start:stop] == Basis.X
+        c0 = rng.random(stop - start) < np.where(is_x, px[0], pz[0])
+        c1 = rng.random(stop - start) < np.where(is_x, px[1], pz[1])
+        pattern[start:stop] = c0.astype(np.uint8) | (c1.astype(np.uint8) << 1)
+    return ClickStream(basis, pattern)
+
+
+def one_draw_passive_plan(n: int, n_x: int, rng: np.random.Generator) -> np.ndarray:
+    """Passive X positions from a single draw of n uniforms."""
+    return np.flatnonzero(rng.random(n) < n_x / n)
+
+
+def mask_squash_and_tally(stream: ClickStream, seed) -> SessionTally:
+    """Squash and tally through whole-stream basis and pattern masks."""
+    basis, pattern = stream.basis, stream.pattern
+    is_x = basis == Basis.X
+    non_vacuum = pattern != Pattern.NONE
+    x_events = is_x & non_vacuum
+    n_x = int(np.count_nonzero(x_events))
+    z_patterns = pattern[~is_x & non_vacuum]
+    z_bits01 = np.empty(z_patterns.size, dtype=np.uint8)
+    z_bits01[z_patterns == Pattern.D0] = 0
+    z_bits01[z_patterns == Pattern.D1] = 1
+    doubles = z_patterns == Pattern.DOUBLE
+    n_doubles = int(np.count_nonzero(doubles))
+    if n_doubles:
+        z_bits01[doubles] = seed.take_bits(n_doubles)
+    return SessionTally(
+        n=n_x + z_patterns.size,
+        n_x=n_x,
+        n_z=int(z_patterns.size),
+        x_minus=int(np.count_nonzero(x_events & (pattern == Pattern.D1))),
+        x_double=int(np.count_nonzero(x_events & (pattern == Pattern.DOUBLE))),
+        z_bits=BitBlock.from01(z_bits01),
+        seed_bits_consumed=n_doubles,
+    )

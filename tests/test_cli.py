@@ -1,6 +1,8 @@
 """CLI contract tests: exit codes, artifact layout, reproducibility, and
 the exact seed ledger."""
 
+import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -118,6 +120,39 @@ class TestPipeline:
         assert len(calls) == 2
         assert read_json(out / "seed_ledger.json") == own.seed_ledger
         assert read_bit_file(out / "final.siq") == own.final_bits
+
+    @pytest.mark.parametrize("extra, clicks, zbits", [
+        # passive, across one simulation block edge
+        ({"total_pulses": (1 << 21) + 1000, "planned_x_count": 20000,
+          "basis_choice": "passive", "master_seed": 5},
+         "a3e147afcb25db3da4d258639d3351eda3be0761c2f2f670de9b7280a55a90ae",
+         "c4c20fb01eb1e9e2df1089d4d2085e418e048245885dffea5f025e0b791b4895"),
+        ({"master_seed": 0xDEADBEEF},
+         "9be9db75f6594ffdf059066cc1bea94d14386c7164a80da4e3da63bd3dbc5d6a",
+         "05f18d9616ea254c2d5d956d47ed4301d54a6c43e8c0ae212cc58df21ffa8d52"),
+    ], ids=["passive", "active"])
+    def test_click_and_zbit_files_are_unchanged(self, extra, clicks, zbits, tmp_path):
+        # the simulator and the tally fix every later artifact, so the bytes
+        # of their files at a fixed config and seed are pinned
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**HONEST_DOC, **extra}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("clicks.siqc", "zbits.siq")] == [clicks, zbits]
+
+    def test_csv_artifacts_hold_numbers(self, honest_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(honest_config), "--out", str(out),
+                     "--sweep", "loss_db=0,6"]) == 0
+        for name in ("autocorrelation.csv", "sweep.csv"):
+            with open(out / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows, name
+            for row in rows:
+                assert len(row) == len(header), name
+                for field in filter(None, row):
+                    float(field)
 
     def test_short_certified_output_skips_battery(self, tmp_path, capsys):
         # 8906 certified bits: too few for 100 battery partitions of 128 bits

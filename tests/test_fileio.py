@@ -127,6 +127,34 @@ class TestClickFile:
         # pattern in bits 0-1, basis in bit 2
         assert list(raw[13:]) == [3, 2 | 4, 0]
 
+    def test_records_are_written_and_read_as_they_are(self, tmp_path, rng):
+        records = rng.integers(0, 8, 4097).astype(np.uint8)
+        path = tmp_path / "clicks.siqc"
+        write_click_file(path, ClickStream.from_records(records))
+        assert path.read_bytes()[13:] == records.tobytes()
+        back = read_click_file(path)
+        assert np.array_equal(back.records, records)
+        assert np.array_equal(back.basis, records >> 2)
+        assert np.array_equal(back.pattern, records & 3)
+
+    def test_empty_stream_round_trip(self, tmp_path):
+        stream = ClickStream(basis=np.zeros(0, np.uint8), pattern=np.zeros(0, np.uint8))
+        path = tmp_path / "clicks.siqc"
+        write_click_file(path, stream)
+        assert len(path.read_bytes()) == 13
+        assert len(read_click_file(path)) == 0
+
+    def test_unwritable_stream_cannot_be_built(self):
+        # such a stream once wrote records its own reader rejected
+        with pytest.raises(ValueError):
+            ClickStream(basis=np.array([2, 0]), pattern=np.array([1, 5]))
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "clicks.siqc"
+        path.write_bytes(b"SIQC" + bytes([1]) + bytes(3))
+        with pytest.raises(FormatError):
+            read_click_file(path)
+
     def test_reserved_bits_rejected(self, tmp_path):
         path = tmp_path / "clicks.siqc"
         path.write_bytes(b"SIQC" + bytes([1]) + (1).to_bytes(8, "little") + bytes([0x80]))

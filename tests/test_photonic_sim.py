@@ -1,16 +1,23 @@
 """Detection model tests: click statistics against binomial/CLT oracles,
-matched-seed monotonicity, and stream determinism."""
+matched-seed monotonicity, stream determinism, the record byte, and the
+blocked simulate and tally stages against their full-length oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from siqrng.config import config_from_dict
 from siqrng.photonic_sim import (
+    BLOCK_SIZE,
     Basis,
     ChannelConfig,
     ClickEvent,
+    ClickStream,
     DetectorConfig,
     Pattern,
     SourceConfig,
@@ -21,6 +28,11 @@ from siqrng.photonic_sim import (
     run_session,
     sample_photon_number,
 )
+from siqrng.pipeline import choose_basis_plan, derive_streams
+from siqrng.seeds import SeedSource
+from siqrng.squash_sample import squash_and_tally
+
+from helpers import mask_squash_and_tally, one_draw_passive_plan, where_run_session
 
 HONEST = SourceConfig(mean_photon_number=1.0, misalignment=0.02, mode=SourceMode.HONEST_PLUS)
 ADVERSARIAL = SourceConfig(mean_photon_number=1.0, mode=SourceMode.ADVERSARIAL_FIXED_Z)
@@ -124,6 +136,133 @@ class TestRunSession:
         assert len(events) == 10
         assert all(isinstance(e, ClickEvent) for e in events)
         assert events[2].basis == Basis.X and events[0].basis == Basis.Z
+
+
+@st.composite
+def _blocked_plans(draw):
+    """(n, block_size, plan): n often a block multiple or one off it, and
+    plan positions often at block edges, as a list or a boolean mask."""
+    block_size = draw(st.integers(1, 32))
+    tail = draw(st.one_of(st.sampled_from([0, 1, block_size - 1]),
+                          st.integers(0, block_size - 1)))
+    n = block_size * draw(st.integers(0, 6)) + tail
+    positions = []
+    if n:
+        edges = [p for k in range(n // block_size + 1)
+                 for p in (k * block_size - 1, k * block_size) if 0 <= p < n]
+        positions = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)),
+                                  max_size=n))
+    if draw(st.booleans()):
+        mask = np.zeros(n, dtype=np.bool_)
+        mask[positions] = True
+        return n, block_size, mask
+    return n, block_size, positions
+
+
+class TestClickStream:
+    def test_basis_and_pattern_round_trip_through_records(self, rng):
+        records = rng.integers(0, 8, 1000).astype(np.uint8)
+        stream = ClickStream.from_records(records)
+        rebuilt = ClickStream(stream.basis, stream.pattern)
+        assert np.array_equal(rebuilt.records, records)
+        assert rebuilt == stream
+        assert np.array_equal(rebuilt.basis, records >> 2)
+        assert np.array_equal(rebuilt.pattern, records & 3)
+
+    def test_record_layout(self):
+        stream = ClickStream(basis=[0, 1, 1, 0], pattern=[3, 0, 2, 1])
+        assert stream.records.dtype == np.uint8
+        assert stream.records.tolist() == [3, 4, 6, 1]
+
+    @pytest.mark.parametrize("basis, pattern", [
+        ([2, 0], [1, 1]),
+        ([0, 1], [1, 5]),
+        ([-1, 0], [0, 0]),
+        ([0, 1], [0, -1]),
+        ([0.5, 0], [0, 0]),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        ([0, 1, 0], [0, 1]),
+    ])
+    def test_invalid_inputs_rejected(self, basis, pattern):
+        with pytest.raises(ValueError):
+            ClickStream(basis=basis, pattern=pattern)
+
+
+class TestBlockedSimulation:
+    @given(shape=_blocked_plans(), seed=st.integers(0, 2**32 - 1),
+           source=st.sampled_from([HONEST, ADVERSARIAL]))
+    @example(shape=(64, 16, [15, 16, 31, 32, 63]), seed=1, source=HONEST)
+    @example(shape=(65, 16, [0, 63, 64]), seed=2, source=ADVERSARIAL)
+    @example(shape=(63, 16, [15, 16, 47, 48, 62]), seed=3, source=HONEST)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_full_length_oracle(self, shape, seed, source):
+        n, block_size, plan = shape
+        fast = run_session(n, source, LOSSLESS, PAPER_DET, plan,
+                           np.random.default_rng(seed), block_size)
+        slow = where_run_session(n, source, LOSSLESS, PAPER_DET, plan,
+                                 np.random.default_rng(seed), block_size)
+        assert fast == slow
+
+    @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1])
+    def test_simulation_at_the_block_edge(self, n):
+        plan = [0, BLOCK_SIZE - 2, BLOCK_SIZE - 1, BLOCK_SIZE, n - 1]
+        plan = sorted({p for p in plan if p < n})
+        fast = run_session(n, HONEST, LOSSLESS, PAPER_DET, plan, np.random.default_rng(n))
+        slow = where_run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
+                                 np.random.default_rng(n), BLOCK_SIZE)
+        assert fast == slow
+
+    @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1])
+    def test_passive_plan_at_the_block_edge(self, n):
+        config = config_from_dict({"total_pulses": n, "planned_x_count": n // 3,
+                                   "basis_choice": "passive", "master_seed": n})
+        streams = derive_streams(config.master_seed)
+        plan = choose_basis_plan(config, streams)
+        oracle_rng = derive_streams(config.master_seed).physics
+        assert np.array_equal(plan, one_draw_passive_plan(n, n // 3, oracle_rng))
+        assert plan.dtype == np.int64
+        # the click draws that follow start from the same generator state
+        assert streams.physics.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                   BLOCK_SIZE + 4096])
+    def test_tally_at_the_block_edge(self, n):
+        rng = np.random.default_rng(n)
+        records = rng.integers(0, 8, n).astype(np.uint8)
+        # a Z double click on each side of the edge
+        records[[p for p in (BLOCK_SIZE - 2, BLOCK_SIZE - 1, BLOCK_SIZE) if p < n]] = Pattern.DOUBLE
+        # an odd number of them before the edge: the seed's bounded draw is
+        # buffered, so a draw split at the edge would assign other bits
+        if np.count_nonzero(records[:BLOCK_SIZE] == Pattern.DOUBLE) % 2 == 0:
+            records[0] = Pattern.D0 if records[0] == Pattern.DOUBLE else Pattern.DOUBLE
+        stream = ClickStream.from_records(records)
+        fast_seed = SeedSource.from_rng(np.random.default_rng(7))
+        slow_seed = SeedSource.from_rng(np.random.default_rng(7))
+        fast = squash_and_tally(stream, fast_seed)
+        slow = mask_squash_and_tally(stream, slow_seed)
+        assert fast.to_dict() == slow.to_dict()
+        assert fast.z_bits == slow.z_bits
+        assert fast_seed.bits_consumed == slow_seed.bits_consumed
+
+
+def test_passive_simulate_and_tally_memory_is_bounded():
+    # beyond the one record byte per pulse, the plan, simulate and tally
+    # stages hold only block-sized transients and the selected Z records
+    n = 1 << 23
+    config = config_from_dict({"total_pulses": n, "planned_x_count": 22000,
+                               "basis_choice": "passive", "master_seed": 424242})
+    tracemalloc.start()
+    try:
+        streams = derive_streams(config.master_seed)
+        plan = choose_basis_plan(config, streams)
+        stream = run_session(config.params, config.source, config.channel,
+                             config.detector, plan, streams.physics)
+        tally = squash_and_tally(stream, streams.double_click)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tally.n_z > n // 4
+    assert peak <= 2 * n + 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestDetectionStatistics:
