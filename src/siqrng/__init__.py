@@ -38,15 +38,12 @@ from .extractor import (
 from .photonic_sim import (
     Basis,
     ChannelConfig,
-    ClickEvent,
     ClickStream,
     DetectorConfig,
     Pattern,
     SourceConfig,
     SourceMode,
-    detect_pulse,
     run_session,
-    sample_photon_number,
 )
 from .pipeline import (
     CurvePoint,
@@ -67,14 +64,10 @@ from .randtest import (
 )
 from .seeds import SeedExhaustedError, SeedSource
 from .squash_sample import (
-    OutcomeKind,
     SessionTally,
-    SquashedOutcome,
     plan_basis_positions,
     seed_length_required,
-    squash,
     squash_and_tally,
-    tally_session,
     unrank_combination,
 )
 

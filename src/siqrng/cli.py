@@ -10,9 +10,18 @@ Subcommands map one-to-one onto the pipeline stages::
     siqrng sweep     --config cfg.json --out DIR [--sweep KEY=v1,v2,...] [--seed HEX64]
     siqrng pipeline  --config cfg.json --out DIR [--seed HEX64] [--sweep ...]
 
+Every ``--seed`` is the 64-bit master seed (default: the config's, or 0
+without a config); each stage derives its stream from it as
+:mod:`siqrng.pipeline` describes.  ``extract`` takes ``t_e`` (``--te``
+overrides it) and the efficiency ratio from the parameters ``estimate``
+records in ``estimation.json``.  The staged subcommands run the stage
+functions ``pipeline`` runs and write its records, so ``simulate``,
+``tally``, ``estimate`` and ``extract`` at one master seed write
+``pipeline``'s bytes, byte for byte.
+
 Exit codes: 0 success, 2 protocol abort (a machine-readable ``abort.json``
-is written), 1 any other error.  Every subcommand is a deterministic
-function of its inputs and the master seed.
+is written), 1 any other error, such as a malformed file.  Every subcommand
+is a deterministic function of its inputs and the master seed.
 """
 
 from __future__ import annotations
@@ -22,26 +31,25 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .entropy_math import ProtocolParams
 from .estimation import EstimationResult, estimate_session
-from .extractor import extract_session
 from .pipeline import (
+    ESTIMATE_ABORT_REASON,
     autocorrelation_csv,
-    choose_basis_plan,
     curve_csv,
     curve_point_from_session,
     derive_streams,
+    extract_or_abort,
     run_protocol_session,
     run_sweep,
     shared_basis_plan,
+    simulate_clicks,
+    tally_clicks,
 )
 from .randtest import battery_min_bits, compare_raw_vs_final, run_battery
-from .seeds import SeedSource
-from .squash_sample import squash_and_tally
+from .squash_sample import SessionTally
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,6 +63,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+def hex64(text: str) -> int:
+    """A master seed given as up to 16 hex digits."""
+    seed = int(text, 16)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"master seed must be a 64-bit value, got {text!r}")
+    return seed
+
+
 def _parse_sweep(text: str) -> SweepSpec:
     key, _, values = text.partition("=")
     if not values:
@@ -64,7 +80,7 @@ def _parse_sweep(text: str) -> SweepSpec:
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
-        config = replace(config, master_seed=int(args.seed, 16))
+        config = replace(config, master_seed=args.seed)
     if getattr(args, "te", None) is not None:
         config = replace(config, params=replace(config.params, t_e=args.te))
     if getattr(args, "eps_exponent", None) is not None:
@@ -76,27 +92,41 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return config
 
 
-def _write_abort_record(out: Path, result) -> int:
+# each stage record has one writer, shared by pipeline and the staged commands
+
+def _write_tally(out: Path, tally: SessionTally):
+    fileio.write_bit_file(out / "zbits.siq", tally.z_bits)
+    fileio.write_json(out / "tally.json", tally.to_dict())
+
+
+def _write_estimation(
+    out: Path, estimation: EstimationResult, params: ProtocolParams, tally: SessionTally
+):
+    fileio.write_json(out / "estimation.json", estimation.record(params, tally))
+
+
+def _write_extraction(out: Path, final_bits, security: dict, summary: dict):
+    fileio.write_bit_file(out / "final.siq", final_bits)
+    fileio.write_json(out / "security.json", {**security, **summary})
+
+
+def _write_abort_record(
+    out: Path, reason: str, estimation: EstimationResult, tally: SessionTally
+) -> int:
     fileio.write_json(out / "abort.json", {
         "abort": True,
-        "reason": result.abort_reason,
-        "estimation": result.estimation.to_dict(),
-        "tally": result.tally.to_dict(),
+        "reason": reason,
+        "estimation": estimation.to_dict(),
+        "tally": tally.to_dict(),
     })
-    print(f"protocol abort: {result.abort_reason}", file=sys.stderr)
+    print(f"protocol abort: {reason}", file=sys.stderr)
     return EXIT_ABORT
 
 
 def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     streams = derive_streams(config.master_seed)
-    plan = choose_basis_plan(config, streams)
-    from .photonic_sim import run_session
-
-    stream = run_session(
-        config.params, config.source, config.channel, config.detector,
-        plan, streams.physics,
-    )
+    stream = simulate_clicks(config, streams)
     out = Path(args.out)
     fileio.write_click_file(out / "clicks.siqc", stream)
     fileio.write_json(out / "simulate.json", {
@@ -111,51 +141,38 @@ def cmd_simulate(args) -> int:
 
 def cmd_tally(args) -> int:
     stream = fileio.read_click_file(args.clicks)
-    seed_rng = np.random.default_rng(int(args.seed, 16) if args.seed else 0)
-    seed = SeedSource.from_rng(seed_rng)
-    tally = squash_and_tally(stream, seed)
-    out = Path(args.out)
-    fileio.write_bit_file(out / "zbits.siq", tally.z_bits)
-    fileio.write_json(out / "tally.json", tally.to_dict())
+    _write_tally(Path(args.out), tally_clicks(stream, derive_streams(args.seed)))
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    doc = fileio.read_json(args.tally)
-    from .bits import BitBlock
-    from .squash_sample import SessionTally
-
-    tally = SessionTally(
-        n=doc["n"], n_x=doc["n_x"], n_z=doc["n_z"],
-        x_minus=doc["x_minus"], x_double=doc["x_double"],
-        z_bits=BitBlock.zeros(doc["n_z"]),
-        seed_bits_consumed=doc["seed_bits_consumed"],
-    )
+    tally = fileio.read_record(args.tally, SessionTally.from_dict)
     est = estimate_session(tally, config.params)
     out = Path(args.out)
-    fileio.write_json(out / "estimation.json", est.to_dict())
+    _write_estimation(out, est, config.params, tally)
     if est.abort:
-        fileio.write_json(out / "abort.json", {
-            "abort": True, "reason": "e_bx + theta >= 1/2", "estimation": est.to_dict(),
-        })
-        print("protocol abort: e_bx + theta >= 1/2", file=sys.stderr)
-        return EXIT_ABORT
+        return _write_abort_record(out, ESTIMATE_ABORT_REASON, est, tally)
     return EXIT_OK
 
 
 def cmd_extract(args) -> int:
+    est, params, tally = fileio.read_record(args.estimation, EstimationResult.from_record)
+    if args.te is not None:
+        params = replace(params, t_e=args.te)
     z_bits = fileio.read_bit_file(args.zbits)
-    doc = fileio.read_json(args.estimation)
-    est = EstimationResult(
-        e_bx=doc["e_bx"], theta=doc["theta"],
-        log2_eps_theta=doc["log2_eps_theta"], abort=doc["abort"],
+    if len(z_bits) != tally.n_z:
+        raise ValueError(
+            f"{args.zbits}: {len(z_bits)} bits, but {args.estimation} "
+            f"was estimated from n_z={tally.n_z}"
+        )
+    final_bits, security, summary, reason = extract_or_abort(
+        z_bits, est, params, derive_streams(args.seed)
     )
-    seed = SeedSource.from_rng(np.random.default_rng(int(args.seed, 16) if args.seed else 0))
-    final, report, summary = extract_session(z_bits, est, args.te, seed)
     out = Path(args.out)
-    fileio.write_bit_file(out / "final.siq", final)
-    fileio.write_json(out / "security.json", {**report.to_dict(), **summary})
+    if reason is not None:
+        return _write_abort_record(out, reason, est, tally)
+    _write_extraction(out, final_bits, security, summary)
     return EXIT_OK
 
 
@@ -190,15 +207,13 @@ def cmd_pipeline(args) -> int:
 
     result = run_protocol_session(config, plan, plan_bits, keep_stream=True)
     fileio.write_click_file(out / "clicks.siqc", result.stream)
-    fileio.write_bit_file(out / "zbits.siq", result.tally.z_bits)
-    fileio.write_json(out / "tally.json", result.tally.to_dict())
-    fileio.write_json(out / "estimation.json", result.estimation.to_dict())
+    _write_tally(out, result.tally)
+    _write_estimation(out, result.estimation, config.params, result.tally)
     fileio.write_json(out / "seed_ledger.json", result.seed_ledger)
     if result.aborted:
-        return _write_abort_record(out, result)
+        return _write_abort_record(out, result.abort_reason, result.estimation, result.tally)
 
-    fileio.write_bit_file(out / "final.siq", result.final_bits)
-    fileio.write_json(out / "security.json", {**result.security, **result.extraction})
+    _write_extraction(out, result.final_bits, result.security, result.extraction)
     fileio.write_json(out / "curve_point.json",
                       {k: getattr(curve_point_from_session(result), k)
                        for k in ("loss_db", "K", "rate_bits_per_s", "eps_t")})
@@ -234,14 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    seed_arg = {"type": str, "default": None, "metavar": "HEX64"}
+    # None keeps the config's master seed; without a config it is 0
+    seed_arg = {"type": hex64, "default": None, "metavar": "HEX64"}
+    staged_seed_arg = {**seed_arg, "default": 0}
     config_arg = {"type": Path, "required": True}
 
     p = add("simulate", cmd_simulate, config=config_arg)
     p.add_argument("--seed", **seed_arg)
 
     p = add("tally", cmd_tally, clicks={"type": Path, "required": True})
-    p.add_argument("--seed", **seed_arg)
+    p.add_argument("--seed", **staged_seed_arg)
 
     p = add("estimate", cmd_estimate,
             tally={"type": Path, "required": True}, config=config_arg)
@@ -250,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("extract", cmd_extract,
             zbits={"type": Path, "required": True},
             estimation={"type": Path, "required": True})
-    p.add_argument("--te", type=int, default=100)
-    p.add_argument("--seed", **seed_arg)
+    # default: the t_e recorded in the estimation
+    p.add_argument("--te", type=int, default=None)
+    p.add_argument("--seed", **staged_seed_arg)
 
     add("test", cmd_test, bits={"type": Path, "required": True})
 

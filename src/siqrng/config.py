@@ -49,7 +49,6 @@ class RunConfig:
     basis_choice: str = "active"
     repetition_rate_hz: float = DEFAULT_REPETITION_RATE_HZ
     dead_time_s: float = DEFAULT_DEAD_TIME_S
-    extraction_block_size: int = 1 << 20
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 1 << 64:
@@ -62,8 +61,6 @@ class RunConfig:
             raise ConfigError(f"repetition rate must be > 0, got {self.repetition_rate_hz}")
         if self.dead_time_s <= 0:
             raise ConfigError(f"dead time must be > 0, got {self.dead_time_s}")
-        if self.extraction_block_size < 1:
-            raise ConfigError(f"extraction block size must be >= 1")
 
     def with_sweep_value(self, value: float) -> "RunConfig":
         """A copy of this config with the sweep key pinned to one value."""
@@ -77,7 +74,7 @@ class RunConfig:
 _TOP_LEVEL_KEYS = {
     "total_pulses", "planned_x_count", "eps_theta_exponent", "t_e", "efficiency_ratio",
     "source", "channel", "detector", "master_seed", "sweep", "basis_choice",
-    "repetition_rate_hz", "dead_time_s", "extraction_block_size",
+    "repetition_rate_hz", "dead_time_s",
 }
 
 
@@ -152,7 +149,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         basis_choice=doc.get("basis_choice", "active"),
         repetition_rate_hz=float(doc.get("repetition_rate_hz", DEFAULT_REPETITION_RATE_HZ)),
         dead_time_s=float(doc.get("dead_time_s", DEFAULT_DEAD_TIME_S)),
-        extraction_block_size=int(doc.get("extraction_block_size", 1 << 20)),
     )
 
 

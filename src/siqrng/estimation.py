@@ -12,7 +12,7 @@ abort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .entropy_math import (
     ProtocolParams,
@@ -20,6 +20,7 @@ from .entropy_math import (
     binary_entropy_derivative,
     log2_deviation_failure_bound,
 )
+from .fileio import record_field
 from .squash_sample import SessionTally
 
 BISECTION_TOL = 1e-12
@@ -58,6 +59,30 @@ class EstimationResult:
             "log2_eps_theta": self.log2_eps_theta,
             "abort": self.abort,
         }
+
+    def record(self, params: ProtocolParams, tally: SessionTally) -> dict:
+        """The ``estimation.json`` record: :meth:`to_dict`, the parameters the
+        estimate was made under and its tally's counts, all extraction needs."""
+        return {**self.to_dict(), "params": asdict(params), "tally": tally.to_dict()}
+
+    @classmethod
+    def from_record(cls, doc: dict) -> tuple["EstimationResult", ProtocolParams, SessionTally]:
+        """Read a :meth:`record` back; ValueError on a missing key, a wrong
+        type, or values the parameters' or the tally's checks reject."""
+        result = cls(
+            e_bx=record_field(doc, "e_bx", float),
+            theta=record_field(doc, "theta", float),
+            log2_eps_theta=record_field(doc, "log2_eps_theta", float),
+            abort=record_field(doc, "abort", bool),
+        )
+        params = record_field(doc, "params", dict)
+        params = ProtocolParams(**{key: record_field(params, key, kind)
+                                   for key, kind in _PARAM_KINDS.items()})
+        return result, params, SessionTally.from_dict(record_field(doc, "tally", dict))
+
+
+_PARAM_KINDS = {"total_pulses": int, "planned_x_count": int, "eps_theta_exponent": float,
+                "t_e": int, "efficiency_ratio": float}
 
 
 def observed_x_error(tally: SessionTally) -> float:

@@ -41,6 +41,18 @@ class FormatError(ValueError):
     """Raised when a file does not match the expected binary format."""
 
 
+def record_field(doc: dict, key: str, kind: type):
+    """``doc[key]`` as a ``kind``: int, float (an int converts), bool or dict."""
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, (int, float) if kind is float else kind
+    ):
+        raise ValueError(f"key {key!r} must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def atomic_write_bytes(path: Path, payload, header: bytes = b""):
     """Write ``header`` then ``payload`` via temp file + rename in the
     destination directory.
@@ -62,19 +74,29 @@ def atomic_write_bytes(path: Path, payload, header: bytes = b""):
         raise
 
 
+def _header(magic: bytes, count: int) -> bytes:
+    return magic + bytes([FORMAT_VERSION]) + count.to_bytes(8, "little")
+
+
+def _read_payload(path: Path, magic: bytes) -> tuple[bytes, int]:
+    """The raw file and the count its header declares, header checked."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != magic:
+        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+    if len(raw) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated header of {len(raw)} bytes")
+    if raw[4] != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {raw[4]}")
+    return raw, int.from_bytes(raw[5:_HEADER_BYTES], "little")
+
+
 def write_bit_file(path: Path, block: BitBlock):
-    header = BIT_MAGIC + bytes([FORMAT_VERSION]) + len(block).to_bytes(8, "little")
-    atomic_write_bytes(path, header + block.data.tobytes())
+    atomic_write_bytes(path, np.ascontiguousarray(block.data), _header(BIT_MAGIC, len(block)))
 
 
 def read_bit_file(path: Path) -> BitBlock:
-    raw = Path(path).read_bytes()
-    if raw[:4] != BIT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {BIT_MAGIC!r}")
-    if raw[4] != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {raw[4]}")
-    length = int.from_bytes(raw[5:13], "little")
-    payload = raw[13:]
+    raw, length = _read_payload(path, BIT_MAGIC)
+    payload = raw[_HEADER_BYTES:]
     if len(payload) != (length + 7) // 8:
         raise FormatError(
             f"{path}: payload of {len(payload)} bytes cannot hold {length} bits"
@@ -83,19 +105,11 @@ def read_bit_file(path: Path) -> BitBlock:
 
 
 def write_click_file(path: Path, stream: ClickStream):
-    header = CLICK_MAGIC + bytes([FORMAT_VERSION]) + len(stream).to_bytes(8, "little")
-    atomic_write_bytes(path, stream.records, header)
+    atomic_write_bytes(path, stream.records, _header(CLICK_MAGIC, len(stream)))
 
 
 def read_click_file(path: Path) -> ClickStream:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CLICK_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {CLICK_MAGIC!r}")
-    if len(raw) < _HEADER_BYTES:
-        raise FormatError(f"{path}: truncated header of {len(raw)} bytes")
-    if raw[4] != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {raw[4]}")
-    count = int.from_bytes(raw[5:_HEADER_BYTES], "little")
+    raw, count = _read_payload(path, CLICK_MAGIC)
     records = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER_BYTES)
     if records.size != count:
         raise FormatError(f"{path}: {records.size} pulse records, header says {count}")
@@ -110,3 +124,15 @@ def write_json(path: Path, payload: dict):
 
 def read_json(path: Path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+def read_record(path: Path, parse):
+    """``parse`` applied to the JSON object in ``path``; any ValueError it
+    raises is reported with the file's name."""
+    try:
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        return parse(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

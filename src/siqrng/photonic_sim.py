@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -98,13 +97,6 @@ class DetectorConfig:
             raise ValueError(f"dark count must be in [0, 1), got {self.dark_count}")
 
 
-@dataclass(frozen=True)
-class ClickEvent:
-    pulse_index: int
-    basis: Basis
-    pattern: Pattern
-
-
 # pulses per simulation block; it fixes which uniforms go to which detector,
 # so it is part of the stream's definition, and the passive basis draw and
 # the tally walk the same blocks
@@ -154,11 +146,6 @@ class ClickStream:
     def __len__(self) -> int:
         return self.records.size
 
-    def __iter__(self) -> Iterator[ClickEvent]:
-        basis, pattern = self.basis, self.pattern
-        for i in range(basis.size):
-            yield ClickEvent(i, Basis(int(basis[i])), Pattern(int(pattern[i])))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClickStream):
             return NotImplemented
@@ -187,31 +174,6 @@ def click_probabilities(
     p0 = 1.0 - (1.0 - det.dark_count) * math.exp(-det.efficiency * mu0 * t)
     p1 = 1.0 - (1.0 - det.dark_count) * math.exp(-det.efficiency * mu1 * t)
     return p0, p1
-
-
-def sample_photon_number(mu: float, rng: np.random.Generator, size: int | None = None):
-    """Poisson photon count(s) of a coherent pulse of mean photon number mu."""
-    if mu < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    if size is None:
-        return int(rng.poisson(mu))
-    return rng.poisson(mu, size=size)
-
-
-def detect_pulse(
-    source: SourceConfig,
-    channel: ChannelConfig,
-    det: DetectorConfig,
-    basis: Basis,
-    rng: np.random.Generator,
-    pulse_index: int = 0,
-) -> ClickEvent:
-    """Measure a single pulse; detectors click independently."""
-    p0, p1 = click_probabilities(source, channel, det, basis)
-    c0 = rng.random() < p0
-    c1 = rng.random() < p1
-    pattern = Pattern(int(c0) | (int(c1) << 1))
-    return ClickEvent(pulse_index, basis, pattern)
 
 
 def run_session(

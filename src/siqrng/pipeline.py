@@ -7,6 +7,13 @@ per-pulse basis draw), child 1 the basis-plan seed, child 2 the
 double-click assignment seed, child 3 the Toeplitz seed.  Identical config
 plus master seed therefore reproduces every artifact byte for byte.
 
+Each stage is one function that takes its stream from
+:func:`derive_streams`: :func:`simulate_clicks`, :func:`tally_clicks`,
+:func:`~siqrng.estimation.estimate_session` and :func:`extract_or_abort`.
+:func:`run_protocol_session` chains them on one set of streams, and the
+CLI's staged subcommands call the same functions on streams derived from
+the same master seed, so both routes write the same bytes.
+
 Basis choice is *active* by default: positions are planned by exact seed
 dilution before the session.  The *passive* mode instead draws each
 pulse's basis independently with probability ``planned_x_count /
@@ -28,12 +35,15 @@ import numpy as np
 
 from .bits import BitBlock
 from .config import RunConfig
-from .entropy_math import ProtocolAbortError, composed_security
+from .entropy_math import ProtocolAbortError, ProtocolParams, composed_security
 from .estimation import EstimationResult, estimate_session
 from .extractor import ExtractionError, extract_session
 from .photonic_sim import BLOCK_SIZE, ClickStream, run_session
 from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
+
+# the abort reason of a session whose estimate already aborted
+ESTIMATE_ABORT_REASON = "e_bx + theta >= 1/2"
 
 CURVE_COLUMNS = (
     "loss_db", "mean_photon_number", "e_bx", "theta", "e_pz_bound",
@@ -73,7 +83,7 @@ class SessionResult:
 
     @property
     def aborted(self) -> bool:
-        return self.estimation.abort or self.abort_reason is not None
+        return self.abort_reason is not None
 
 
 def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> np.ndarray:
@@ -90,6 +100,55 @@ def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> np.ndarray:
     ])
 
 
+def simulate_clicks(
+    config: RunConfig, streams: RandomStreams, basis_plan: np.ndarray | None = None
+) -> ClickStream:
+    """Simulate stage: the basis plan, derived from ``streams`` unless one
+    is given, then the clicks, drawn from the physics stream."""
+    if basis_plan is None:
+        basis_plan = choose_basis_plan(config, streams)
+    return run_session(
+        config.params, config.source, config.channel, config.detector,
+        basis_plan, streams.physics,
+    )
+
+
+def tally_clicks(stream: ClickStream, streams: RandomStreams) -> SessionTally:
+    """Tally stage, Z double clicks drawing on the double-click seed; a
+    session without X or Z events raises ValueError."""
+    tally = squash_and_tally(stream, streams.double_click)
+    if tally.n_x < 1 or tally.n_z < 1:
+        raise ValueError(
+            f"session degenerated to n_x={tally.n_x}, n_z={tally.n_z}: "
+            "nothing to certify"
+        )
+    return tally
+
+
+def extract_or_abort(
+    z_bits: BitBlock, estimation: EstimationResult, params: ProtocolParams,
+    streams: RandomStreams,
+) -> tuple[BitBlock | None, dict | None, dict | None, str | None]:
+    """Extract stage: ``(final_bits, security, summary, None)``, or
+    ``(None, None, None, reason)`` when the session certifies nothing.
+
+    ``t_e`` and the efficiency ratio come from ``params``, the Toeplitz seed
+    from ``streams``.  An aborted estimate consumes no seed; a length
+    formula that certifies nothing (``e/r >= 1/2`` or ``K <= 0``) aborts
+    with the error's message as the reason.
+    """
+    if estimation.abort:
+        return None, None, None, ESTIMATE_ABORT_REASON
+    try:
+        final_bits, report, summary = extract_session(
+            z_bits, estimation, params.t_e, streams.toeplitz,
+            efficiency_ratio=params.efficiency_ratio,
+        )
+    except (ExtractionError, ProtocolAbortError) as exc:
+        return None, None, None, str(exc)
+    return final_bits, report.to_dict(), summary, None
+
+
 def run_protocol_session(
     config: RunConfig,
     basis_plan: np.ndarray | None = None,
@@ -103,44 +162,17 @@ def run_protocol_session(
     is derived from the config's own streams.
     """
     streams = derive_streams(config.master_seed)
+    stream = simulate_clicks(config, streams, basis_plan)
     if basis_plan is None:
-        basis_plan = choose_basis_plan(config, streams)
         basis_plan_bits = streams.basis.bits_consumed
-
-    stream = run_session(
-        config.params, config.source, config.channel, config.detector,
-        basis_plan, streams.physics,
-    )
-    tally = squash_and_tally(stream, streams.double_click)
-    if tally.n_x < 1 or tally.n_z < 1:
-        raise ValueError(
-            f"session degenerated to n_x={tally.n_x}, n_z={tally.n_z}: "
-            "nothing to certify"
-        )
+    tally = tally_clicks(stream, streams)
     estimation = estimate_session(tally, config.params)
-
-    final_bits = None
-    security = None
-    extraction = None
-    abort_reason = "e_bx + theta >= 1/2" if estimation.abort else None
-    toeplitz_bits = 0
-    if not estimation.abort:
-        try:
-            final_bits, report, extraction = extract_session(
-                tally.z_bits,
-                estimation,
-                config.params.t_e,
-                streams.toeplitz,
-                block_size=config.extraction_block_size,
-                efficiency_ratio=config.params.efficiency_ratio,
-            )
-            security = report.to_dict()
-            toeplitz_bits = extraction["toeplitz_seed_bits"]
-        except (ExtractionError, ProtocolAbortError) as exc:
-            # estimation passed but the length formula certifies nothing
-            abort_reason = str(exc)
+    final_bits, security, extraction, abort_reason = extract_or_abort(
+        tally.z_bits, estimation, config.params, streams
+    )
 
     double_click_bits = tally.seed_bits_consumed
+    toeplitz_bits = extraction["toeplitz_seed_bits"] if extraction else 0
     seed_ledger = {
         "basis_plan_bits": basis_plan_bits,
         "double_click_bits": double_click_bits,

@@ -63,6 +63,3 @@ class SeedSource:
             return 0
         packed = np.packbits(bits)  # big-endian within bytes, zero-padded at the end
         return int.from_bytes(packed.tobytes(), "big") >> (-k % 8)
-
-    def take_bit(self) -> int:
-        return int(self.take_bits(1)[0])

@@ -17,31 +17,15 @@ combination) unranking over big integers; rejection resampling on
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bits import BitBlock
-from .photonic_sim import BLOCK_SIZE, X_RECORD, Basis, ClickEvent, ClickStream, Pattern
+from .fileio import record_field
+from .photonic_sim import BLOCK_SIZE, X_RECORD, ClickStream, Pattern
 from .seeds import SeedSource
-
-
-class OutcomeKind(enum.Enum):
-    VACUUM = "vacuum"
-    BIT = "bit"
-    DOUBLE = "double"
-
-
-@dataclass(frozen=True)
-class SquashedOutcome:
-    kind: OutcomeKind
-    bit_value: int | None = None
-
-    def __post_init__(self):
-        if (self.kind is OutcomeKind.BIT) != (self.bit_value is not None):
-            raise ValueError("bit_value must be present exactly when kind is BIT")
 
 
 @dataclass
@@ -73,62 +57,26 @@ class SessionTally:
         if len(self.z_bits) != self.n_z:
             raise ValueError(f"z_bits has {len(self.z_bits)} bits, expected n_z={self.n_z}")
 
+    _COUNTS = ("n", "n_x", "n_z", "x_minus", "x_double", "seed_bits_consumed")
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_x": self.n_x,
-            "n_z": self.n_z,
-            "x_minus": self.x_minus,
-            "x_double": self.x_double,
-            "seed_bits_consumed": self.seed_bits_consumed,
-        }
+        return {key: getattr(self, key) for key in self._COUNTS}
 
-
-def squash(event: ClickEvent, seed: SeedSource) -> SquashedOutcome:
-    """Classify one click event under the squashing rules.
-
-    Z-basis double clicks consume one bit from ``seed``; X-basis double
-    clicks stay unassigned (they are discarded after error accounting).
-    """
-    if event.pattern == Pattern.NONE:
-        return SquashedOutcome(OutcomeKind.VACUUM)
-    if event.pattern == Pattern.D0:
-        return SquashedOutcome(OutcomeKind.BIT, 0)
-    if event.pattern == Pattern.D1:
-        return SquashedOutcome(OutcomeKind.BIT, 1)
-    if event.basis == Basis.Z:
-        return SquashedOutcome(OutcomeKind.BIT, seed.take_bit())
-    return SquashedOutcome(OutcomeKind.DOUBLE)
-
-
-def tally_session(outcomes, seed_bits_consumed: int = 0) -> SessionTally:
-    """Fold (basis, SquashedOutcome) pairs, in pulse order, into a tally."""
-    tally = SessionTally()
-    z_bits: list[int] = []
-    for basis, outcome in outcomes:
-        if outcome.kind is OutcomeKind.VACUUM:
-            continue
-        tally.n += 1
-        if basis == Basis.X:
-            tally.n_x += 1
-            if outcome.kind is OutcomeKind.DOUBLE:
-                tally.x_double += 1
-            elif outcome.bit_value == 1:
-                tally.x_minus += 1
-        else:
-            tally.n_z += 1
-            z_bits.append(outcome.bit_value)
-    tally.z_bits = BitBlock.from01(z_bits)
-    tally.seed_bits_consumed = seed_bits_consumed
-    tally.validate()
-    return tally
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SessionTally":
+        """Read a :meth:`to_dict` record back, validated (ValueError).  The
+        record holds no bits, so the tally carries ``n_z`` zero bits: enough
+        for estimation, which reads only the counts."""
+        counts = {key: record_field(doc, key, int) for key in cls._COUNTS}
+        return cls(**counts, z_bits=BitBlock.zeros(counts["n_z"]))
 
 
 def squash_and_tally(stream: ClickStream, seed: SeedSource) -> SessionTally:
     """Vectorized squash + tally of a whole click stream.
 
-    Equivalent to squashing every event in pulse order and folding with
-    :func:`tally_session`; Z double clicks consume seed bits in pulse order.
+    Equivalent to squashing every event in pulse order and folding the
+    outcomes one by one (``tests/helpers.py`` keeps that fold as an
+    oracle); Z double clicks consume seed bits in pulse order.
     The records are walked in blocks of :data:`BLOCK_SIZE` pulses, so the
     transient memory is bounded by a block plus the selected Z records.
     """

@@ -8,12 +8,15 @@ as a second unranker, exact rationals and float64 dot products for the
 lag autocorrelation, and an int64 walk and a column-by-column scan for
 the cusum and longest-run tests.  The simulator, the passive basis draw
 and the tally are also kept in their full-length form: per-pulse
-probability arrays, one draw of N uniforms, and whole-stream masks.
+probability arrays, one draw of N uniforms, and whole-stream masks; and
+the tally once more per event, squashing one click event at a time.
 Also the environment for tests that run the package in a fresh interpreter.
 """
 
+import enum
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,4 +231,78 @@ def mask_squash_and_tally(stream: ClickStream, seed) -> SessionTally:
         x_double=int(np.count_nonzero(x_events & (pattern == Pattern.DOUBLE))),
         z_bits=BitBlock.from01(z_bits01),
         seed_bits_consumed=n_doubles,
+    )
+
+
+@dataclass(frozen=True)
+class ClickEvent:
+    pulse_index: int
+    basis: Basis
+    pattern: Pattern
+
+
+def click_events(stream: ClickStream):
+    """The stream's pulses one event at a time, in pulse order."""
+    basis, pattern = stream.basis, stream.pattern
+    for i in range(basis.size):
+        yield ClickEvent(i, Basis(int(basis[i])), Pattern(int(pattern[i])))
+
+
+def take_bit(seed) -> int:
+    """One bit from a seed source."""
+    return int(seed.take_bits(1)[0])
+
+
+class OutcomeKind(enum.Enum):
+    VACUUM = "vacuum"
+    BIT = "bit"
+    DOUBLE = "double"
+
+
+@dataclass(frozen=True)
+class SquashedOutcome:
+    kind: OutcomeKind
+    bit_value: int | None = None
+
+    def __post_init__(self):
+        if (self.kind is OutcomeKind.BIT) != (self.bit_value is not None):
+            raise ValueError("bit_value must be present exactly when kind is BIT")
+
+
+def squash(event: ClickEvent, seed) -> SquashedOutcome:
+    """Classify one click event under the squashing rules.
+
+    Z-basis double clicks consume one bit from ``seed``; X-basis double
+    clicks stay unassigned (they are discarded after error accounting).
+    """
+    if event.pattern == Pattern.NONE:
+        return SquashedOutcome(OutcomeKind.VACUUM)
+    if event.pattern == Pattern.D0:
+        return SquashedOutcome(OutcomeKind.BIT, 0)
+    if event.pattern == Pattern.D1:
+        return SquashedOutcome(OutcomeKind.BIT, 1)
+    if event.basis == Basis.Z:
+        return SquashedOutcome(OutcomeKind.BIT, take_bit(seed))
+    return SquashedOutcome(OutcomeKind.DOUBLE)
+
+
+def tally_session(outcomes, seed_bits_consumed: int = 0) -> SessionTally:
+    """Fold (basis, SquashedOutcome) pairs, in pulse order, into a tally."""
+    n_x = x_minus = x_double = 0
+    z_bits: list[int] = []
+    for basis, outcome in outcomes:
+        if outcome.kind is OutcomeKind.VACUUM:
+            continue
+        if basis == Basis.X:
+            n_x += 1
+            if outcome.kind is OutcomeKind.DOUBLE:
+                x_double += 1
+            elif outcome.bit_value == 1:
+                x_minus += 1
+        else:
+            z_bits.append(outcome.bit_value)
+    return SessionTally(
+        n=n_x + len(z_bits), n_x=n_x, n_z=len(z_bits), x_minus=x_minus,
+        x_double=x_double, z_bits=BitBlock.from01(z_bits),
+        seed_bits_consumed=seed_bits_consumed,
     )

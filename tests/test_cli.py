@@ -9,6 +9,8 @@ import sys
 
 import pytest
 from helpers import child_env
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from siqrng.cli import main
 from siqrng.config import config_from_dict, load_config
@@ -218,6 +220,166 @@ class TestStagedSubcommands:
         assert read_json(out / "abort.json")["abort"] is True
 
 
+# the artifacts the staged chain and pipeline both write
+PARITY_FILES = ("clicks.siqc", "zbits.siq", "tally.json", "estimation.json",
+                "final.siq", "security.json", "abort.json")
+
+
+def _run_staged_chain(config, seed: str, out) -> int:
+    """simulate -> tally -> estimate -> extract at one master seed, stopping
+    at the first nonzero exit code, which it returns."""
+    steps = [
+        ["simulate", "--config", str(config), "--seed", seed],
+        ["tally", "--clicks", str(out / "clicks.siqc"), "--seed", seed],
+        ["estimate", "--tally", str(out / "tally.json"), "--config", str(config)],
+        ["extract", "--zbits", str(out / "zbits.siq"),
+         "--estimation", str(out / "estimation.json"), "--seed", seed],
+    ]
+    for step in steps:
+        code = main([*step, "--out", str(out)])
+        if code:
+            return code
+    return 0
+
+
+@st.composite
+def _parity_configs(draw):
+    """Small sessions of either basis choice; active plans are kept short
+    because unranking time grows with the planned X count."""
+    choice = draw(st.sampled_from(["active", "passive"]))
+    return {
+        **HONEST_DOC,
+        "total_pulses": draw(st.integers(50_000, 600_000)),
+        "planned_x_count": draw(st.integers(1500, 3000 if choice == "active" else 8000)),
+        "basis_choice": choice,
+        "efficiency_ratio": draw(st.floats(0.85, 1.0)),
+        "t_e": draw(st.integers(20, 150)),
+        "master_seed": draw(st.integers(0, (1 << 64) - 1)),
+    }
+
+
+class TestStagedParity:
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_parity_configs())
+    # the fixed-Z source aborts at the estimate
+    @example(doc={**HONEST_DOC, "total_pulses": 20_000, "planned_x_count": 4000,
+                  "source": {"mean_photon_number": 1.0, "mode": "adversarial-fixed-z"}})
+    # the estimate passes, but e/r >= 1/2 leaves nothing to extract
+    @example(doc={**HONEST_DOC, "total_pulses": 100_000, "planned_x_count": 8000,
+                  "basis_choice": "passive", "efficiency_ratio": 0.85,
+                  "source": {"mean_photon_number": 1.0, "misalignment": 0.35}})
+    # the estimate passes, but K <= 0
+    @example(doc={**HONEST_DOC, "total_pulses": 100_000, "planned_x_count": 8000,
+                  "basis_choice": "passive",
+                  "source": {"mean_photon_number": 1.0, "misalignment": 0.35}})
+    # the mismatch-adjusted length, which extract once dropped
+    @example(doc={**HONEST_DOC, "efficiency_ratio": 0.9})
+    def test_staged_chain_writes_pipeline_bytes(self, doc, tmp_path_factory):
+        work = tmp_path_factory.mktemp("parity")
+        config = work / "config.json"
+        config.write_text(json.dumps(doc))
+        seed = doc["master_seed"]
+        seed = f"{seed:016x}" if isinstance(seed, int) else seed
+
+        assert main(["pipeline", "--config", str(config), "--out", str(work / "pipeline"),
+                     "--seed", seed]) == _run_staged_chain(config, seed, work / "staged")
+        for name in PARITY_FILES:
+            piped, staged = work / "pipeline" / name, work / "staged" / name
+            assert piped.exists() == staged.exists(), name
+            if piped.exists():
+                assert piped.read_bytes() == staged.read_bytes(), name
+
+
+class TestStagedErrorPaths:
+    @pytest.fixture
+    def passive_config(self, tmp_path):
+        path = tmp_path / "passive.json"
+        path.write_text(json.dumps({**HONEST_DOC, "total_pulses": 200_000,
+                                    "basis_choice": "passive"}))
+        return path
+
+    @pytest.fixture
+    def estimated(self, passive_config, tmp_path):
+        out = tmp_path / "stages"
+        assert main(["simulate", "--config", str(passive_config), "--out", str(out)]) == 0
+        assert main(["tally", "--clicks", str(out / "clicks.siqc"), "--out", str(out)]) == 0
+        assert main(["estimate", "--tally", str(out / "tally.json"),
+                     "--config", str(passive_config), "--out", str(out)]) == 0
+        return out
+
+    def _extract(self, out, *extra):
+        return main(["extract", "--zbits", str(out / "zbits.siq"),
+                     "--estimation", str(out / "estimation.json"), "--out", str(out), *extra])
+
+    def test_extract_of_an_aborted_estimate_exits_2(self, adversarial_config, tmp_path):
+        out = tmp_path / "stages"
+        assert main(["simulate", "--config", str(adversarial_config), "--out", str(out)]) == 0
+        assert main(["tally", "--clicks", str(out / "clicks.siqc"), "--out", str(out)]) == 0
+        assert main(["estimate", "--tally", str(out / "tally.json"),
+                     "--config", str(adversarial_config), "--out", str(out)]) == 2
+        estimated = (out / "abort.json").read_bytes()
+        (out / "abort.json").unlink()
+
+        assert self._extract(out) == 2
+        assert (out / "abort.json").read_bytes() == estimated
+        assert read_json(out / "abort.json")["tally"] == read_json(out / "tally.json")
+        assert not (out / "final.siq").exists()
+
+    def test_te_defaults_to_the_recorded_value(self, estimated):
+        record = read_json(estimated / "estimation.json")
+        assert record["params"]["t_e"] == HONEST_DOC["t_e"]
+        record["params"]["t_e"] = 40
+        (estimated / "estimation.json").write_text(json.dumps(record))
+        assert self._extract(estimated) == 0
+        assert read_json(estimated / "security.json")["t_e"] == 40
+        assert self._extract(estimated, "--te", "60") == 0
+        assert read_json(estimated / "security.json")["t_e"] == 60
+
+    @pytest.mark.parametrize("record, keys", [
+        ("tally.json", ("x_minus",)),
+        ("estimation.json", ("theta",)),
+        ("estimation.json", ("params",)),
+        ("estimation.json", ("params", "efficiency_ratio")),
+        ("estimation.json", ("tally", "n_z")),
+    ])
+    def test_record_missing_a_key_is_exit_1(self, estimated, passive_config, record, keys,
+                                             capsys):
+        path = estimated / record
+        doc = read_json(path)
+        *parents, key = keys
+        holder = doc
+        for parent in parents:
+            holder = holder[parent]
+        del holder[key]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        if record == "tally.json":
+            code = main(["estimate", "--tally", str(path), "--config", str(passive_config),
+                         "--out", str(estimated)])
+        else:
+            code = self._extract(estimated)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and repr(key) in err
+
+    def test_record_with_a_wrong_type_is_exit_1(self, estimated, capsys):
+        path = estimated / "estimation.json"
+        doc = read_json(path)
+        doc["abort"] = "no"
+        path.write_text(json.dumps(doc))
+        assert self._extract(estimated) == 1
+        assert "'abort' must be bool" in capsys.readouterr().err
+
+    def test_zbits_of_another_session_is_exit_1(self, estimated, capsys):
+        from siqrng.bits import BitBlock
+        from siqrng.fileio import write_bit_file
+
+        write_bit_file(estimated / "zbits.siq", BitBlock.zeros(1000))
+        assert self._extract(estimated) == 1
+        assert "n_z=" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_sweep_csv_columns_and_override(self, honest_config, tmp_path):
         out = tmp_path / "sweep"
@@ -250,6 +412,23 @@ class TestErrorHandling:
 
     def test_usage_error_is_exit_1(self):
         assert main(["estimate"]) == 1
+
+    def test_extraction_block_size_is_an_unknown_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**HONEST_DOC, "extraction_block_size": 1 << 20}))
+        assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert "extraction_block_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"SIQ1", b"SIQ1\x01\x00\x00"])
+    def test_truncated_bit_file_is_exit_1(self, tmp_path, capsys, header):
+        path = tmp_path / "short.siq"
+        path.write_bytes(header)
+        assert main(["test", "--bits", str(path), "--out", str(tmp_path)]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_bad_seed_is_exit_1(self, tmp_path):
+        assert main(["tally", "--clicks", str(tmp_path / "c.siqc"), "--out", str(tmp_path),
+                     "--seed", "1" * 17]) == 1
 
 
 def test_module_entry_point(honest_config, tmp_path):

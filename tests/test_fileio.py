@@ -14,6 +14,8 @@ from siqrng.fileio import (
 from siqrng.photonic_sim import ClickStream
 from siqrng.seeds import SeedExhaustedError, SeedSource
 
+from helpers import take_bit
+
 
 class TestBitBlock:
     def test_round_trip(self, rng):
@@ -53,7 +55,7 @@ class TestSeedSource:
     def test_finite_stream_consumption(self):
         seed = SeedSource.from_bits(BitBlock.from01([1, 0, 1, 1, 0]))
         assert seed.take(3) == 0b101
-        assert seed.take_bit() == 1
+        assert take_bit(seed) == 1
         assert seed.bits_consumed == 4
         with pytest.raises(SeedExhaustedError):
             seed.take(2)
@@ -74,6 +76,10 @@ class TestSeedSource:
             seed = SeedSource.from_rng(np.random.default_rng(5))
             takes.append([seed.take(31) for _ in range(10)])
         assert takes[0] == takes[1]
+
+
+# header lengths short of the 13 header bytes, each with a valid magic
+TRUNCATED_HEADER_LENGTHS = (4, 7, 8, 12)
 
 
 class TestBitFile(object):
@@ -97,6 +103,14 @@ class TestBitFile(object):
         path.write_bytes(b"XXXX" + bytes(20))
         with pytest.raises(FormatError):
             read_bit_file(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.siq"
+        full = b"SIQ1" + bytes([1]) + bytes(8)
+        for length in TRUNCATED_HEADER_LENGTHS:
+            path.write_bytes(full[:length])
+            with pytest.raises(FormatError, match="truncated header"):
+                read_bit_file(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.siq"
@@ -151,9 +165,11 @@ class TestClickFile:
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "clicks.siqc"
-        path.write_bytes(b"SIQC" + bytes([1]) + bytes(3))
-        with pytest.raises(FormatError):
-            read_click_file(path)
+        full = b"SIQC" + bytes([1]) + bytes(8)
+        for length in TRUNCATED_HEADER_LENGTHS:
+            path.write_bytes(full[:length])
+            with pytest.raises(FormatError, match="truncated header"):
+                read_click_file(path)
 
     def test_reserved_bits_rejected(self, tmp_path):
         path = tmp_path / "clicks.siqc"

@@ -16,51 +16,32 @@ from siqrng.photonic_sim import (
     BLOCK_SIZE,
     Basis,
     ChannelConfig,
-    ClickEvent,
     ClickStream,
     DetectorConfig,
     Pattern,
     SourceConfig,
     SourceMode,
     click_probabilities,
-    detect_pulse,
     detector_intensities,
     run_session,
-    sample_photon_number,
 )
 from siqrng.pipeline import choose_basis_plan, derive_streams
 from siqrng.seeds import SeedSource
 from siqrng.squash_sample import squash_and_tally
 
-from helpers import mask_squash_and_tally, one_draw_passive_plan, where_run_session
+from helpers import (
+    ClickEvent,
+    click_events,
+    mask_squash_and_tally,
+    one_draw_passive_plan,
+    where_run_session,
+)
 
 HONEST = SourceConfig(mean_photon_number=1.0, misalignment=0.02, mode=SourceMode.HONEST_PLUS)
 ADVERSARIAL = SourceConfig(mean_photon_number=1.0, mode=SourceMode.ADVERSARIAL_FIXED_Z)
 LOSSLESS = ChannelConfig(loss_db=0.0)
 IDEAL_DET = DetectorConfig(efficiency=1.0, dark_count=0.0)
 PAPER_DET = DetectorConfig(efficiency=0.45, dark_count=0.002)
-
-
-class TestSamplePhotonNumber:
-    def test_zero_intensity(self, rng):
-        assert sample_photon_number(0.0, rng) == 0
-        assert not sample_photon_number(0.0, rng, size=1000).any()
-
-    def test_vacuum_probability(self, rng):
-        # binomial oracle: P(k=0) = exp(-1) at mu=1, 3-sigma band over 1e6 draws
-        draws = sample_photon_number(1.0, rng, size=10**6)
-        p = math.exp(-1.0)
-        sigma = math.sqrt(p * (1 - p) / draws.size)
-        assert abs(np.mean(draws == 0) - p) < 3 * sigma
-
-    def test_mean(self, rng):
-        # CLT oracle: sd of the sample mean is sqrt(mu / n) for Poisson
-        draws = sample_photon_number(2.0, rng, size=10**6)
-        assert abs(draws.mean() - 2.0) < 3 * math.sqrt(2.0 / draws.size)
-
-    def test_negative_intensity_rejected(self, rng):
-        with pytest.raises(ValueError):
-            sample_photon_number(-0.1, rng)
 
 
 class TestDetectorIntensities:
@@ -81,9 +62,8 @@ class TestDetectorIntensities:
 class TestDetectPulse:
     def test_no_photons_no_dark_counts(self, rng):
         dark = SourceConfig(mean_photon_number=0.0)
-        for _ in range(200):
-            event = detect_pulse(dark, LOSSLESS, IDEAL_DET, Basis.Z, rng)
-            assert event.pattern == Pattern.NONE
+        stream = run_session(200, dark, LOSSLESS, IDEAL_DET, [], rng)
+        assert not stream.pattern.any()
 
     def test_dark_count_frequency(self, rng):
         # 1e7 gates at mu=0: each detector clicks with p = 0.002 within 3 sigma
@@ -96,10 +76,11 @@ class TestDetectPulse:
             assert abs(freq - 0.002) < 3 * sigma
 
     def test_aligned_source_never_fires_minus_detector(self, rng):
+        # every pulse measured in X
         aligned = SourceConfig(mean_photon_number=2.0, misalignment=0.0)
-        for _ in range(300):
-            event = detect_pulse(aligned, LOSSLESS, IDEAL_DET, Basis.X, rng)
-            assert event.pattern in (Pattern.NONE, Pattern.D0)
+        stream = run_session(300, aligned, LOSSLESS, IDEAL_DET, range(300), rng)
+        assert (stream.basis == Basis.X).all()
+        assert np.isin(stream.pattern, (Pattern.NONE, Pattern.D0)).all()
 
     def test_click_probability_formula(self):
         p0, p1 = click_probabilities(HONEST, ChannelConfig(loss_db=10.0), PAPER_DET, Basis.X)
@@ -132,7 +113,7 @@ class TestRunSession:
 
     def test_iteration_yields_click_events(self, rng):
         stream = run_session(10, HONEST, LOSSLESS, PAPER_DET, [2], rng)
-        events = list(stream)
+        events = list(click_events(stream))
         assert len(events) == 10
         assert all(isinstance(e, ClickEvent) for e in events)
         assert events[2].basis == Basis.X and events[0].basis == Basis.Z

@@ -13,22 +13,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siqrng.bits import BitBlock
-from siqrng.photonic_sim import Basis, ClickEvent, ClickStream, Pattern
+from siqrng.photonic_sim import Basis, ClickStream, Pattern
 from siqrng.pipeline import derive_streams
 from siqrng.seeds import SeedExhaustedError, SeedSource
 from siqrng.squash_sample import (
-    OutcomeKind,
     SessionTally,
-    SquashedOutcome,
     plan_basis_positions,
     seed_length_required,
-    squash,
     squash_and_tally,
-    tally_session,
     unrank_combination,
 )
 
-from helpers import rank_combination, walk_unrank
+from helpers import (
+    ClickEvent,
+    OutcomeKind,
+    SquashedOutcome,
+    click_events,
+    rank_combination,
+    squash,
+    tally_session,
+    walk_unrank,
+)
 
 
 def _seed_from01(bits):
@@ -107,7 +112,7 @@ class TestTally:
         fast = squash_and_tally(stream, _seed_from01(seed_bits))
 
         seed = _seed_from01(seed_bits)
-        outcomes = [(event.basis, squash(event, seed)) for event in stream]
+        outcomes = [(event.basis, squash(event, seed)) for event in click_events(stream)]
         slow = tally_session(outcomes, seed_bits_consumed=seed.bits_consumed)
 
         assert fast.to_dict() == slow.to_dict()
