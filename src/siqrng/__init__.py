@@ -15,7 +15,6 @@ from .entropy_math import (
     binary_entropy_derivative,
     composed_security,
     deviation_exponent,
-    deviation_failure_bound,
     final_length,
     log2_deviation_failure_bound,
     mismatch_adjusted_length,
@@ -32,13 +31,11 @@ from .extractor import (
     ExtractionError,
     ExtractionPlan,
     extract_session,
-    make_plan,
     toeplitz_extract,
 )
 from .photonic_sim import (
     Basis,
     ChannelConfig,
-    ClickStream,
     DetectorConfig,
     Pattern,
     SourceConfig,

@@ -2,14 +2,13 @@
 
 Bits are stored packed 8-per-byte, least-significant-bit first within each
 byte, so that bit ``i`` of the block lives at ``data[i // 8] >> (i % 8) & 1``.
-This matches the on-disk packed-bit format (see :mod:`siqrng.fileio`) and the
-little-endian integer view used by the GF(2) routines.
+This matches the on-disk packed-bit format (see :mod:`siqrng.fileio`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,13 +61,6 @@ class BitBlock:
         block._check_padding()
         return block
 
-    @classmethod
-    def concat(cls, blocks: Iterable["BitBlock"]) -> "BitBlock":
-        parts = [b.to01() for b in blocks]
-        if not parts:
-            return cls.zeros(0)
-        return cls.from01(np.concatenate(parts))
-
     def _check_padding(self):
         pad = 8 * self.data.size - self.length
         if pad and self.data.size and (self.data[-1] >> (8 - pad)):
@@ -78,29 +70,10 @@ class BitBlock:
         """Unpack to a uint8 array of 0/1 values."""
         return np.unpackbits(self.data, count=self.length, bitorder="little")
 
-    def to_int(self) -> int:
-        """Little-endian integer view: bit i of the block is bit i of the int."""
-        return int.from_bytes(self.data.tobytes(), "little")
-
-    def slice(self, start: int, stop: int) -> "BitBlock":
-        if not 0 <= start <= stop <= self.length:
-            raise IndexError(f"bit slice [{start}:{stop}] out of range 0..{self.length}")
-        return BitBlock.from01(self.to01()[start:stop])
-
     def __len__(self) -> int:
         return self.length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return int(self.data[i // 8] >> (i % 8) & 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitBlock):
             return NotImplemented
         return self.length == other.length and np.array_equal(self.data, other.data)
-
-    def __xor__(self, other: "BitBlock") -> "BitBlock":
-        if self.length != other.length:
-            raise ValueError("XOR of bit blocks of unequal length")
-        return BitBlock(np.bitwise_xor(self.data, other.data), self.length)

@@ -126,11 +126,11 @@ def _write_abort_record(
 def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     streams = derive_streams(config.master_seed)
-    stream = simulate_clicks(config, streams)
+    records = simulate_clicks(config, streams)
     out = Path(args.out)
-    fileio.write_click_file(out / "clicks.siqc", stream)
+    fileio.write_click_file(out / "clicks.siqc", records)
     fileio.write_json(out / "simulate.json", {
-        "total_pulses": len(stream),
+        "total_pulses": records.size,
         "planned_x_count": config.params.planned_x_count,
         "basis_choice": config.basis_choice,
         "basis_plan_bits": streams.basis.bits_consumed,
@@ -140,8 +140,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tally(args) -> int:
-    stream = fileio.read_click_file(args.clicks)
-    _write_tally(Path(args.out), tally_clicks(stream, derive_streams(args.seed)))
+    records = fileio.read_click_file(args.clicks)
+    _write_tally(Path(args.out), tally_clicks(records, derive_streams(args.seed)))
     return EXIT_OK
 
 
@@ -205,8 +205,8 @@ def cmd_pipeline(args) -> int:
         points = run_sweep(config, plan, plan_bits)
         fileio.atomic_write_bytes(out / "sweep.csv", curve_csv(points).encode())
 
-    result = run_protocol_session(config, plan, plan_bits, keep_stream=True)
-    fileio.write_click_file(out / "clicks.siqc", result.stream)
+    result = run_protocol_session(config, plan, plan_bits)
+    fileio.write_click_file(out / "clicks.siqc", result.records)
     _write_tally(out, result.tally)
     _write_estimation(out, result.estimation, config.params, result.tally)
     fileio.write_json(out / "seed_ledger.json", result.seed_ledger)

@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .entropy_math import ProtocolParams
-from .fileio import read_json
+from .entropy_math import PARAM_KINDS, ProtocolParams
+from .fileio import read_json, record_field
 from .photonic_sim import ChannelConfig, DetectorConfig, SourceConfig, SourceMode
-
-DEFAULT_REPETITION_RATE_HZ = 1e6
-DEFAULT_DEAD_TIME_S = 50e-9
 
 SWEEP_KEYS = ("loss_db", "mean_photon_number")
 BASIS_CHOICE_MODES = ("active", "passive")
@@ -47,8 +44,8 @@ class RunConfig:
     master_seed: int = 0
     sweep: SweepSpec | None = None
     basis_choice: str = "active"
-    repetition_rate_hz: float = DEFAULT_REPETITION_RATE_HZ
-    dead_time_s: float = DEFAULT_DEAD_TIME_S
+    repetition_rate_hz: float = 1e6
+    dead_time_s: float = 50e-9
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 1 << 64:
@@ -71,11 +68,15 @@ class RunConfig:
         return replace(self, source=replace(self.source, mean_photon_number=value))
 
 
-_TOP_LEVEL_KEYS = {
-    "total_pulses", "planned_x_count", "eps_theta_exponent", "t_e", "efficiency_ratio",
-    "source", "channel", "detector", "master_seed", "sweep", "basis_choice",
-    "repetition_rate_hz", "dead_time_s",
+# the JSON type of every configuration key; the sections are nested objects
+_RUN_KINDS = {"basis_choice": str, "repetition_rate_hz": float, "dead_time_s": float}
+_SECTION_KINDS = {
+    "source": {"mean_photon_number": float, "misalignment": float, "mode": str},
+    "channel": {"loss_db": float},
+    "detector": {"efficiency": float, "dark_count_per_gate": float},
 }
+_SWEEP_KINDS = {"key": str, "values": list}
+_TOP_LEVEL_KEYS = {*PARAM_KINDS, *_RUN_KINDS, *_SECTION_KINDS, "master_seed", "sweep"}
 
 
 def _require_keys(doc: dict, allowed: set, context: str):
@@ -84,72 +85,101 @@ def _require_keys(doc: dict, allowed: set, context: str):
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _read(doc: dict, key: str, kind: type, context: str):
+    """``doc[key]`` read by :func:`~siqrng.fileio.record_field`; a missing
+    key or a wrong type is a ConfigError naming the key."""
+    try:
+        return record_field(doc, key, kind)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _fields(doc: dict, kinds: dict, context: str, as_given: bool = False) -> dict:
+    """The keys of ``kinds`` present in ``doc``, each read by :func:`_read`.
+
+    Absent keys are left to the defaults of the dataclass that takes them.
+    ``as_given`` keeps each checked number as the document gave it (an int
+    stays an int) instead of the float the reader returns.
+    """
+    fields = {}
+    for key, kind in kinds.items():
+        if key in doc:
+            value = _read(doc, key, kind, context)
+            fields[key] = doc[key] if as_given else value
+    return fields
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The keys of one nested object, checked and kept as given."""
+    section = _read(doc, name, dict, "configuration") if name in doc else {}
+    _require_keys(section, set(_SECTION_KINDS[name]), name)
+    return _fields(section, _SECTION_KINDS[name], name, as_given=True)
+
+
+def _sweep(doc: dict) -> SweepSpec:
+    _require_keys(doc, set(_SWEEP_KINDS), "sweep")
+    values = _read(doc, "values", list, "sweep")
+    items = {f"values[{i}]": value for i, value in enumerate(values)}
+    return SweepSpec(key=_read(doc, "key", str, "sweep"),
+                     values=tuple(_read(items, key, float, "sweep") for key in items))
+
+
+def _master_seed(doc: dict) -> int:
+    """A JSON integer, or a string of hex digits."""
+    seed = doc["master_seed"]
+    if not isinstance(seed, str):
+        return _read(doc, "master_seed", int, "configuration")
+    try:
+        return int(seed, 16)
+    except ValueError:
+        raise ConfigError(
+            f"configuration: key 'master_seed' must be int or hex digits, got {seed!r}"
+        ) from None
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig.
+
+    Each key must have its JSON type: an integer for the counts, ``t_e``
+    and the master seed (which may also be a string of hex digits), a
+    number for the other quantities.  Top-level numbers become floats;
+    the numbers in ``source``, ``channel`` and ``detector`` are kept as
+    given.  Absent keys take the defaults of the dataclasses.
 
     Raises
     ------
     ConfigError
-        On unknown keys, missing required fields, or out-of-range values
-        (range checks are delegated to the typed configs).
+        On unknown keys, missing required fields, wrong types, or
+        out-of-range values (range checks are delegated to the typed
+        configs).
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
     _require_keys(doc, _TOP_LEVEL_KEYS, "configuration")
+    for key in ("total_pulses", "planned_x_count"):
+        if key not in doc:
+            raise ConfigError(f"missing required field {key!r}")
+    params = _fields(doc, PARAM_KINDS, "configuration")
+    run = _fields(doc, _RUN_KINDS, "configuration")
+    source, channel, detector = (_section(doc, name) for name in _SECTION_KINDS)
+    if "dark_count_per_gate" in detector:
+        detector["dark_count"] = detector.pop("dark_count_per_gate")
     try:
-        params = ProtocolParams(
-            total_pulses=int(doc["total_pulses"]),
-            planned_x_count=int(doc["planned_x_count"]),
-            eps_theta_exponent=float(doc.get("eps_theta_exponent", 100.0)),
-            t_e=int(doc.get("t_e", 100)),
-            efficiency_ratio=float(doc.get("efficiency_ratio", 1.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    try:
-        src_doc = dict(doc.get("source", {}))
-        _require_keys(src_doc, {"mean_photon_number", "misalignment", "mode"}, "source")
-        if "mode" in src_doc:
-            src_doc["mode"] = SourceMode(src_doc["mode"])
-        source = SourceConfig(**src_doc)
-
-        ch_doc = dict(doc.get("channel", {}))
-        _require_keys(ch_doc, {"loss_db"}, "channel")
-        channel = ChannelConfig(**ch_doc)
-
-        det_doc = dict(doc.get("detector", {}))
-        _require_keys(det_doc, {"efficiency", "dark_count_per_gate"}, "detector")
-        detector = DetectorConfig(
-            efficiency=det_doc.get("efficiency", 0.45),
-            dark_count=det_doc.get("dark_count_per_gate", 0.002),
+        if "mode" in source:
+            source["mode"] = SourceMode(source["mode"])
+        run.update(
+            params=ProtocolParams(**params),
+            source=SourceConfig(**source),
+            channel=ChannelConfig(**channel),
+            detector=DetectorConfig(**detector),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    sweep = None
-    if "sweep" in doc and doc["sweep"] is not None:
-        sw = doc["sweep"]
-        _require_keys(sw, {"key", "values"}, "sweep")
-        sweep = SweepSpec(key=sw["key"], values=tuple(float(v) for v in sw["values"]))
-
-    seed = doc.get("master_seed", 0)
-    if isinstance(seed, str):
-        seed = int(seed, 16)
-
-    return RunConfig(
-        params=params,
-        source=source,
-        channel=channel,
-        detector=detector,
-        master_seed=seed,
-        sweep=sweep,
-        basis_choice=doc.get("basis_choice", "active"),
-        repetition_rate_hz=float(doc.get("repetition_rate_hz", DEFAULT_REPETITION_RATE_HZ)),
-        dead_time_s=float(doc.get("dead_time_s", DEFAULT_DEAD_TIME_S)),
-    )
+    if doc.get("sweep") is not None:
+        run["sweep"] = _sweep(_read(doc, "sweep", dict, "configuration"))
+    if "master_seed" in doc:
+        run["master_seed"] = _master_seed(doc)
+    return RunConfig(**run)
 
 
 def load_config(path: Path) -> RunConfig:

@@ -7,8 +7,8 @@ Conventions
 -----------
 - Logarithms are base 2 throughout; entropies are in bits.
 - Failure probabilities of the form 2**(-k) with k in the hundreds are
-  carried as base-2 exponents (the ``log2_*`` functions). The linear-domain
-  wrappers may underflow to 0.0 for extremely small probabilities; the log2
+  carried as base-2 exponents (the ``log2_*`` functions and fields). Linear
+  values may underflow to 0.0 for extremely small probabilities; the log2
   value is the canonical representation.
 - Output lengths are floored to an integer (rounding down is the
   conservative direction for certified randomness).
@@ -63,6 +63,11 @@ class ProtocolParams:
             raise ValueError(f"t_e must be >= 1, got {self.t_e}")
         if not 0 < self.efficiency_ratio <= 1:
             raise ValueError(f"efficiency_ratio must be in (0, 1], got {self.efficiency_ratio}")
+
+
+# the JSON type of each ProtocolParams field, for the records and configs
+PARAM_KINDS = {"total_pulses": int, "planned_x_count": int, "eps_theta_exponent": float,
+               "t_e": int, "efficiency_ratio": float}
 
 
 @dataclass(frozen=True)
@@ -168,15 +173,6 @@ def log2_deviation_failure_bound(n: int, q_x: float, e_bx: float, theta: float) 
         )
     log2_prefactor = -0.5 * math.log2(q_x * (1.0 - q_x) * e_bx * (1.0 - e_bx) * n)
     return min(0.0, log2_prefactor - n * deviation_exponent(theta, e_bx, q_x))
-
-
-def deviation_failure_bound(n: int, q_x: float, e_bx: float, theta: float) -> float:
-    """Linear-domain sampling failure bound, min(1, prefactor * 2**(-n*exponent)).
-
-    May underflow to 0.0 when the exponent is very large; use
-    :func:`log2_deviation_failure_bound` for exact exponent arithmetic.
-    """
-    return 2.0 ** log2_deviation_failure_bound(n, q_x, e_bx, theta)
 
 
 def final_length(n_z: int, e_pz_bound: float, t_e: int) -> int:

@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .entropy_math import (
+    PARAM_KINDS,
     ProtocolParams,
     binary_entropy,
     binary_entropy_derivative,
@@ -77,12 +78,8 @@ class EstimationResult:
         )
         params = record_field(doc, "params", dict)
         params = ProtocolParams(**{key: record_field(params, key, kind)
-                                   for key, kind in _PARAM_KINDS.items()})
+                                   for key, kind in PARAM_KINDS.items()})
         return result, params, SessionTally.from_dict(record_field(doc, "tally", dict))
-
-
-_PARAM_KINDS = {"total_pulses": int, "planned_x_count": int, "eps_theta_exponent": float,
-                "t_e": int, "efficiency_ratio": float}
 
 
 def observed_x_error(tally: SessionTally) -> float:

@@ -46,7 +46,6 @@ from .entropy_math import (
 )
 from .estimation import EstimationResult
 from .seeds import SeedSource
-from .squash_sample import SessionTally
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 # FFT round-off guard; actual deviations are ~1e-10 at the default block size
@@ -63,7 +62,6 @@ class ExtractionPlan:
 
     n_z: int
     K: int
-    t_e: int
 
     def __post_init__(self):
         if self.K <= 0:
@@ -74,27 +72,6 @@ class ExtractionPlan:
     @property
     def seed_length(self) -> int:
         return self.n_z + self.K - 1
-
-    def to_dict(self) -> dict:
-        return {"n_z": self.n_z, "K": self.K, "t_e": self.t_e, "seed_length": self.seed_length}
-
-
-def make_plan(tally: SessionTally, est: EstimationResult, t_e: int) -> ExtractionPlan:
-    """Plan the session extraction from the estimated phase-error bound.
-
-    Raises
-    ------
-    ExtractionError
-        If the session aborted or the output length is not positive.
-    """
-    if est.abort:
-        raise ExtractionError("cannot plan extraction for an aborted session")
-    k = final_length(tally.n_z, est.e_pz_bound, t_e)
-    if k <= 0:
-        raise ExtractionError(
-            f"output length {k} <= 0 at n_z={tally.n_z}, e_pz_bound={est.e_pz_bound:.4f}"
-        )
-    return ExtractionPlan(n_z=tally.n_z, K=k, t_e=t_e)
 
 
 def _seed_spectrum(seed01: np.ndarray) -> tuple[np.ndarray, int]:
@@ -184,7 +161,7 @@ def extract_session(
         return mismatch_adjusted_length(efficiency_ratio, m, est.e_pz_bound, t_e)
 
     sizes = _balanced_blocks(n_z, block_size)
-    plans = [ExtractionPlan(n_z=m, K=output_length(m), t_e=t_e) for m in sizes]
+    plans = [ExtractionPlan(n_z=m, K=output_length(m)) for m in sizes]
 
     seed_length = max(p.seed_length for p in plans)
     spectrum, length = _seed_spectrum(seed_source.take_bits(seed_length))

@@ -9,12 +9,12 @@ Click-record file:
     one byte per pulse: bits 0-1 = pattern (0 none, 1 d0, 2 d1, 3 double),
     bit 2 = basis (0 Z, 1 X), upper bits zero.
 
-The record byte is also the in-memory form of a session
-(:class:`~siqrng.photonic_sim.ClickStream` holds ``records``), so the file
-is written from it and read back into it without conversion.  One byte per
-pulse is deliberately uncompressed: the records can be audited with any hex
-viewer.  All writes go through a temp file + rename so partial files are
-never observed.
+The record byte is also the in-memory form of a session's clicks (the
+uint8 array :func:`~siqrng.photonic_sim.run_session` returns), so the file
+is written from the records and read back into them without conversion.
+One byte per pulse is deliberately uncompressed: the records can be
+audited with any hex viewer.  All writes go through a temp file + rename
+so partial files are never observed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitBlock
-from .photonic_sim import ClickStream
 
 BIT_MAGIC = b"SIQ1"
 CLICK_MAGIC = b"SIQC"
@@ -104,18 +103,18 @@ def read_bit_file(path: Path) -> BitBlock:
     return BitBlock.from_bytes(payload, length)
 
 
-def write_click_file(path: Path, stream: ClickStream):
-    atomic_write_bytes(path, stream.records, _header(CLICK_MAGIC, len(stream)))
+def write_click_file(path: Path, records: np.ndarray):
+    atomic_write_bytes(path, records, _header(CLICK_MAGIC, records.size))
 
 
-def read_click_file(path: Path) -> ClickStream:
+def read_click_file(path: Path) -> np.ndarray:
     raw, count = _read_payload(path, CLICK_MAGIC)
     records = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER_BYTES)
     if records.size != count:
         raise FormatError(f"{path}: {records.size} pulse records, header says {count}")
     if records.size and int(records.max()) > _MAX_RECORD:
         raise FormatError(f"{path}: pulse record with nonzero reserved bits")
-    return ClickStream.from_records(records)
+    return records
 
 
 def write_json(path: Path, payload: dict):

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy_math import ProtocolParams
-
 
 class Basis(enum.IntEnum):
     Z = 0
@@ -102,54 +100,7 @@ class DetectorConfig:
 # the tally walk the same blocks
 BLOCK_SIZE = 1 << 21
 
-_PATTERN_MASK = 0b011
-_BASIS_SHIFT = 2
-X_RECORD = Basis.X << _BASIS_SHIFT  # X records are X_RECORD + pattern
-
-
-class ClickStream:
-    """All click events of one session, one record byte per pulse.
-
-    ``records`` holds the pattern in bits 0-1 and the basis in bit 2, the
-    same byte the click file stores (see :mod:`siqrng.fileio`);
-    ``basis`` and ``pattern`` are derived from it on each access.
-    """
-
-    def __init__(self, basis, pattern):
-        basis, pattern = np.asarray(basis), np.asarray(pattern)
-        if basis.ndim != 1 or basis.shape != pattern.shape:
-            raise ValueError(
-                "basis and pattern must be 1-d arrays of one length, got shapes "
-                f"{basis.shape} and {pattern.shape}"
-            )
-        if not np.isin(basis, (Basis.Z, Basis.X)).all():
-            raise ValueError("basis values must be 0 (Z) or 1 (X)")
-        if not np.isin(pattern, tuple(Pattern)).all():
-            raise ValueError("pattern values must be in 0..3")
-        self.records = pattern.astype(np.uint8) | (basis.astype(np.uint8) << _BASIS_SHIFT)
-
-    @classmethod
-    def from_records(cls, records: np.ndarray) -> "ClickStream":
-        """Wrap valid record bytes (upper five bits zero) without a copy."""
-        stream = cls.__new__(cls)
-        stream.records = records
-        return stream
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.records >> _BASIS_SHIFT
-
-    @property
-    def pattern(self) -> np.ndarray:
-        return self.records & _PATTERN_MASK
-
-    def __len__(self) -> int:
-        return self.records.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClickStream):
-            return NotImplemented
-        return np.array_equal(self.records, other.records)
+X_RECORD = Basis.X << 2  # the basis bit; X records are X_RECORD + pattern
 
 
 def detector_intensities(source: SourceConfig, basis: Basis) -> tuple[float, float]:
@@ -177,19 +128,21 @@ def click_probabilities(
 
 
 def run_session(
-    params: ProtocolParams | int,
+    n: int,
     source: SourceConfig,
     channel: ChannelConfig,
     det: DetectorConfig,
-    basis_plan,
+    basis_plan: np.ndarray,
     rng: np.random.Generator,
     block_size: int = BLOCK_SIZE,
-) -> ClickStream:
-    """Simulate all pulses of one session.
+) -> np.ndarray:
+    """Simulate the ``n`` pulses of one session; returns its click records.
 
-    ``params`` may be full protocol parameters or a bare pulse count.
-    ``basis_plan`` is the set of pulse indices measured in the X basis
-    (any iterable of ints, or a boolean mask of length N).
+    The records are one uint8 per pulse: the detector pattern in bits 0-1
+    (0 none, 1 d0, 2 d1, 3 double), the basis in bit 2 (0 Z, 1 X), upper
+    bits zero.  It is the byte the click file stores (see
+    :mod:`siqrng.fileio`).  ``basis_plan`` is the int array of the pulse
+    indices measured in the X basis, each in ``[0, n)``.
 
     The X bits of the plan are set in the records first.  Pulses are then
     simulated in blocks of ``block_size``: each block draws one uniform per
@@ -200,17 +153,11 @@ def run_session(
     block size reproduce the stream exactly.  Memory beyond the one record
     byte per pulse is bounded by the block.
     """
-    n = params.total_pulses if isinstance(params, ProtocolParams) else int(params)
     records = np.zeros(n, dtype=np.uint8)
-    plan = np.asarray(list(basis_plan) if not isinstance(basis_plan, np.ndarray) else basis_plan)
-    if plan.dtype == np.bool_:
-        if plan.size != n:
-            raise ValueError(f"boolean basis plan must have length {n}, got {plan.size}")
-        records[plan] = X_RECORD
-    elif plan.size:
-        if plan.min() < 0 or plan.max() >= n:
+    if basis_plan.size:
+        if basis_plan.min() < 0 or basis_plan.max() >= n:
             raise ValueError("basis plan positions out of range")
-        records[plan] = X_RECORD
+        records[basis_plan] = X_RECORD
 
     pz = click_probabilities(source, channel, det, Basis.Z)
     px = click_probabilities(source, channel, det, Basis.X)
@@ -226,4 +173,4 @@ def run_session(
             click = np.less(u, pz[detector], out=clicks[:m])
             click[x] = u[x] < px[detector]
             block |= click.view(np.uint8) << detector
-    return ClickStream.from_records(records)
+    return records

@@ -28,8 +28,7 @@ plan is drawn before the session's click draws begin.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,17 +37,12 @@ from .config import RunConfig
 from .entropy_math import ProtocolAbortError, ProtocolParams, composed_security
 from .estimation import EstimationResult, estimate_session
 from .extractor import ExtractionError, extract_session
-from .photonic_sim import BLOCK_SIZE, ClickStream, run_session
+from .photonic_sim import BLOCK_SIZE, run_session
 from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
 
 # the abort reason of a session whose estimate already aborted
 ESTIMATE_ABORT_REASON = "e_bx + theta >= 1/2"
-
-CURVE_COLUMNS = (
-    "loss_db", "mean_photon_number", "e_bx", "theta", "e_pz_bound",
-    "n", "n_x", "n_z", "K", "rate_bits_per_s", "eps_t", "abort",
-)
 
 
 @dataclass
@@ -72,7 +66,7 @@ def derive_streams(master_seed: int) -> RandomStreams:
 @dataclass
 class SessionResult:
     config: RunConfig
-    stream: ClickStream | None
+    records: np.ndarray
     tally: SessionTally
     estimation: EstimationResult
     final_bits: BitBlock | None
@@ -102,21 +96,21 @@ def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> np.ndarray:
 
 def simulate_clicks(
     config: RunConfig, streams: RandomStreams, basis_plan: np.ndarray | None = None
-) -> ClickStream:
+) -> np.ndarray:
     """Simulate stage: the basis plan, derived from ``streams`` unless one
-    is given, then the clicks, drawn from the physics stream."""
+    is given, then the click records, drawn from the physics stream."""
     if basis_plan is None:
         basis_plan = choose_basis_plan(config, streams)
     return run_session(
-        config.params, config.source, config.channel, config.detector,
+        config.params.total_pulses, config.source, config.channel, config.detector,
         basis_plan, streams.physics,
     )
 
 
-def tally_clicks(stream: ClickStream, streams: RandomStreams) -> SessionTally:
+def tally_clicks(records: np.ndarray, streams: RandomStreams) -> SessionTally:
     """Tally stage, Z double clicks drawing on the double-click seed; a
     session without X or Z events raises ValueError."""
-    tally = squash_and_tally(stream, streams.double_click)
+    tally = squash_and_tally(records, streams.double_click)
     if tally.n_x < 1 or tally.n_z < 1:
         raise ValueError(
             f"session degenerated to n_x={tally.n_x}, n_z={tally.n_z}: "
@@ -153,7 +147,6 @@ def run_protocol_session(
     config: RunConfig,
     basis_plan: np.ndarray | None = None,
     basis_plan_bits: int = 0,
-    keep_stream: bool = False,
 ) -> SessionResult:
     """Run one full session: simulate, tally, estimate, and extract.
 
@@ -162,10 +155,10 @@ def run_protocol_session(
     is derived from the config's own streams.
     """
     streams = derive_streams(config.master_seed)
-    stream = simulate_clicks(config, streams, basis_plan)
+    records = simulate_clicks(config, streams, basis_plan)
     if basis_plan is None:
         basis_plan_bits = streams.basis.bits_consumed
-    tally = tally_clicks(stream, streams)
+    tally = tally_clicks(records, streams)
     estimation = estimate_session(tally, config.params)
     final_bits, security, extraction, abort_reason = extract_or_abort(
         tally.z_bits, estimation, config.params, streams
@@ -183,7 +176,7 @@ def run_protocol_session(
     }
     return SessionResult(
         config=config,
-        stream=stream if keep_stream else None,
+        records=records,
         tally=tally,
         estimation=estimation,
         final_bits=final_bits,
@@ -196,7 +189,8 @@ def run_protocol_session(
 
 @dataclass
 class CurvePoint:
-    """One sweep point; column set mirrors CURVE_COLUMNS."""
+    """One sweep point, one ``sweep.csv`` row: the columns are the fields,
+    in order."""
 
     loss_db: float
     mean_photon_number: float
@@ -210,15 +204,6 @@ class CurvePoint:
     rate_bits_per_s: float
     eps_t: float | None
     abort: bool
-
-    def csv_row(self) -> str:
-        eps = "" if self.eps_t is None else repr(self.eps_t)
-        return ",".join([
-            repr(self.loss_db), repr(self.mean_photon_number),
-            repr(self.e_bx), repr(self.theta), repr(self.e_pz_bound),
-            str(self.n), str(self.n_x), str(self.n_z), str(self.K),
-            repr(self.rate_bits_per_s), eps, str(int(self.abort)),
-        ])
 
 
 def curve_point_from_session(result: SessionResult) -> CurvePoint:
@@ -295,9 +280,19 @@ def run_sweep(
     ]
 
 
+def _csv_cell(value) -> str:
+    """``repr`` of a float, ``str`` of an int, 0/1 for a bool, empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def curve_csv(points: list[CurvePoint]) -> str:
-    lines = [",".join(CURVE_COLUMNS)]
-    lines.extend(p.csv_row() for p in points)
+    columns = [f.name for f in fields(CurvePoint)]
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(getattr(p, c)) for c in columns) for p in points)
     return "\n".join(lines) + "\n"
 
 

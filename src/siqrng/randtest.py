@@ -342,17 +342,6 @@ class AutocorrelationComparison:
     max_abs_raw: float
     max_abs_final: float
 
-    @property
-    def final_below_raw(self) -> bool:
-        return self.max_abs_final < self.max_abs_raw
-
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_raw": self.max_abs_raw,
-            "max_abs_final": self.max_abs_final,
-            "final_below_raw": self.final_below_raw,
-        }
-
 
 def compare_raw_vs_final(raw, final, max_lag: int = 100) -> AutocorrelationComparison:
     """Autocorrelation curves of raw input vs extracted output.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bits import BitBlock
 from .fileio import record_field
-from .photonic_sim import BLOCK_SIZE, X_RECORD, ClickStream, Pattern
+from .photonic_sim import BLOCK_SIZE, X_RECORD, Pattern
 from .seeds import SeedSource
 
 
@@ -71,8 +71,8 @@ class SessionTally:
         return cls(**counts, z_bits=BitBlock.zeros(counts["n_z"]))
 
 
-def squash_and_tally(stream: ClickStream, seed: SeedSource) -> SessionTally:
-    """Vectorized squash + tally of a whole click stream.
+def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
+    """Vectorized squash + tally of a session's click records.
 
     Equivalent to squashing every event in pulse order and folding the
     outcomes one by one (``tests/helpers.py`` keeps that fold as an
@@ -82,8 +82,8 @@ def squash_and_tally(stream: ClickStream, seed: SeedSource) -> SessionTally:
     """
     x_counts = np.zeros(X_RECORD + len(Pattern), dtype=np.int64)
     z_blocks = []
-    for start in range(0, len(stream), BLOCK_SIZE):
-        block = stream.records[start : start + BLOCK_SIZE]
+    for start in range(0, records.size, BLOCK_SIZE):
+        block = records[start : start + BLOCK_SIZE]
         x_counts += np.bincount(block[block >= X_RECORD], minlength=x_counts.size)
         # Z single and double clicks are the records 1..3
         z_blocks.append(block[(block - np.uint8(1)) < 3])

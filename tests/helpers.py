@@ -10,7 +10,8 @@ the cusum and longest-run tests.  The simulator, the passive basis draw
 and the tally are also kept in their full-length form: per-pulse
 probability arrays, one draw of N uniforms, and whole-stream masks; and
 the tally once more per event, squashing one click event at a time.
-Also the environment for tests that run the package in a fresh interpreter.
+Also click records built from basis and pattern arrays, and the
+environment for tests that run the package in a fresh interpreter.
 """
 
 import enum
@@ -26,7 +27,7 @@ from scipy.special import gammaincc, ndtr
 
 import siqrng
 from siqrng.bits import BitBlock
-from siqrng.photonic_sim import Basis, ClickStream, Pattern, click_probabilities
+from siqrng.photonic_sim import Basis, Pattern, click_probabilities
 from siqrng.randtest import _LONGEST_RUN_REGIMES
 from siqrng.squash_sample import SessionTally
 
@@ -182,15 +183,30 @@ def column_longest_run_test(x01: np.ndarray) -> tuple[float, float]:
     return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
 
 
-def where_run_session(n, source, channel, det, basis_plan, rng, block_size) -> ClickStream:
+def click_records(basis, pattern) -> np.ndarray:
+    """Click records from per-pulse basis (0 Z, 1 X) and pattern (0..3)
+    values: the pattern in bits 0-1, the basis in bit 2."""
+    basis, pattern = np.asarray(basis), np.asarray(pattern)
+    if basis.ndim != 1 or basis.shape != pattern.shape:
+        raise ValueError(
+            "basis and pattern must be 1-d arrays of one length, got shapes "
+            f"{basis.shape} and {pattern.shape}"
+        )
+    if not np.isin(basis, (Basis.Z, Basis.X)).all():
+        raise ValueError("basis values must be 0 (Z) or 1 (X)")
+    if not np.isin(pattern, tuple(Pattern)).all():
+        raise ValueError("pattern values must be in 0..3")
+    return pattern.astype(np.uint8) | (basis.astype(np.uint8) << 2)
+
+
+def where_run_session(n, source, channel, det, basis_plan, rng, block_size) -> np.ndarray:
     """The simulator over full-length basis and pattern arrays.
 
     Each block compares its two uniform draws against per-pulse click
     probabilities chosen by ``np.where`` from the pulse's basis.
     """
     basis = np.zeros(n, dtype=np.uint8)
-    plan = np.asarray(basis_plan)
-    basis[plan if plan.dtype == np.bool_ else plan.astype(np.int64)] = Basis.X
+    basis[basis_plan] = Basis.X
     pz = click_probabilities(source, channel, det, Basis.Z)
     px = click_probabilities(source, channel, det, Basis.X)
     pattern = np.empty(n, dtype=np.uint8)
@@ -200,7 +216,7 @@ def where_run_session(n, source, channel, det, basis_plan, rng, block_size) -> C
         c0 = rng.random(stop - start) < np.where(is_x, px[0], pz[0])
         c1 = rng.random(stop - start) < np.where(is_x, px[1], pz[1])
         pattern[start:stop] = c0.astype(np.uint8) | (c1.astype(np.uint8) << 1)
-    return ClickStream(basis, pattern)
+    return click_records(basis, pattern)
 
 
 def one_draw_passive_plan(n: int, n_x: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,9 +224,9 @@ def one_draw_passive_plan(n: int, n_x: int, rng: np.random.Generator) -> np.ndar
     return np.flatnonzero(rng.random(n) < n_x / n)
 
 
-def mask_squash_and_tally(stream: ClickStream, seed) -> SessionTally:
+def mask_squash_and_tally(records: np.ndarray, seed) -> SessionTally:
     """Squash and tally through whole-stream basis and pattern masks."""
-    basis, pattern = stream.basis, stream.pattern
+    basis, pattern = records >> 2, records & 3
     is_x = basis == Basis.X
     non_vacuum = pattern != Pattern.NONE
     x_events = is_x & non_vacuum
@@ -241,9 +257,9 @@ class ClickEvent:
     pattern: Pattern
 
 
-def click_events(stream: ClickStream):
-    """The stream's pulses one event at a time, in pulse order."""
-    basis, pattern = stream.basis, stream.pattern
+def click_events(records: np.ndarray):
+    """The session's pulses one event at a time, in pulse order."""
+    basis, pattern = records >> 2, records & 3
     for i in range(basis.size):
         yield ClickEvent(i, Basis(int(basis[i])), Pattern(int(pattern[i])))
 

@@ -397,10 +397,26 @@ class TestErrorHandling:
         assert main(["pipeline", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
-    def test_invalid_config_is_exit_1(self, tmp_path):
+    def test_invalid_config_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"total_pulses": 100}))
         assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        # a value of the wrong JSON type: the key is named, nothing is coerced
+        for key, value, named in [
+            ("total_pulses", None, "total_pulses"),
+            ("total_pulses", 4e7, "total_pulses"),
+            ("source", 5, "source"),
+            ("sweep", 5, "sweep"),
+            ("sweep", {"values": [1]}, "'key'"),
+            ("sweep", {"key": "loss_db", "values": 5}, "values"),
+            ("master_seed", 1.5, "master_seed"),
+            ("detector", {"efficiency": "x"}, "efficiency"),
+        ]:
+            capsys.readouterr()
+            bad.write_text(json.dumps({**HONEST_DOC, key: value}))
+            assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err, (key, value, err)
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = dict(HONEST_DOC)

@@ -13,7 +13,6 @@ from siqrng.entropy_math import (
     binary_entropy_derivative,
     composed_security,
     deviation_exponent,
-    deviation_failure_bound,
     final_length,
     log2_deviation_failure_bound,
     mismatch_adjusted_length,
@@ -95,7 +94,7 @@ class TestDeviationExponent:
 class TestDeviationFailureBound:
     def test_clamped_to_one_at_zero_deviation(self):
         # prefactor >= 1 here, so the raw bound exceeds 1 and is clamped
-        assert deviation_failure_bound(100, 0.01, 0.02, 0.0) == 1.0
+        assert log2_deviation_failure_bound(100, 0.01, 0.02, 0.0) == 0.0
 
     def test_paper_operating_regime(self):
         # oracle: mp_log2_failure_bound(1e6, 0.01, 0.02, 0.08) = -738.2688...

@@ -12,17 +12,16 @@ from mpmath import mp, mpf
 from scipy.fft import next_fast_len
 
 from siqrng.bits import BitBlock
-from siqrng.entropy_math import final_length
+from siqrng.entropy_math import ProtocolParams, final_length
 from siqrng.estimation import EstimationResult
 from siqrng.extractor import (
     ExtractionError,
     ExtractionPlan,
     extract_session,
-    make_plan,
     toeplitz_extract,
 )
+from siqrng.pipeline import ESTIMATE_ABORT_REASON, derive_streams, extract_or_abort
 from siqrng.seeds import SeedSource
-from siqrng.squash_sample import SessionTally
 
 from helpers import mp_binary_entropy, naive_toeplitz
 
@@ -31,62 +30,70 @@ def _est(e_bx=0.02, theta=0.0, log2_eps=-100.0, abort=False):
     return EstimationResult(e_bx=e_bx, theta=theta, log2_eps_theta=log2_eps, abort=abort)
 
 
-def _tally(n_z, e_count=0):
-    return SessionTally(
-        n=n_z + 100, n_x=100, n_z=n_z, x_minus=e_count, z_bits=BitBlock.zeros(n_z)
-    )
+def _extract(n_z, est, t_e):
+    """``extract_session`` of ``n_z`` zero bits at a fixed seed."""
+    return extract_session(BitBlock.zeros(n_z), est, t_e,
+                           SeedSource.from_rng(np.random.default_rng(1)))
 
 
 class TestMakePlan:
+    """The extraction plan a session makes: K and the Toeplitz seed length
+    that ``extract_session`` certifies for one block."""
+
     def test_zero_error_plan(self):
-        plan = make_plan(_tally(1000), _est(e_bx=0.0, theta=0.0), t_e=100)
-        assert plan.K == 900
-        assert plan.seed_length == 1000 + 900 - 1
+        final, _, summary = _extract(1000, _est(e_bx=0.0, theta=0.0), t_e=100)
+        assert len(final) == summary["K"] == 900
+        assert summary["toeplitz_seed_bits"] == 1000 + 900 - 1
 
     def test_reference_plan_size(self):
-        # oracle: floor(1e6 * (1 - H(0.02))) - 100 = 858459
-        plan = make_plan(_tally(10**6), _est(e_bx=0.02), t_e=100)
-        assert plan.K == 858459
+        # oracle: floor(1e6 * (1 - H(0.02))) - 100 = 858459, in one block
+        final, _, summary = _extract(10**6, _est(e_bx=0.02), t_e=100)
+        assert summary["n_blocks"] == 1
+        assert len(final) == 858459
 
     def test_nearly_saturated_error_rate(self):
         # oracle: floor(1e6 * (1 - H(0.49))) - 100 = 188
-        plan = make_plan(_tally(10**6), _est(e_bx=0.49), t_e=100)
-        assert plan.K == 188
+        final, _, _ = _extract(10**6, _est(e_bx=0.49), t_e=100)
+        assert len(final) == 188
 
     def test_aborted_estimation_rejected(self):
-        with pytest.raises(ExtractionError):
-            make_plan(_tally(1000), _est(abort=True), t_e=10)
+        # an aborted estimate plans nothing and draws no Toeplitz seed
+        streams = derive_streams(0)
+        params = ProtocolParams(total_pulses=2000, planned_x_count=100)
+        outcome = extract_or_abort(BitBlock.zeros(1000), _est(abort=True), params, streams)
+        assert outcome == (None, None, None, ESTIMATE_ABORT_REASON)
+        assert streams.toeplitz.bits_consumed == 0
 
     def test_nonpositive_output_rejected(self):
         with pytest.raises(ExtractionError):
-            make_plan(_tally(200), _est(e_bx=0.4), t_e=100)
+            _extract(200, _est(e_bx=0.4), t_e=100)
 
     def test_extraction_ratio_matches_deployment_figures(self):
         # invert 1 - H(e) = 91/115 with mpmath; e ~= 0.0329, ratio ~= 0.791
         mp.dps = 30
         e_star = mp.findroot(lambda e: 1 - mp_binary_entropy(e) - mpf(91) / 115, mpf("0.03"))
         assert abs(float(e_star) - 0.033) < 0.001
-        plan = make_plan(_tally(115_000), _est(e_bx=float(e_star)), t_e=100)
-        assert plan.K / 115_000 == pytest.approx(0.7913, abs=0.01)
+        final, _, _ = _extract(115_000, _est(e_bx=float(e_star)), t_e=100)
+        assert len(final) / 115_000 == pytest.approx(0.7913, abs=0.01)
 
 
 class TestToeplitzExtract:
     def test_worked_example(self):
         # K=2, n_z=3: T = [[seed[2], seed[1], seed[0]], [seed[3], seed[2], seed[1]]]
-        plan = ExtractionPlan(n_z=3, K=2, t_e=1)
+        plan = ExtractionPlan(n_z=3, K=2)
         raw = BitBlock.from01([1, 1, 0])
         seed = BitBlock.from01([1, 0, 1, 1])
         assert toeplitz_extract(raw, seed, plan).to01().tolist() == [1, 0]
         assert naive_toeplitz(raw.to01(), seed.to01(), 2).tolist() == [1, 0]
 
     def test_zero_raw_gives_zero_output(self, rng):
-        plan = ExtractionPlan(n_z=64, K=32, t_e=1)
+        plan = ExtractionPlan(n_z=64, K=32)
         seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
         out = toeplitz_extract(BitBlock.zeros(64), seed, plan)
         assert not out.to01().any()
 
     def test_zero_seed_gives_zero_output(self, rng):
-        plan = ExtractionPlan(n_z=64, K=32, t_e=1)
+        plan = ExtractionPlan(n_z=64, K=32)
         raw = BitBlock.from01(rng.integers(0, 2, 64))
         out = toeplitz_extract(raw, BitBlock.zeros(plan.seed_length), plan)
         assert not out.to01().any()
@@ -97,7 +104,7 @@ class TestToeplitzExtract:
             k_out = int(rng.integers(1, n_z + 1))
             raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
             seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-            plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
+            plan = ExtractionPlan(n_z=n_z, K=k_out)
             fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
             assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
 
@@ -105,7 +112,7 @@ class TestToeplitzExtract:
         n_z, k_out = 6000, 4200
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
+        plan = ExtractionPlan(n_z=n_z, K=k_out)
         fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
         assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
 
@@ -120,7 +127,7 @@ class TestToeplitzExtract:
     def test_matches_naive_oracle_at_edge_shapes(self, rng, n_z, k_out):
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
+        plan = ExtractionPlan(n_z=n_z, K=k_out)
         fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
         assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
 
@@ -131,28 +138,29 @@ class TestToeplitzExtract:
         assert next_fast_len(n_z + k_out - 1, real=True) == n_z + k_out - 1
         raw01 = np.ones(n_z, dtype=np.uint8)
         seed01 = np.ones(n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out, t_e=1)
+        plan = ExtractionPlan(n_z=n_z, K=k_out)
         fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
         assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
 
     def test_linearity(self, rng):
-        plan = ExtractionPlan(n_z=256, K=128, t_e=1)
+        plan = ExtractionPlan(n_z=256, K=128)
         seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
         for _ in range(50):
-            a = BitBlock.from01(rng.integers(0, 2, 256))
-            b = BitBlock.from01(rng.integers(0, 2, 256))
-            lhs = toeplitz_extract(a ^ b, seed, plan)
-            rhs = toeplitz_extract(a, seed, plan) ^ toeplitz_extract(b, seed, plan)
-            assert lhs == rhs
+            a = rng.integers(0, 2, 256, dtype=np.uint8)
+            b = rng.integers(0, 2, 256, dtype=np.uint8)
+            lhs = toeplitz_extract(BitBlock.from01(a ^ b), seed, plan).to01()
+            rhs = (toeplitz_extract(BitBlock.from01(a), seed, plan).to01()
+                   ^ toeplitz_extract(BitBlock.from01(b), seed, plan).to01())
+            assert np.array_equal(lhs, rhs)
 
     def test_deterministic(self, rng):
-        plan = ExtractionPlan(n_z=300, K=200, t_e=1)
+        plan = ExtractionPlan(n_z=300, K=200)
         raw = BitBlock.from01(rng.integers(0, 2, 300))
         seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
         assert toeplitz_extract(raw, seed, plan) == toeplitz_extract(raw, seed, plan)
 
     def test_length_mismatch_rejected(self, rng):
-        plan = ExtractionPlan(n_z=100, K=50, t_e=1)
+        plan = ExtractionPlan(n_z=100, K=50)
         with pytest.raises(ValueError):
             toeplitz_extract(BitBlock.zeros(99), BitBlock.zeros(plan.seed_length), plan)
         with pytest.raises(ValueError):
@@ -213,7 +221,7 @@ class TestExtractSession:
         )
         pieces = []
         for i, size in enumerate(summary["block_sizes"]):
-            plan = ExtractionPlan(n_z=size, K=(len(final)) // 2, t_e=20)
+            plan = ExtractionPlan(n_z=size, K=(len(final)) // 2)
             block = raw01[i * 1000 : i * 1000 + size]
             pieces.append(
                 naive_toeplitz(block, seed_bits[: plan.seed_length], plan.K)
@@ -235,7 +243,7 @@ class TestExtractSession:
         # monobit statistic of the concatenated output
         from siqrng.randtest import monobit_test
 
-        plan = ExtractionPlan(n_z=4096, K=2048, t_e=1)
+        plan = ExtractionPlan(n_z=4096, K=2048)
         seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
         outputs = []
         for _ in range(40):
@@ -265,7 +273,7 @@ class TestExtractSession:
         )
         sizes = summary["block_sizes"]
         assert sum(sizes) == n_z and max(sizes) - min(sizes) <= 1
-        plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e), t_e=t_e)
+        plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e))
                  for m in sizes]
         seed_bits = SeedSource.from_rng(np.random.default_rng(seed)).take_bits(
             max(p.seed_length for p in plans)

@@ -1,13 +1,21 @@
-"""Static guard: every global name a module's code reads must be bound.
+"""Static guards over the package source, without importing or running it.
 
-A name that a function uses but the module never assigns or imports only
-fails with ``NameError`` when that line runs, which for the acceptance suite
-can be minutes into a test.  Python's own ``symtable`` finds such names
-without importing or running anything, so no linter is needed.
+Every global name a module's code reads must be bound.  A name that a
+function uses but the module never assigns or imports only fails with
+``NameError`` when that line runs, which for the acceptance suite can be
+minutes into a test.  Python's own ``symtable`` finds such names, so no
+linter is needed.
+
+Every function, class and method the package defines must be read
+somewhere in the package.  A definition only the tests call is code the
+tests keep correct although no production path runs it; such code belongs
+in ``tests/helpers.py``.  The ``ast`` scan below finds it by name.
 """
 
+import ast
 import builtins
 import symtable
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +82,87 @@ def test_guard_flags_a_missing_import(tmp_path):
     # comprehension scopes differ across Python versions, so compare names only
     names = {name for _, name in unbound_globals(source)}
     assert names == {"also_missing", "missing", "absent", "gone"}
+
+
+# definitions kept although only the tests read them, each with its reason
+TEST_ONLY_ALLOWED = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "toeplitz_extract": "the hash kernel's direct entry, checked against the naive oracle",
+    "plan_x_count": "the paper's check-count planner (acceptance criterion 10)",
+    "SeedSource.from_bits": "a seed of exact bits for tests that fix every seed bit",
+}
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read as a ``Name`` or an ``Attribute``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, node) of every function, class and method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node, f"{prefix}{node.name}.")
+
+
+def unread_definitions(package: Path) -> list[str]:
+    """``module:qualified.name`` of each non-dunder definition in ``package``
+    whose name no code of the package reads, outside ``__init__.py`` and
+    outside the definition itself."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [
+        f"{path.stem}:{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in _definitions(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+
+
+def test_package_defines_nothing_only_tests_read():
+    found = [name for name in unread_definitions(ROOT / "src" / "siqrng")
+             if name.split(":")[1] not in TEST_ONLY_ALLOWED]
+    assert not found, (
+        "defined in src/siqrng but read by no package code (move to tests/helpers.py, "
+        "or allow with a reason):\n" + "\n".join(found)
+    )
+
+
+def test_allowed_definitions_are_still_test_only():
+    unread = {name.split(":")[1] for name in unread_definitions(ROOT / "src" / "siqrng")}
+    assert set(TEST_ONLY_ALLOWED) <= unread, "allowed but now read: " + ", ".join(
+        sorted(set(TEST_ONLY_ALLOWED) - unread))
+
+
+def test_guard_flags_an_unread_definition(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported_only\n")
+    (tmp_path / "mod.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def exported_only():\n"
+        "    return used() + len(C())\n"
+        "class C:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def read(self):\n"
+        "        return self.read_too()\n"
+        "    def read_too(self):\n"
+        "        return self.read()\n"
+        "    def unread(self):\n"
+        "        return 0\n"
+        "class Unused:\n"
+        "    pass\n"
+    )
+    assert unread_definitions(tmp_path) == [
+        "mod:recursive", "mod:exported_only", "mod:C.unread", "mod:Unused",
+    ]

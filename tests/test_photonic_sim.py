@@ -16,7 +16,6 @@ from siqrng.photonic_sim import (
     BLOCK_SIZE,
     Basis,
     ChannelConfig,
-    ClickStream,
     DetectorConfig,
     Pattern,
     SourceConfig,
@@ -32,6 +31,7 @@ from siqrng.squash_sample import squash_and_tally
 from helpers import (
     ClickEvent,
     click_events,
+    click_records,
     mask_squash_and_tally,
     one_draw_passive_plan,
     where_run_session,
@@ -42,6 +42,7 @@ ADVERSARIAL = SourceConfig(mean_photon_number=1.0, mode=SourceMode.ADVERSARIAL_F
 LOSSLESS = ChannelConfig(loss_db=0.0)
 IDEAL_DET = DetectorConfig(efficiency=1.0, dark_count=0.0)
 PAPER_DET = DetectorConfig(efficiency=0.45, dark_count=0.002)
+NO_X = np.zeros(0, dtype=np.int64)  # a plan without X positions
 
 
 class TestDetectorIntensities:
@@ -62,25 +63,25 @@ class TestDetectorIntensities:
 class TestDetectPulse:
     def test_no_photons_no_dark_counts(self, rng):
         dark = SourceConfig(mean_photon_number=0.0)
-        stream = run_session(200, dark, LOSSLESS, IDEAL_DET, [], rng)
-        assert not stream.pattern.any()
+        records = run_session(200, dark, LOSSLESS, IDEAL_DET, NO_X, rng)
+        assert not (records & 3).any()
 
     def test_dark_count_frequency(self, rng):
         # 1e7 gates at mu=0: each detector clicks with p = 0.002 within 3 sigma
         dark = SourceConfig(mean_photon_number=0.0)
-        stream = run_session(10**7, dark, LOSSLESS, PAPER_DET, [], rng)
+        records = run_session(10**7, dark, LOSSLESS, PAPER_DET, NO_X, rng)
         for detector_pattern in (Pattern.D0, Pattern.D1):
-            clicked = np.isin(stream.pattern, (detector_pattern, Pattern.DOUBLE))
+            clicked = np.isin(records & 3, (detector_pattern, Pattern.DOUBLE))
             freq = np.mean(clicked)
-            sigma = math.sqrt(0.002 * 0.998 / len(stream))
+            sigma = math.sqrt(0.002 * 0.998 / records.size)
             assert abs(freq - 0.002) < 3 * sigma
 
     def test_aligned_source_never_fires_minus_detector(self, rng):
         # every pulse measured in X
         aligned = SourceConfig(mean_photon_number=2.0, misalignment=0.0)
-        stream = run_session(300, aligned, LOSSLESS, IDEAL_DET, range(300), rng)
-        assert (stream.basis == Basis.X).all()
-        assert np.isin(stream.pattern, (Pattern.NONE, Pattern.D0)).all()
+        records = run_session(300, aligned, LOSSLESS, IDEAL_DET, np.arange(300), rng)
+        assert (records >> 2 == Basis.X).all()
+        assert np.isin(records & 3, (Pattern.NONE, Pattern.D0)).all()
 
     def test_click_probability_formula(self):
         p0, p1 = click_probabilities(HONEST, ChannelConfig(loss_db=10.0), PAPER_DET, Basis.X)
@@ -91,29 +92,34 @@ class TestDetectPulse:
 
 class TestRunSession:
     def test_empty_session(self, rng):
-        assert len(run_session(0, HONEST, LOSSLESS, PAPER_DET, [], rng)) == 0
+        assert len(run_session(0, HONEST, LOSSLESS, PAPER_DET, NO_X, rng)) == 0
 
     def test_all_loss_channel(self, rng):
         opaque = ChannelConfig(loss_db=400.0)
         quiet = DetectorConfig(efficiency=0.45, dark_count=0.0)
-        stream = run_session(2000, HONEST, opaque, quiet, [0, 5, 7], rng)
-        assert not stream.pattern.any()
+        records = run_session(2000, HONEST, opaque, quiet, np.array([0, 5, 7]), rng)
+        assert not (records & 3).any()
 
     def test_basis_plan_is_respected(self, rng):
-        plan = [3, 5, 8, 13]
-        stream = run_session(20, HONEST, LOSSLESS, PAPER_DET, plan, rng)
-        assert np.flatnonzero(stream.basis == Basis.X).tolist() == plan
+        for plan in ([3, 5, 8, 13], [0, 19], []):
+            plan = np.array(plan, dtype=np.int64)
+            records = run_session(20, HONEST, LOSSLESS, PAPER_DET, plan, rng)
+            assert np.array_equal(np.flatnonzero(records >> 2 == Basis.X), plan)
+        # positions outside [0, n) are the one check on a plan
+        for plan in ([-1], [20], [3, 20]):
+            with pytest.raises(ValueError, match="out of range"):
+                run_session(20, HONEST, LOSSLESS, PAPER_DET, np.array(plan), rng)
 
     def test_deterministic_given_seed(self):
-        a = run_session(5000, HONEST, LOSSLESS, PAPER_DET, range(0, 5000, 7),
+        a = run_session(5000, HONEST, LOSSLESS, PAPER_DET, np.arange(0, 5000, 7),
                         np.random.default_rng(99))
-        b = run_session(5000, HONEST, LOSSLESS, PAPER_DET, range(0, 5000, 7),
+        b = run_session(5000, HONEST, LOSSLESS, PAPER_DET, np.arange(0, 5000, 7),
                         np.random.default_rng(99))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_iteration_yields_click_events(self, rng):
-        stream = run_session(10, HONEST, LOSSLESS, PAPER_DET, [2], rng)
-        events = list(click_events(stream))
+        records = run_session(10, HONEST, LOSSLESS, PAPER_DET, np.array([2]), rng)
+        events = list(click_events(records))
         assert len(events) == 10
         assert all(isinstance(e, ClickEvent) for e in events)
         assert events[2].basis == Basis.X and events[0].basis == Basis.Z
@@ -122,7 +128,7 @@ class TestRunSession:
 @st.composite
 def _blocked_plans(draw):
     """(n, block_size, plan): n often a block multiple or one off it, and
-    plan positions often at block edges, as a list or a boolean mask."""
+    plan positions often at block edges."""
     block_size = draw(st.integers(1, 32))
     tail = draw(st.one_of(st.sampled_from([0, 1, block_size - 1]),
                           st.integers(0, block_size - 1)))
@@ -133,27 +139,26 @@ def _blocked_plans(draw):
                  for p in (k * block_size - 1, k * block_size) if 0 <= p < n]
         positions = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)),
                                   max_size=n))
-    if draw(st.booleans()):
-        mask = np.zeros(n, dtype=np.bool_)
-        mask[positions] = True
-        return n, block_size, mask
-    return n, block_size, positions
+    return n, block_size, np.array(positions, dtype=np.int64)
 
 
 class TestClickStream:
+    """A session's click stream is its record array, one byte per pulse;
+    the tests build records from basis and pattern values with
+    ``helpers.click_records``."""
+
     def test_basis_and_pattern_round_trip_through_records(self, rng):
         records = rng.integers(0, 8, 1000).astype(np.uint8)
-        stream = ClickStream.from_records(records)
-        rebuilt = ClickStream(stream.basis, stream.pattern)
-        assert np.array_equal(rebuilt.records, records)
-        assert rebuilt == stream
-        assert np.array_equal(rebuilt.basis, records >> 2)
-        assert np.array_equal(rebuilt.pattern, records & 3)
+        assert np.array_equal(click_records(records >> 2, records & 3), records)
 
     def test_record_layout(self):
-        stream = ClickStream(basis=[0, 1, 1, 0], pattern=[3, 0, 2, 1])
-        assert stream.records.dtype == np.uint8
-        assert stream.records.tolist() == [3, 4, 6, 1]
+        records = click_records(basis=[0, 1, 1, 0], pattern=[3, 0, 2, 1])
+        assert records.dtype == np.uint8
+        assert records.tolist() == [3, 4, 6, 1]
+        # the simulator sets the basis bit of exactly the planned pulses
+        simulated = run_session(4, HONEST, LOSSLESS, PAPER_DET, np.array([1, 2]),
+                                np.random.default_rng(0))
+        assert (simulated >> 2).tolist() == [0, 1, 1, 0]
 
     @pytest.mark.parametrize("basis, pattern", [
         ([2, 0], [1, 1]),
@@ -166,15 +171,15 @@ class TestClickStream:
     ])
     def test_invalid_inputs_rejected(self, basis, pattern):
         with pytest.raises(ValueError):
-            ClickStream(basis=basis, pattern=pattern)
+            click_records(basis=basis, pattern=pattern)
 
 
 class TestBlockedSimulation:
     @given(shape=_blocked_plans(), seed=st.integers(0, 2**32 - 1),
            source=st.sampled_from([HONEST, ADVERSARIAL]))
-    @example(shape=(64, 16, [15, 16, 31, 32, 63]), seed=1, source=HONEST)
-    @example(shape=(65, 16, [0, 63, 64]), seed=2, source=ADVERSARIAL)
-    @example(shape=(63, 16, [15, 16, 47, 48, 62]), seed=3, source=HONEST)
+    @example(shape=(64, 16, np.array([15, 16, 31, 32, 63])), seed=1, source=HONEST)
+    @example(shape=(65, 16, np.array([0, 63, 64])), seed=2, source=ADVERSARIAL)
+    @example(shape=(63, 16, np.array([15, 16, 47, 48, 62])), seed=3, source=HONEST)
     @settings(max_examples=150, deadline=None)
     def test_equals_full_length_oracle(self, shape, seed, source):
         n, block_size, plan = shape
@@ -182,16 +187,16 @@ class TestBlockedSimulation:
                            np.random.default_rng(seed), block_size)
         slow = where_run_session(n, source, LOSSLESS, PAPER_DET, plan,
                                  np.random.default_rng(seed), block_size)
-        assert fast == slow
+        assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1])
     def test_simulation_at_the_block_edge(self, n):
         plan = [0, BLOCK_SIZE - 2, BLOCK_SIZE - 1, BLOCK_SIZE, n - 1]
-        plan = sorted({p for p in plan if p < n})
+        plan = np.array(sorted({p for p in plan if p < n}))
         fast = run_session(n, HONEST, LOSSLESS, PAPER_DET, plan, np.random.default_rng(n))
         slow = where_run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
                                  np.random.default_rng(n), BLOCK_SIZE)
-        assert fast == slow
+        assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1])
     def test_passive_plan_at_the_block_edge(self, n):
@@ -216,11 +221,10 @@ class TestBlockedSimulation:
         # buffered, so a draw split at the edge would assign other bits
         if np.count_nonzero(records[:BLOCK_SIZE] == Pattern.DOUBLE) % 2 == 0:
             records[0] = Pattern.D0 if records[0] == Pattern.DOUBLE else Pattern.DOUBLE
-        stream = ClickStream.from_records(records)
         fast_seed = SeedSource.from_rng(np.random.default_rng(7))
         slow_seed = SeedSource.from_rng(np.random.default_rng(7))
-        fast = squash_and_tally(stream, fast_seed)
-        slow = mask_squash_and_tally(stream, slow_seed)
+        fast = squash_and_tally(records, fast_seed)
+        slow = mask_squash_and_tally(records, slow_seed)
         assert fast.to_dict() == slow.to_dict()
         assert fast.z_bits == slow.z_bits
         assert fast_seed.bits_consumed == slow_seed.bits_consumed
@@ -236,9 +240,9 @@ def test_passive_simulate_and_tally_memory_is_bounded():
     try:
         streams = derive_streams(config.master_seed)
         plan = choose_basis_plan(config, streams)
-        stream = run_session(config.params, config.source, config.channel,
-                             config.detector, plan, streams.physics)
-        tally = squash_and_tally(stream, streams.double_click)
+        records = run_session(config.params.total_pulses, config.source, config.channel,
+                              config.detector, plan, streams.physics)
+        tally = squash_and_tally(records, streams.double_click)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,37 +254,37 @@ class TestDetectionStatistics:
     def test_honest_z_singles_are_balanced(self, rng):
         # chi-square over >= 1e5 single clicks must not reject at 1e-3
         quiet = DetectorConfig(efficiency=0.45, dark_count=0.0)
-        stream = run_session(10**6, HONEST, LOSSLESS, quiet, [], rng)
-        d0 = int(np.count_nonzero(stream.pattern == Pattern.D0))
-        d1 = int(np.count_nonzero(stream.pattern == Pattern.D1))
+        pattern = run_session(10**6, HONEST, LOSSLESS, quiet, NO_X, rng) & 3
+        d0 = int(np.count_nonzero(pattern == Pattern.D0))
+        d1 = int(np.count_nonzero(pattern == Pattern.D1))
         assert d0 + d1 >= 10**5
         assert chisquare([d0, d1]).pvalue > 1e-3
 
     def test_adversarial_x_singles_are_balanced(self, rng):
         # the 50/50 X split of a fixed-Z source is what triggers the abort
         quiet = DetectorConfig(efficiency=0.45, dark_count=0.0)
-        stream = run_session(10**6, ADVERSARIAL, LOSSLESS, quiet,
-                             np.arange(10**6), rng)
-        d0 = int(np.count_nonzero(stream.pattern == Pattern.D0))
-        d1 = int(np.count_nonzero(stream.pattern == Pattern.D1))
+        pattern = run_session(10**6, ADVERSARIAL, LOSSLESS, quiet,
+                              np.arange(10**6), rng) & 3
+        d0 = int(np.count_nonzero(pattern == Pattern.D0))
+        d1 = int(np.count_nonzero(pattern == Pattern.D1))
         assert d0 + d1 >= 10**5
         assert chisquare([d0, d1]).pvalue > 1e-3
 
     def test_detection_monotone_in_loss(self):
         rates = []
         for loss in [0, 3, 6, 10, 15, 25, 40]:
-            stream = run_session(10**5, HONEST, ChannelConfig(loss_db=loss), PAPER_DET,
-                                 [], np.random.default_rng(7))
-            rates.append(np.mean(stream.pattern != Pattern.NONE))
+            records = run_session(10**5, HONEST, ChannelConfig(loss_db=loss), PAPER_DET,
+                                  NO_X, np.random.default_rng(7))
+            rates.append(np.mean(records & 3 != Pattern.NONE))
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_doubles_monotone_in_intensity(self):
         doubles = []
         for mu in [0.2, 0.5, 1.0, 2.0, 5.0]:
             source = SourceConfig(mean_photon_number=mu, misalignment=0.02)
-            stream = run_session(10**5, source, LOSSLESS, PAPER_DET,
-                                 [], np.random.default_rng(11))
-            doubles.append(np.mean(stream.pattern == Pattern.DOUBLE))
+            records = run_session(10**5, source, LOSSLESS, PAPER_DET,
+                                  NO_X, np.random.default_rng(11))
+            doubles.append(np.mean(records & 3 == Pattern.DOUBLE))
         assert all(a <= b for a, b in zip(doubles, doubles[1:]))
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siqrng.bits import BitBlock
-from siqrng.photonic_sim import Basis, ClickStream, Pattern
+from siqrng.photonic_sim import Basis, Pattern
 from siqrng.pipeline import derive_streams
 from siqrng.seeds import SeedExhaustedError, SeedSource
 from siqrng.squash_sample import (
@@ -29,6 +29,7 @@ from helpers import (
     OutcomeKind,
     SquashedOutcome,
     click_events,
+    click_records,
     rank_combination,
     squash,
     tally_session,
@@ -106,13 +107,13 @@ class TestTally:
         n = 5000
         basis = rng.integers(0, 2, n).astype(np.uint8)
         pattern = rng.integers(0, 4, n).astype(np.uint8)
-        stream = ClickStream(basis=basis, pattern=pattern)
+        records = click_records(basis, pattern)
 
         seed_bits = rng.integers(0, 2, n).astype(np.uint8)
-        fast = squash_and_tally(stream, _seed_from01(seed_bits))
+        fast = squash_and_tally(records, _seed_from01(seed_bits))
 
         seed = _seed_from01(seed_bits)
-        outcomes = [(event.basis, squash(event, seed)) for event in click_events(stream)]
+        outcomes = [(event.basis, squash(event, seed)) for event in click_events(records)]
         slow = tally_session(outcomes, seed_bits_consumed=seed.bits_consumed)
 
         assert fast.to_dict() == slow.to_dict()
@@ -121,13 +122,10 @@ class TestTally:
     def test_seed_consumption_equals_z_doubles(self, rng):
         for _ in range(10):
             n = 2000
-            stream = ClickStream(
-                basis=rng.integers(0, 2, n).astype(np.uint8),
-                pattern=rng.integers(0, 4, n).astype(np.uint8),
-            )
-            z_doubles = int(np.count_nonzero((stream.basis == 0) & (stream.pattern == 3)))
+            records = rng.integers(0, 8, n).astype(np.uint8)
+            z_doubles = int(np.count_nonzero(records == Pattern.DOUBLE))  # Z basis bit clear
             seed = SeedSource.from_rng(rng)
-            tally = squash_and_tally(stream, seed)
+            tally = squash_and_tally(records, seed)
             assert tally.seed_bits_consumed == z_doubles == seed.bits_consumed
 
     def test_invariant_violation_rejected(self):
