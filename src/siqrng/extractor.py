@@ -8,7 +8,8 @@ GF(2) polynomial product, taking the band of coefficients
 ``n_z-1 .. n_z+K-2`` of ``seed(t) * x(t)``.
 
 The product is evaluated as an integer convolution by a *circular* real
-FFT of length ``L = next_fast_len(seed_length)`` and reduced mod 2.  The
+FFT (``numpy.fft``) of length ``L = _smooth_length(seed_length)``, the
+smallest 2^a 3^b 5^c at or above the seed length, and reduced mod 2.  The
 wrap-around adds linear coefficient ``c+L`` to coefficient ``c``; the
 linear product ends at coefficient ``n_z + seed_length - 2`` and every band
 coefficient has ``c+L >= n_z-1+seed_length``, so no alias reaches the band
@@ -23,10 +24,11 @@ bits) extracted independently; each block contributes its own 2**(-t_e)
 failure term via a union bound.  One Toeplitz seed, sized for the largest
 block, is consumed per session and reused across its blocks: the hash is a
 strong extractor, so outputs remain independent of the seed.  Its spectrum
-is computed once.  A block's band reads only seed indices below its own
-``seed_length``, and the alias argument holds for any seed no longer than
-``L``, so the longest block's seed and its spectrum give every block the
-same bits as its own prefix of the seed would.
+is computed once, and the blocks share one set of FFT scratch arrays.  A
+block's band reads only seed indices below its own ``seed_length``, and
+the alias argument holds for any seed no longer than ``L``, so the
+longest block's seed and its spectrum give every block the same bits as
+its own prefix of the seed would.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .bits import BitBlock
 from .entropy_math import (
@@ -74,32 +75,65 @@ class ExtractionPlan:
         return self.n_z + self.K - 1
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n >= 1: a length whose
+    real FFT factors into radix-2, -3 and -5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _seed_spectrum(seed01: np.ndarray) -> tuple[np.ndarray, int]:
-    """Real-FFT spectrum of a seed at the circular length ``next_fast_len(len(seed01))``."""
-    length = next_fast_len(seed01.size, real=True)
-    return rfft(seed01.astype(np.float64), n=length), length
+    """Real-FFT spectrum of a seed at the circular length ``_smooth_length(len(seed01))``."""
+    length = _smooth_length(seed01.size)
+    return np.fft.rfft(seed01.astype(np.float64), n=length), length
+
+
+def _fft_work(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for one block at the circular length: the spectrum of the
+    product and the convolution.  A session reuses it for every block, so
+    that no block faults in fresh pages for arrays of the FFT length."""
+    return np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
 
 
 def _hash_band(
-    raw01: np.ndarray, spectrum: np.ndarray, length: int, plan: ExtractionPlan
+    raw01: np.ndarray,
+    spectrum: np.ndarray,
+    plan: ExtractionPlan,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, float]:
     """Output bits of one block and its rounding deviation.
 
     ``spectrum`` comes from :func:`_seed_spectrum` on a seed of at least
     ``plan.seed_length`` bits; only its first ``plan.seed_length`` bits
-    reach the band.
+    reach the band.  ``work`` comes from :func:`_fft_work` at the same
+    length and is overwritten.
     """
-    product = rfft(raw01.astype(np.float64), n=length)
+    product, conv = work
+    length = conv.size
+    signal = conv[: raw01.size]  # the block as floats, until the convolution overwrites it
+    signal[...] = raw01
+    np.fft.rfft(signal, n=length, out=product)
     product *= spectrum
-    conv = irfft(product, n=length, overwrite_x=True)
+    np.fft.irfft(product, n=length, out=conv)
     band = conv[plan.n_z - 1 : plan.n_z - 1 + plan.K]
     counts = np.rint(band)
-    deviation = float(np.max(np.abs(band - counts))) if band.size else 0.0
+    band -= counts
+    deviation = float(np.max(np.abs(band, out=band))) if band.size else 0.0
     if deviation >= _ROUNDING_GUARD:
         raise ArithmeticError(
             f"FFT convolution rounding margin violated (deviation {deviation:.3g})"
         )
-    return (counts.astype(np.int64) & 1).astype(np.uint8), deviation
+    parity = counts.astype(np.int64)
+    parity &= 1
+    return parity.astype(np.uint8), deviation
 
 
 def toeplitz_extract(raw: BitBlock, seed: BitBlock, plan: ExtractionPlan) -> BitBlock:
@@ -115,7 +149,7 @@ def toeplitz_extract(raw: BitBlock, seed: BitBlock, plan: ExtractionPlan) -> Bit
     if len(seed) != plan.seed_length:
         raise ValueError(f"seed length {len(seed)} != plan seed length {plan.seed_length}")
     spectrum, length = _seed_spectrum(seed.to01())
-    bits, _ = _hash_band(raw.to01(), spectrum, length, plan)
+    bits, _ = _hash_band(raw.to01(), spectrum, plan, _fft_work(length))
     return BitBlock.from01(bits)
 
 
@@ -165,13 +199,14 @@ def extract_session(
 
     seed_length = max(p.seed_length for p in plans)
     spectrum, length = _seed_spectrum(seed_source.take_bits(seed_length))
+    work = _fft_work(length)
 
     z01 = z_bits.to01()
     outputs = []
     max_deviation = 0.0
     start = 0
     for plan in plans:
-        bits, deviation = _hash_band(z01[start : start + plan.n_z], spectrum, length, plan)
+        bits, deviation = _hash_band(z01[start : start + plan.n_z], spectrum, plan, work)
         outputs.append(bits)
         max_deviation = max(max_deviation, deviation)
         start += plan.n_z

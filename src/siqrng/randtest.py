@@ -28,6 +28,12 @@ The costly statistics run on the packed bits (LSB first, as in
   bit, once per run length up to the last category boundary (at most 16
   passes), and counts the blocks that still hold a set bit.
 
+The P values need three special functions, all computed here in double
+precision without scipy: ``erfc`` is :func:`math.erfc`, :func:`ndtr` is
+``0.5 * erfc(-x / sqrt(2))``, and :func:`gammaincc` evaluates the
+regularized upper incomplete gamma function by its power series or its
+continued fraction.
+
 Exported bit files can be fed to external full-suite implementations; this
 module only covers the mechanics needed to validate sessions in-toolkit.
 """
@@ -36,9 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import erfc
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 from .bits import BitBlock
 
@@ -47,6 +53,102 @@ PROPORTION_THRESHOLD = 0.96
 DEFAULT_PARTITIONS = 100
 # largest per-test minimum: longest run, and block frequency at its default block length
 MIN_TEST_BITS = 128
+
+
+# relative size of a term or factor at which the series and continued
+# fraction of gammaincc stop; half the float64 epsilon
+_GAMMA_EPS = 2.0**-53
+_GAMMA_MAX_TERMS = 10**7
+# stands in for a zero denominator in the Lentz recurrence
+_LENTZ_TINY = 1e-300
+# Stirling series of lgamma(a) - ((a - 1/2) log a - a + log(2 pi) / 2), in 1/a^(2i+1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each element, as ``0.5 * erfc(-x / sqrt(2))``.
+
+    In float64 that is exactly 1.0 from x = 8.3 on and 0.0 from x = -38.5
+    down, so erfc is called only for -40 < x < 9: a walk that stays near
+    zero puts most of the cusum's k-range outside.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = (x > 0).astype(np.float64)
+    inside = (x > -40.0) & (x < 9.0)
+    out[inside] = [0.5 * erfc(v) for v in (-x[inside] / math.sqrt(2.0)).tolist()]
+    return out
+
+
+def _log1pmx(t: float) -> float:
+    """``log(1 + t) - t``, to full relative precision also at small t.
+
+    There ``log1p(t) - t`` would cancel its leading digits.  For |t| <= 1/2
+    it sums ``log(1 + t) = 2 atanh(u)``, ``u = t / (2 + t)``, whose first
+    term ``2u`` differs from ``t`` by exactly ``-t u``.
+    """
+    if abs(t) > 0.5:
+        return math.log1p(t) - t
+    u = t / (2.0 + t)
+    u2 = u * u
+    power, series, k = u * u2, 0.0, 3
+    while abs(power) > abs(series) * _GAMMA_EPS:
+        series += power / k
+        power *= u2
+        k += 2
+    return 2.0 * series - t * u
+
+
+def _log_gamma_density(a: float, x: float) -> float:
+    """``log(x^a e^-x / Gamma(a))`` for x > 0.
+
+    From a = 10 on, lgamma(a) is split into its Stirling terms, so that
+    ``a log x`` and ``lgamma(a)`` (each about 1e6 at a = 1e5) cancel in the
+    algebra and not in float64, leaving ``a (log(1 + t) - t)`` with
+    ``t = (x - a) / a``.
+    """
+    if a < 10.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    stirling = sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+
+
+def gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x), a > 0, x >= 0.
+
+    Below x = a + 1 a power series gives P = 1 - Q; from there on a
+    continued fraction, evaluated by the modified Lentz method, gives Q.
+    Both are scaled by ``x^a e^-x / Gamma(a)``.  Either takes O(sqrt(a))
+    terms near x = a.
+    """
+    if x <= 0.0:
+        return 1.0
+    scale = math.exp(_log_gamma_density(a, x))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _GAMMA_MAX_TERMS):
+            term *= x / (a + n)
+            total += term
+            if term <= total * _GAMMA_EPS:
+                return 1.0 - scale * total
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _LENTZ_TINY, 1.0 / b
+        h = d
+        for i in range(1, _GAMMA_MAX_TERMS):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _LENTZ_TINY:
+                d = _LENTZ_TINY
+            c = b + an / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            d = 1.0 / d
+            delta = c * d
+            h *= delta
+            if abs(delta - 1.0) <= _GAMMA_EPS:
+                return scale * h
+    raise ArithmeticError(f"gammaincc({a}, {x}) did not converge")
 
 
 class DegenerateSequenceError(ValueError):

@@ -6,10 +6,13 @@ direct matrix-vector product for the Toeplitz hash, the textbook ranking
 formula as the inverse of unranking, a candidate-by-candidate walk
 as a second unranker, exact rationals and float64 dot products for the
 lag autocorrelation, and an int64 walk and a column-by-column scan for
-the cusum and longest-run tests.  The simulator, the passive basis draw
-and the tally are also kept in their full-length form: per-pulse
-probability arrays, one draw of N uniforms, and whole-stream masks; and
-the tally once more per event, squashing one click event at a time.
+the cusum and longest-run tests.  Those two take their P values from the
+package's own ``ndtr`` and ``gammaincc``, so they check the packed
+kernels and not one special-function library against another.  The
+simulator, the passive basis draw and the tally are also kept in their
+full-length form: per-pulse probability arrays, one draw of N uniforms,
+and whole-stream masks; and the tally once more per event, squashing one
+click event at a time.
 Also click records built from basis and pattern arrays, and the
 environment for tests that run the package in a fresh interpreter.
 """
@@ -23,12 +26,11 @@ from pathlib import Path
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.special import gammaincc, ndtr
 
 import siqrng
 from siqrng.bits import BitBlock
 from siqrng.photonic_sim import Basis, Pattern, click_probabilities
-from siqrng.randtest import _LONGEST_RUN_REGIMES
+from siqrng.randtest import _LONGEST_RUN_REGIMES, gammaincc, ndtr
 from siqrng.squash_sample import SessionTally
 
 mp.dps = 50

@@ -4,6 +4,7 @@ the exact seed ledger."""
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -418,6 +419,31 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err, (key, value, err)
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "repetition_rate_hz", math.inf),
+        (None, "eps_theta_exponent", math.nan),
+        ("source", "mean_photon_number", math.nan),
+        ("channel", "loss_db", math.nan),
+        ("channel", "loss_db", -math.inf),
+        ("detector", "efficiency", math.nan),
+        ("sweep", "values[1]", math.nan),
+    ])
+    def test_non_finite_number_is_exit_1(self, tmp_path, capsys, section, key, value):
+        # JSON NaN and Infinity parse, and NaN passes every range check
+        doc = {**HONEST_DOC, "total_pulses": 200_000, "planned_x_count": 2000}
+        if section == "sweep":
+            doc["sweep"] = {"key": "loss_db", "values": [0.0, value]}
+        elif section:
+            doc[section] = {**doc.get(section, {}), key: value}
+        else:
+            doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {section or 'configuration'}: key {key!r} must be a finite number, "
+            f"got {value!r}\n")
+
     def test_unknown_key_rejected(self, tmp_path):
         doc = dict(HONEST_DOC)
         doc["master_seed"] = 0
@@ -458,17 +484,23 @@ def test_module_entry_point(honest_config, tmp_path):
     assert (out / "final.siq").exists()
 
 
-def test_cli_import_skips_scipy_signal_and_stats():
-    # both subpackages cost most of a cold start and nothing needs them
+def test_cli_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: a fresh interpreter that imports the
+    # CLI and runs a passive pipeline through the battery holds no scipy
+    # module afterwards, also none imported lazily on the way
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**HONEST_DOC, "basis_choice": "passive"}))
+    out = tmp_path / "run"
     code = (
         "import sys, siqrng.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+        "code = siqrng.cli.main(['pipeline', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code, str(config), str(out)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"
+    assert read_json(out / "randtest.json")["tests"]
 
 
 def test_expansion_property_at_protocol_scale(tmp_path):

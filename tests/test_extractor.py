@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from scipy.fft import next_fast_len
 
 from siqrng.bits import BitBlock
 from siqrng.entropy_math import ProtocolParams, final_length
@@ -17,6 +16,7 @@ from siqrng.estimation import EstimationResult
 from siqrng.extractor import (
     ExtractionError,
     ExtractionPlan,
+    _smooth_length,
     extract_session,
     toeplitz_extract,
 )
@@ -77,6 +77,39 @@ class TestMakePlan:
         assert len(final) / 115_000 == pytest.approx(0.7913, abs=0.01)
 
 
+def _brute_smooth_length(n: int) -> int:
+    """The first m >= n with no prime factor above 5, tried one m at a time."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+# Toeplitz seed lengths of the benchmark sessions (passive, staged, active
+# sweep) and of the pinned multi-block session
+FIXTURE_SEED_LENGTHS = [1_783_957, 1_783_522, 546_841, 1_858_460]
+
+
+class TestSmoothLength:
+    """The circular FFT length: it fixes where aliases land and the rounding
+    margin reported as ``fft_max_deviation``."""
+
+    def test_matches_brute_force_search(self):
+        lengths = [*range(1, 20_001), *FIXTURE_SEED_LENGTHS]
+        assert [_smooth_length(n) for n in lengths] == [_brute_smooth_length(n) for n in lengths]
+
+    def test_matches_scipy_real_fft_length(self):
+        from scipy.fft import next_fast_len
+
+        for n in [*range(1, 20_001), *FIXTURE_SEED_LENGTHS]:
+            assert _smooth_length(n) == next_fast_len(n, real=True), n
+
+
 class TestToeplitzExtract:
     def test_worked_example(self):
         # K=2, n_z=3: T = [[seed[2], seed[1], seed[0]], [seed[3], seed[2], seed[1]]]
@@ -135,7 +168,7 @@ class TestToeplitzExtract:
         # L == seed_length: the first aliased coefficient lands one past the
         # band's top, and all-ones inputs make every coefficient maximal
         n_z, k_out = 600, 401
-        assert next_fast_len(n_z + k_out - 1, real=True) == n_z + k_out - 1
+        assert _smooth_length(n_z + k_out - 1) == n_z + k_out - 1
         raw01 = np.ones(n_z, dtype=np.uint8)
         seed01 = np.ones(n_z + k_out - 1, dtype=np.uint8)
         plan = ExtractionPlan(n_z=n_z, K=k_out)

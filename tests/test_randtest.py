@@ -7,8 +7,10 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from helpers import (
     child_env,
     column_longest_run_test,
@@ -20,6 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from siqrng import randtest
 from siqrng.bits import BitBlock
 from siqrng.estimation import EstimationResult
 from siqrng.extractor import extract_session
@@ -31,8 +34,11 @@ from siqrng.randtest import (
     block_frequency_test,
     compare_raw_vs_final,
     cusum_test,
+    erfc,
+    gammaincc,
     longest_run_test,
     monobit_test,
+    ndtr,
     run_battery,
     runs_test,
 )
@@ -182,6 +188,52 @@ class TestIndividualTests:
         assert kstest(p_values, "uniform").pvalue > 1e-3
 
 
+def _relative_errors(values, references) -> list[float]:
+    return [float(abs((mpmath.mpf(v) - r) / r)) for v, r in zip(values, references, strict=True)]
+
+
+class TestSpecialFunctions:
+    """The P-value functions against 40-digit mpmath over the arguments the
+    battery reaches, to 1e-12 relative (scipy.special reaches 2e-13 here)."""
+
+    def test_erfc(self):
+        # monobit and runs: erfc of a nonnegative statistic
+        xs = np.linspace(0.0, 26.0, 521).tolist()
+        with mpmath.workdps(40):
+            refs = [mpmath.erfc(x) for x in xs]
+        assert max(_relative_errors([erfc(x) for x in xs], refs)) <= 1e-12
+
+    def test_ndtr(self):
+        # cusum: any argument; below -37 the result leaves the normal floats
+        xs = np.concatenate([np.linspace(-37.0, 40.0, 1541), [-0.3, 0.0, 1e-9, 8.29, 8.3]])
+        with mpmath.workdps(40):
+            refs = [mpmath.ncdf(x) for x in xs.tolist()]
+        assert max(_relative_errors(ndtr(xs).tolist(), refs)) <= 1e-12
+
+    def test_ndtr_saturates_where_erfc_does(self):
+        # the elements ndtr does not pass to erfc hold what erfc would give
+        xs = np.concatenate([np.linspace(-42.0, -36.0, 6001), np.linspace(7.0, 11.0, 4001)])
+        formula = [0.5 * erfc(-x / np.sqrt(2.0)) for x in xs.tolist()]
+        assert ndtr(xs).tolist() == formula
+
+    @pytest.mark.parametrize("a", [1.5, 2.5, 3.0])
+    def test_gammaincc_longest_run(self, a):
+        # longest run: a = (categories - 1) / 2 and x = chi2 / 2
+        xs = np.linspace(0.0, 40.0, 161).tolist()
+        with mpmath.workdps(40):
+            refs = [mpmath.gammainc(a, x, mpmath.inf, regularized=True) for x in xs]
+        assert max(_relative_errors([gammaincc(a, x) for x in xs], refs)) <= 1e-12
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 9.5, 10.0, 81.5, 8192.0, 39062.5, 1e5])
+    def test_gammaincc_block_frequency(self, a):
+        # block frequency: a = n_blocks / 2 and x = chi2 / 2, whose mean is a
+        # and whose standard deviation is sqrt(a); within 6 of those
+        xs = [x for x in (a + k * np.sqrt(a) for k in np.linspace(-6, 6, 49)) if x >= 0]
+        with mpmath.workdps(40):
+            refs = [mpmath.gammainc(a, x, mpmath.inf, regularized=True) for x in xs]
+        assert max(_relative_errors([gammaincc(a, x) for x in xs], refs)) <= 1e-12
+
+
 class TestPackedKernelsMatchOracles:
     # regime edges of the longest-run test, and lengths with a partial last byte
     LENGTHS = [100, 127, 128, 129, 6271, 6272, 749999, 750000]
@@ -229,15 +281,27 @@ class TestBattery:
         for record in report.records:
             assert record.p_value >= 0.01
 
-    def test_records_are_unchanged(self):
-        # sha256 of the records and of the minimum proportion, recorded
-        # before the tests moved onto packed words
+    def test_records_are_unchanged(self, monkeypatch):
+        # sha256 of the records without their P values and of the minimum
+        # proportion, recorded while scipy.special computed the P values:
+        # every statistic and pass flag is unchanged
         x = np.random.default_rng(0xC0FFEE).integers(0, 2, 2**21, dtype=np.uint8)
         doc = run_battery(x).to_dict()
-        assert hashlib.sha256(json.dumps(doc["tests"]).encode()).hexdigest() == (
-            "0fd7b4044fd4e0e3988b4401f43f2847b53b17111275e73bfdfcbf2663b3cc37")
+        statistics = [{k: v for k, v in r.items() if k != "p_value"} for r in doc["tests"]]
+        assert hashlib.sha256(json.dumps(statistics).encode()).hexdigest() == (
+            "5b11e05aa01efc51af741a438f617c1243e00abbd97acbc0e38f290401212572")
         assert hashlib.sha256(json.dumps(doc["proportion_pass"]).encode()).hexdigest() == (
             "b8cbc38948375ba9789be4c7b4da56d790594cd5f488169fee62dd03cf39c9c3")
+        # on scipy's special functions the battery gives the records pinned
+        # before the tests moved onto packed words; each P value is within
+        # 1e-12 of those
+        for name in ("erfc", "ndtr", "gammaincc"):
+            monkeypatch.setattr(randtest, name, getattr(scipy.special, name))
+        reference = run_battery(x).to_dict()["tests"]
+        assert hashlib.sha256(json.dumps(reference).encode()).hexdigest() == (
+            "0fd7b4044fd4e0e3988b4401f43f2847b53b17111275e73bfdfcbf2663b3cc37")
+        for got, want in zip(doc["tests"], reference, strict=True):
+            assert got["p_value"] == pytest.approx(want["p_value"], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n_partitions", [100, 10])
     def test_rejects_input_below_partition_minimum(self, n_partitions, rng):
