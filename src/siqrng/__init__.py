@@ -17,7 +17,6 @@ from .entropy_math import (
     deviation_exponent,
     final_length,
     log2_deviation_failure_bound,
-    mismatch_adjusted_length,
     trace_distance_from_fidelity,
 )
 from .estimation import (
@@ -28,7 +27,6 @@ from .estimation import (
     solve_deviation,
 )
 from .extractor import (
-    ExtractionError,
     ExtractionPlan,
     extract_session,
     toeplitz_extract,
@@ -52,7 +50,6 @@ from .randtest import (
     TestReport,
     autocorrelation,
     block_frequency_test,
-    compare_raw_vs_final,
     cusum_test,
     longest_run_test,
     monobit_test,

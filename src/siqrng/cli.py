@@ -12,16 +12,21 @@ Subcommands map one-to-one onto the pipeline stages::
 
 Every ``--seed`` is the 64-bit master seed (default: the config's, or 0
 without a config); each stage derives its stream from it as
-:mod:`siqrng.pipeline` describes.  ``extract`` takes ``t_e`` (``--te``
-overrides it) and the efficiency ratio from the parameters ``estimate``
-records in ``estimation.json``.  The staged subcommands run the stage
-functions ``pipeline`` runs and write its records, so ``simulate``,
-``tally``, ``estimate`` and ``extract`` at one master seed write
-``pipeline``'s bytes, byte for byte.
+:mod:`siqrng.pipeline` describes.  With a config, ``--seed``, ``--te``,
+``--eps-exponent`` and ``--sweep KEY=v1,v2,...`` stand in for the
+config's keys ``master_seed``, ``t_e``, ``eps_theta_exponent`` and
+``sweep`` before the config reader reads the file, so a flag passes the
+same checks as the key, and a config error names the file.  ``extract``
+takes ``t_e`` (``--te`` overrides it) and the efficiency ratio from the
+parameters ``estimate`` records in ``estimation.json``.  The staged
+subcommands run the stage functions ``pipeline`` runs and write its
+records, so ``simulate``, ``tally``, ``estimate`` and ``extract`` at one
+master seed write ``pipeline``'s bytes, byte for byte.
 
 Exit codes: 0 success, 2 protocol abort (a machine-readable ``abort.json``
-is written), 1 any other error, such as a malformed file.  Every subcommand
-is a deterministic function of its inputs and the master seed.
+is written), 1 any other error, such as a malformed file.  Every record is
+strict JSON: a number that is not finite is written as ``null``.  Every
+subcommand is a deterministic function of its inputs and the master seed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
-from .config import ConfigError, RunConfig, SweepSpec, load_config
+from .config import ConfigError, RunConfig, load_config
 from .entropy_math import ProtocolParams
 from .estimation import EstimationResult, estimate_session
 from .pipeline import (
@@ -48,7 +53,7 @@ from .pipeline import (
     simulate_clicks,
     tally_clicks,
 )
-from .randtest import battery_min_bits, compare_raw_vs_final, run_battery
+from .randtest import autocorrelation, battery_min_bits, run_battery
 from .squash_sample import SessionTally
 
 EXIT_OK = 0
@@ -71,25 +76,25 @@ def hex64(text: str) -> int:
     return seed
 
 
-def _parse_sweep(text: str) -> SweepSpec:
+# each override flag and the configuration key it stands for
+_OVERRIDE_KEYS = {"seed": "master_seed", "te": "t_e", "eps_exponent": "eps_theta_exponent",
+                  "sweep": "sweep"}
+
+
+def _parse_sweep(text: str) -> dict:
     key, _, values = text.partition("=")
     if not values:
         raise ConfigError(f"--sweep expects KEY=v1,v2,..., got {text!r}")
-    return SweepSpec(key=key, values=tuple(float(v) for v in values.split(",")))
+    return {"key": key, "values": [float(v) for v in values.split(",")]}
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, master_seed=args.seed)
-    if getattr(args, "te", None) is not None:
-        config = replace(config, params=replace(config.params, t_e=args.te))
-    if getattr(args, "eps_exponent", None) is not None:
-        config = replace(
-            config, params=replace(config.params, eps_theta_exponent=args.eps_exponent)
-        )
-    if getattr(args, "sweep", None) is not None:
-        config = replace(config, sweep=_parse_sweep(args.sweep))
-    return config
+def _load_config(args) -> RunConfig:
+    """The ``--config`` file, each override flag given standing in for its key."""
+    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDE_KEYS.items()
+                 if getattr(args, flag, None) is not None}
+    if "sweep" in overrides:
+        overrides["sweep"] = _parse_sweep(overrides["sweep"])
+    return load_config(args.config, overrides)
 
 
 # each stage record has one writer, shared by pipeline and the staged commands
@@ -124,7 +129,7 @@ def _write_abort_record(
 
 
 def cmd_simulate(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     streams = derive_streams(config.master_seed)
     records = simulate_clicks(config, streams)
     out = Path(args.out)
@@ -146,7 +151,7 @@ def cmd_tally(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     tally = fileio.read_record(args.tally, SessionTally.from_dict)
     est = estimate_session(tally, config.params)
     out = Path(args.out)
@@ -188,7 +193,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     points = run_sweep(config)
     out = Path(args.out)
     fileio.atomic_write_bytes(out / "sweep.csv", curve_csv(points).encode())
@@ -196,7 +201,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load_config(args)
     out = Path(args.out)
 
     # one active plan serves the sweep and the session alike
@@ -219,19 +224,18 @@ def cmd_pipeline(args) -> int:
                        for k in ("loss_db", "K", "rate_bits_per_s", "eps_t")})
 
     # too short a certified output is still a success; it only goes untested
-    if len(result.final_bits) >= (minimum := battery_min_bits()):
-        report = run_battery(result.final_bits)
-        fileio.write_json(out / "randtest.json", report.to_dict())
-    else:
+    if len(result.final_bits) < (minimum := battery_min_bits()):
         print(f"statistical battery skipped: {len(result.final_bits)} certified bits, "
               f"needs >= {minimum}", file=sys.stderr)
+        return EXIT_OK
+    report = run_battery(result.final_bits)
+    fileio.write_json(out / "randtest.json", report.to_dict())
     if min(result.tally.n_z, len(result.final_bits)) >= 10**5:
-        comparison = compare_raw_vs_final(result.tally.z_bits, result.final_bits)
+        # the final curve is the battery's own
+        raw_curve = autocorrelation(result.tally.z_bits, report.autocorrelation.size)
         fileio.atomic_write_bytes(
             out / "autocorrelation.csv",
-            autocorrelation_csv(
-                comparison.lags, comparison.raw_curve, comparison.final_curve
-            ).encode(),
+            autocorrelation_csv(raw_curve, report.autocorrelation).encode(),
         )
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .entropy_math import PARAM_KINDS, ProtocolParams
-from .fileio import read_json, record_field
+from .fileio import read_record, record_field
 from .photonic_sim import ChannelConfig, DetectorConfig, SourceConfig, SourceMode
 
 SWEEP_KEYS = ("loss_db", "mean_photon_number")
@@ -187,5 +187,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     return RunConfig(**run)
 
 
-def load_config(path: Path) -> RunConfig:
-    return config_from_dict(read_json(path))
+def load_config(path: Path, overrides: dict | None = None) -> RunConfig:
+    """The configuration in ``path``, with ``overrides`` (the values given on
+    the command line) in place of its top-level keys before any key is
+    read, so that both pass the same checks.  Errors name the file."""
+    return read_record(path, lambda doc: config_from_dict({**doc, **(overrides or {})}))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 
 class ProtocolAbortError(RuntimeError):
-    """Raised when a length formula certifies nothing (error rate too high)."""
+    """Raised when a session certifies nothing: its estimate aborted, it
+    holds no raw bits, or the length formula leaves no output."""
 
 
 @dataclass(frozen=True)
@@ -175,38 +176,29 @@ def log2_deviation_failure_bound(n: int, q_x: float, e_bx: float, theta: float) 
     return min(0.0, log2_prefactor - n * deviation_exponent(theta, e_bx, q_x))
 
 
-def final_length(n_z: int, e_pz_bound: float, t_e: int) -> int:
-    """Certified output length ``floor(n_z * (1 - H(e_pz_bound))) - t_e``.
+def final_length(n_z: int, e_pz_bound: float, t_e: int, efficiency_ratio: float = 1.0) -> int:
+    """Certified output length ``floor(r * n_z * (1 - H(e_pz_bound / r))) - t_e``.
 
-    May be negative; the caller aborts when the result is <= 0 or when
-    ``e_pz_bound >= 1/2``.
-    """
-    if n_z < 1:
-        raise ValueError(f"n_z must be >= 1, got {n_z}")
-    return math.floor(n_z * (1.0 - binary_entropy(e_pz_bound))) - t_e
-
-
-def mismatch_adjusted_length(r: float, n_z: int, e_sum: float, t_e: int) -> int:
-    """Output length under detector-efficiency mismatch ratio ``r``.
-
-    Computes ``floor(r * n_z * (1 - H(e_sum / r))) - t_e``; identical to
-    :func:`final_length` at r = 1.
+    ``r`` is the detector efficiency ratio (1 for matched detectors).  May
+    be zero or negative; the caller aborts when the result is <= 0.
 
     Raises
     ------
     ProtocolAbortError
-        If ``e_sum / r >= 1/2`` (the scaled error rate certifies nothing).
+        If ``e_pz_bound / r >= 1/2`` (the scaled error rate certifies
+        nothing; H is symmetric about 1/2, so the formula alone would not
+        show it).
     """
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"efficiency ratio must be in (0, 1], got {r}")
+    if not 0.0 < efficiency_ratio <= 1.0:
+        raise ValueError(f"efficiency ratio must be in (0, 1], got {efficiency_ratio}")
     if n_z < 1:
         raise ValueError(f"n_z must be >= 1, got {n_z}")
-    scaled = e_sum / r
+    scaled = e_pz_bound / efficiency_ratio
     if scaled >= 0.5:
         raise ProtocolAbortError(
             f"scaled error rate e_sum/r = {scaled:.6f} >= 1/2: no extractable bits"
         )
-    return math.floor(r * n_z * (1.0 - binary_entropy(scaled))) - t_e
+    return math.floor(efficiency_ratio * n_z * (1.0 - binary_entropy(scaled))) - t_e
 
 
 def trace_distance_from_fidelity(eps_f: float) -> float:

@@ -39,22 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitBlock
-from .entropy_math import (
-    SecurityReport,
-    composed_security,
-    final_length,
-    mismatch_adjusted_length,
-)
+from .entropy_math import ProtocolAbortError, SecurityReport, composed_security, final_length
 from .estimation import EstimationResult
 from .seeds import SeedSource
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 # FFT round-off guard; actual deviations are ~1e-10 at the default block size
 _ROUNDING_GUARD = 0.25
-
-
-class ExtractionError(RuntimeError):
-    """Raised when a session yields no extractable bits."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +57,7 @@ class ExtractionPlan:
 
     def __post_init__(self):
         if self.K <= 0:
-            raise ExtractionError(f"non-positive output length K={self.K}")
+            raise ProtocolAbortError(f"non-positive output length K={self.K}")
         if self.K > self.n_z:
             raise ValueError(f"output length K={self.K} exceeds input n_z={self.n_z}")
 
@@ -173,29 +164,26 @@ def extract_session(
     Returns the concatenated output, the composed security report
     (``eps_f = eps_theta + n_blocks * 2**(-t_e)``), and a summary dict with
     block shapes, exact Toeplitz seed consumption and the worst FFT rounding
-    deviation of any block.  An efficiency ratio below 1 shortens each block
-    via the mismatch-adjusted length formula.
+    deviation of any block.  Each block's length comes from
+    :func:`~siqrng.entropy_math.final_length` at the efficiency ratio.
 
     Raises
     ------
-    ExtractionError
-        If the session aborted, is empty, or no block yields output.
+    ProtocolAbortError
+        If the session aborted, is empty, its scaled error rate reaches 1/2,
+        or a block yields no output; no seed is drawn then.
     SeedExhaustedError
         If the seed source cannot supply the Toeplitz seed.
     """
     if est.abort:
-        raise ExtractionError("cannot extract an aborted session")
+        raise ProtocolAbortError("cannot extract an aborted session")
     n_z = len(z_bits)
     if n_z == 0:
-        raise ExtractionError("no raw bits to extract")
-
-    def output_length(m: int) -> int:
-        if efficiency_ratio == 1.0:
-            return final_length(m, est.e_pz_bound, t_e)
-        return mismatch_adjusted_length(efficiency_ratio, m, est.e_pz_bound, t_e)
+        raise ProtocolAbortError("no raw bits to extract")
 
     sizes = _balanced_blocks(n_z, block_size)
-    plans = [ExtractionPlan(n_z=m, K=output_length(m)) for m in sizes]
+    plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e, efficiency_ratio))
+             for m in sizes]
 
     seed_length = max(p.seed_length for p in plans)
     spectrum, length = _seed_spectrum(seed_source.take_bits(seed_length))

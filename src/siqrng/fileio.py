@@ -20,6 +20,7 @@ so partial files are never observed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -117,8 +118,23 @@ def read_click_file(path: Path) -> np.ndarray:
     return records
 
 
+def _finite_or_null(value):
+    """``value`` with every float that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path: Path, payload: dict):
-    atomic_write_bytes(path, json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+    """Write ``payload`` as strict JSON: a float that is not finite (such as
+    ``log2_theta`` at theta = 0) is written as ``null``, since ``NaN`` and
+    ``Infinity`` are no JSON values and strict parsers reject them."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_bytes(path, text.encode() + b"\n")
 
 
 def read_json(path: Path) -> dict:

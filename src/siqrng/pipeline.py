@@ -36,7 +36,7 @@ from .bits import BitBlock
 from .config import RunConfig
 from .entropy_math import ProtocolAbortError, ProtocolParams, composed_security
 from .estimation import EstimationResult, estimate_session
-from .extractor import ExtractionError, extract_session
+from .extractor import extract_session
 from .photonic_sim import BLOCK_SIZE, run_session
 from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
@@ -138,7 +138,7 @@ def extract_or_abort(
             z_bits, estimation, params.t_e, streams.toeplitz,
             efficiency_ratio=params.efficiency_ratio,
         )
-    except (ExtractionError, ProtocolAbortError) as exc:
+    except ProtocolAbortError as exc:
         return None, None, None, str(exc)
     return final_bits, report.to_dict(), summary, None
 
@@ -296,8 +296,9 @@ def curve_csv(points: list[CurvePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def autocorrelation_csv(lags, raw_curve, final_curve) -> str:
+def autocorrelation_csv(raw_curve, final_curve) -> str:
+    """One row per lag j = 1, 2, ...: R(j) of the raw Z bits and of the output."""
     lines = ["j,R_raw,R_final"]
-    for j, r_raw, r_final in zip(lags, raw_curve, final_curve):
+    for j, (r_raw, r_final) in enumerate(zip(raw_curve, final_curve, strict=True), start=1):
         lines.append(f"{j},{float(r_raw)!r},{float(r_final)!r}")
     return "\n".join(lines) + "\n"

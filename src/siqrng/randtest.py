@@ -7,6 +7,13 @@ when its P value is at least 0.01; a battery additionally reports, per
 test, the proportion of equal-length sub-sequences passing (the deployment
 threshold is 96%).
 
+Input types: :func:`run_battery` and :func:`autocorrelation` take a
+:class:`~siqrng.bits.BitBlock`, the form in which the pipeline and the
+``test`` subcommand hold their bits, and the battery passes its block
+straight to ``autocorrelation``.  The five tests take a 1-d array of 0/1
+values, the form in which the battery cuts its partitions;
+``longest_run_test`` and ``cusum_test`` pack theirs first.
+
 The costly statistics run on the packed bits (LSB first, as in
 :class:`~siqrng.bits.BitBlock`) with integer arithmetic only:
 
@@ -160,19 +167,10 @@ class InsufficientLengthError(ValueError):
 
 
 def _as01(bits) -> np.ndarray:
-    if isinstance(bits, BitBlock):
-        return bits.to01()
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d bit sequence")
     return arr
-
-
-def _as_block(bits) -> BitBlock:
-    if isinstance(bits, BitBlock):
-        return bits
-    x = _as01(bits)
-    return BitBlock(np.packbits(x, bitorder="little"), x.size)
 
 
 def _require(n: int, minimum: int, test: str):
@@ -180,7 +178,7 @@ def _require(n: int, minimum: int, test: str):
         raise InsufficientLengthError(f"{test} needs >= {minimum} bits, got {n}")
 
 
-def autocorrelation(bits, max_lag: int) -> np.ndarray:
+def autocorrelation(block: BitBlock, max_lag: int) -> np.ndarray:
     """Sample autocorrelation R(1..max_lag) with the divide-by-n estimator.
 
     Uses the sample mean and biased sample variance of the full block.
@@ -193,7 +191,6 @@ def autocorrelation(bits, max_lag: int) -> np.ndarray:
     InsufficientLengthError
         If fewer than max_lag + 2 bits are supplied.
     """
-    block = _as_block(bits)
     data, n = block.data, block.length
     _require(n, max_lag + 2, "autocorrelation")
     ones = int(np.bitwise_count(data).sum(dtype=np.int64))
@@ -276,9 +273,10 @@ _LONGEST_RUN_REGIMES = (
 
 def longest_run_test(bits) -> tuple[float, float]:
     """Distribution of the longest run of ones over fixed-length blocks."""
-    block = _as_block(bits)
-    data, n = block.data, block.length
+    x = _as01(bits)
+    n = x.size
     _require(n, MIN_TEST_BITS, "longest run test")
+    data = np.packbits(x, bitorder="little")
     regime = next(r for r in reversed(_LONGEST_RUN_REGIMES) if n >= r[0])
     _, m, bounds, pi = regime
     n_blocks = n // m
@@ -314,9 +312,10 @@ _BYTE_END, _BYTE_HIGH, _BYTE_LOW = _byte_walk_tables()
 
 def cusum_test(bits) -> tuple[float, float]:
     """Maximum excursion of the +/-1 partial-sum walk (forward mode)."""
-    block = _as_block(bits)
-    data, n = block.data, block.length
+    x = _as01(bits)
+    n = x.size
     _require(n, 100, "cumulative sums test")
+    data = np.packbits(x, bitorder="little")
     whole = data[: n // 8]
     after = np.cumsum(_BYTE_END[whole])  # walk after each whole byte
     before = after - _BYTE_END[whole]
@@ -400,7 +399,7 @@ def battery_min_bits(n_partitions: int = DEFAULT_PARTITIONS) -> int:
 
 
 def run_battery(
-    bits,
+    block: BitBlock,
     n_partitions: int = DEFAULT_PARTITIONS,
     max_lag: int = 100,
 ) -> TestReport:
@@ -411,7 +410,7 @@ def run_battery(
     InsufficientLengthError
         If fewer than ``battery_min_bits(n_partitions)`` bits are supplied.
     """
-    x = _as01(bits)
+    x = block.to01()
     _require(x.size, battery_min_bits(n_partitions), "statistical battery")
     part_len = x.size // n_partitions
     report = TestReport(n_partitions=n_partitions)
@@ -432,34 +431,5 @@ def run_battery(
             )
         )
     report.proportion_pass = min(r.proportion_pass for r in report.records)
-    report.autocorrelation = autocorrelation(x, max_lag)
+    report.autocorrelation = autocorrelation(block, max_lag)
     return report
-
-
-@dataclass
-class AutocorrelationComparison:
-    lags: np.ndarray
-    raw_curve: np.ndarray
-    final_curve: np.ndarray
-    max_abs_raw: float
-    max_abs_final: float
-
-
-def compare_raw_vs_final(raw, final, max_lag: int = 100) -> AutocorrelationComparison:
-    """Autocorrelation curves of raw input vs extracted output.
-
-    Both sequences must be at least 10**5 bits so the curves are meaningful
-    at lags up to ``max_lag``.
-    """
-    raw, final = _as_block(raw), _as_block(final)
-    _require(len(raw), 10**5, "raw-vs-final comparison")
-    _require(len(final), 10**5, "raw-vs-final comparison")
-    raw_curve = autocorrelation(raw, max_lag)
-    final_curve = autocorrelation(final, max_lag)
-    return AutocorrelationComparison(
-        lags=np.arange(1, max_lag + 1),
-        raw_curve=raw_curve,
-        final_curve=final_curve,
-        max_abs_raw=float(np.max(np.abs(raw_curve))),
-        max_abs_final=float(np.max(np.abs(final_curve))),
-    )

@@ -18,7 +18,7 @@ combination) unranking over big integers; rejection resampling on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class SessionTally:
 
     ``n = n_x + n_z`` counts non-vacuum squashed events; ``x_minus`` and
     ``x_double`` are the "-" single clicks and the double clicks among the
-    X-basis events; ``z_bits`` is the raw Z-basis bitstream in pulse order;
+    X-basis events; ``z_bits`` is the raw Z-basis bitstream in pulse order,
+    or None for a tally read from its record, which holds only the counts;
     ``seed_bits_consumed`` counts the bits drawn for Z double clicks.
     """
 
@@ -43,7 +44,7 @@ class SessionTally:
     n_z: int = 0
     x_minus: int = 0
     x_double: int = 0
-    z_bits: BitBlock = field(default_factory=lambda: BitBlock.zeros(0))
+    z_bits: BitBlock | None = None
     seed_bits_consumed: int = 0
 
     def __post_init__(self):
@@ -54,7 +55,7 @@ class SessionTally:
             raise ValueError(f"n={self.n} != n_x+n_z={self.n_x + self.n_z}")
         if self.x_minus + self.x_double > self.n_x:
             raise ValueError("more X errors than X events")
-        if len(self.z_bits) != self.n_z:
+        if self.z_bits is not None and len(self.z_bits) != self.n_z:
             raise ValueError(f"z_bits has {len(self.z_bits)} bits, expected n_z={self.n_z}")
 
     _COUNTS = ("n", "n_x", "n_z", "x_minus", "x_double", "seed_bits_consumed")
@@ -65,10 +66,9 @@ class SessionTally:
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionTally":
         """Read a :meth:`to_dict` record back, validated (ValueError).  The
-        record holds no bits, so the tally carries ``n_z`` zero bits: enough
-        for estimation, which reads only the counts."""
-        counts = {key: record_field(doc, key, int) for key in cls._COUNTS}
-        return cls(**counts, z_bits=BitBlock.zeros(counts["n_z"]))
+        record holds no bits, and estimation reads only the counts, so the
+        tally carries none; nothing is allocated by a count from the file."""
+        return cls(**{key: record_field(doc, key, int) for key in cls._COUNTS})
 
 
 def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from helpers import child_env
 from hypothesis import HealthCheck, example, given, settings
@@ -182,6 +183,48 @@ class TestPipeline:
         assert record["estimation"]["e_bx"] > 0.4
         assert not (out / "final.siq").exists()
 
+    def test_override_flags_write_the_bytes_of_config_keys(self, tmp_path):
+        doc = {**HONEST_DOC, "total_pulses": 200_000, "basis_choice": "passive"}
+        flagged = tmp_path / "flagged.json"
+        flagged.write_text(json.dumps(doc))
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps({**doc, "master_seed": 7, "t_e": 80,
+                                     "eps_theta_exponent": 90.0,
+                                     "sweep": {"key": "loss_db", "values": [0, 3]}}))
+        assert main(["pipeline", "--config", str(flagged), "--out", str(tmp_path / "a"),
+                     "--seed", "7", "--te", "80", "--eps-exponent", "90",
+                     "--sweep", "loss_db=0,3"]) == 0
+        assert main(["pipeline", "--config", str(keyed), "--out", str(tmp_path / "b")]) == 0
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert "sweep.csv" in names
+        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_records_are_strict_json(self, honest_config, adversarial_config, tmp_path):
+        # an abort's log2_theta is -inf and a lopsided file's runs statistic
+        # is nan; both must be null, since NaN and Infinity are no JSON
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        from siqrng.bits import BitBlock
+        from siqrng.fileio import write_bit_file
+
+        lopsided = tmp_path / "lopsided.siq"
+        write_bit_file(lopsided, BitBlock.from01(np.random.default_rng(3).random(20_000) < 0.9))
+        assert main(["test", "--bits", str(lopsided), "--out", str(tmp_path / "test")]) == 1
+        assert main(["pipeline", "--config", str(honest_config),
+                     "--out", str(tmp_path / "honest")]) == 0
+        assert main(["pipeline", "--config", str(adversarial_config),
+                     "--out", str(tmp_path / "abort")]) == 2
+        records = sorted(tmp_path.glob("*/*.json"))
+        assert {path.parent.name for path in records} == {"test", "honest", "abort"}
+        for path in records:
+            json.loads(path.read_text(), parse_constant=reject)
+        assert read_json(tmp_path / "abort" / "abort.json")["estimation"]["log2_theta"] is None
+        runs = read_json(tmp_path / "test" / "randtest.json")["tests"][2]
+        assert runs["name"] == "runs" and runs["statistic"] is None
+
 
 class TestStagedSubcommands:
     def test_simulate_tally_estimate_extract_test_chain(self, honest_config, tmp_path):
@@ -327,6 +370,33 @@ class TestStagedErrorPaths:
         assert read_json(out / "abort.json")["tally"] == read_json(out / "tally.json")
         assert not (out / "final.siq").exists()
 
+    def test_extract_of_a_tampered_estimate_exits_2(self, estimated):
+        # e_bx = 0.62 with theta = 0 and abort false: H(0.62) = H(0.38), so
+        # only the e/r >= 1/2 check of the length formula stops it
+        record = read_json(estimated / "estimation.json")
+        assert record["params"]["efficiency_ratio"] == 1.0
+        record.update(e_bx=0.62, theta=0.0, abort=False)
+        (estimated / "estimation.json").write_text(json.dumps(record))
+        assert self._extract(estimated) == 2
+        assert read_json(estimated / "abort.json")["reason"] == (
+            "scaled error rate e_sum/r = 0.620000 >= 1/2: no extractable bits")
+        assert not (estimated / "final.siq").exists()
+
+    def test_estimate_allocates_nothing_by_a_recorded_count(self, passive_config, tmp_path,
+                                                            capsys):
+        # a tally record holds counts only; n_z = 2^62 bits would not fit in memory
+        n_x, n_z = 10**6, 1 << 62
+        tally = tmp_path / "tally.json"
+        tally.write_text(json.dumps({"n": n_x + n_z, "n_x": n_x, "n_z": n_z, "x_minus": 20_000,
+                                     "x_double": 0, "seed_bits_consumed": 0}))
+        out = tmp_path / "out"
+        assert main(["estimate", "--tally", str(tally), "--config", str(passive_config),
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        record = read_json(out / "estimation.json")
+        assert record["tally"]["n_z"] == n_z and record["abort"] is False
+        assert record["e_bx"] == 0.02 and 0 < record["theta"] < 0.01
+
     def test_te_defaults_to_the_recorded_value(self, estimated):
         record = read_json(estimated / "estimation.json")
         assert record["params"]["t_e"] == HONEST_DOC["t_e"]
@@ -419,30 +489,45 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err, (key, value, err)
 
-    @pytest.mark.parametrize("section, key, value", [
-        (None, "repetition_rate_hz", math.inf),
-        (None, "eps_theta_exponent", math.nan),
-        ("source", "mean_photon_number", math.nan),
-        ("channel", "loss_db", math.nan),
-        ("channel", "loss_db", -math.inf),
-        ("detector", "efficiency", math.nan),
-        ("sweep", "values[1]", math.nan),
+    @pytest.mark.parametrize("section, key, value, argv", [
+        *(pytest.param(section, key, value, ["pipeline"], id=f"{section}-{key}-{value}")
+          for section, key, value in [
+              (None, "repetition_rate_hz", math.inf),
+              (None, "eps_theta_exponent", math.nan),
+              ("source", "mean_photon_number", math.nan),
+              ("channel", "loss_db", math.nan),
+              ("channel", "loss_db", -math.inf),
+              ("detector", "efficiency", math.nan),
+              ("sweep", "values[1]", math.nan),
+          ]),
+        # an override flag is a key of the config and passes the same check
+        pytest.param("sweep", "values[0]", math.nan, ["pipeline", "--sweep", "loss_db=nan"],
+                     id="flag-sweep-loss_db-nan"),
+        pytest.param("sweep", "values[0]", math.inf,
+                     ["pipeline", "--sweep", "mean_photon_number=inf"],
+                     id="flag-sweep-mean_photon_number-inf"),
+        pytest.param(None, "eps_theta_exponent", math.nan,
+                     ["pipeline", "--eps-exponent", "nan"], id="flag-pipeline-eps-exponent-nan"),
+        pytest.param(None, "eps_theta_exponent", math.nan,
+                     ["estimate", "--tally", "tally.json", "--eps-exponent", "nan"],
+                     id="flag-estimate-eps-exponent-nan"),
     ])
-    def test_non_finite_number_is_exit_1(self, tmp_path, capsys, section, key, value):
+    def test_non_finite_number_is_exit_1(self, tmp_path, capsys, section, key, value, argv):
         # JSON NaN and Infinity parse, and NaN passes every range check
         doc = {**HONEST_DOC, "total_pulses": 200_000, "planned_x_count": 2000}
-        if section == "sweep":
-            doc["sweep"] = {"key": "loss_db", "values": [0.0, value]}
-        elif section:
-            doc[section] = {**doc.get(section, {}), key: value}
-        else:
-            doc[key] = value
+        if len(argv) == 1:  # no flag: the value is in the file
+            if section == "sweep":
+                doc["sweep"] = {"key": "loss_db", "values": [0.0, value]}
+            elif section:
+                doc[section] = {**doc.get(section, {}), key: value}
+            else:
+                doc[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        assert main([*argv, "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {section or 'configuration'}: key {key!r} must be a finite number, "
-            f"got {value!r}\n")
+            f"error: {bad}: {section or 'configuration'}: key {key!r} must be a finite "
+            f"number, got {value!r}\n")
 
     def test_unknown_key_rejected(self, tmp_path):
         doc = dict(HONEST_DOC)

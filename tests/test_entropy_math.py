@@ -15,7 +15,6 @@ from siqrng.entropy_math import (
     deviation_exponent,
     final_length,
     log2_deviation_failure_bound,
-    mismatch_adjusted_length,
     trace_distance_from_fidelity,
 )
 
@@ -137,7 +136,11 @@ class TestFinalLength:
         assert final_length(1000, 0.0, 100) == 900
 
     def test_half_error_is_abort_signal(self):
-        assert final_length(1000, 0.5, 100) == -100
+        # H is symmetric about 1/2: without the check, e = 0.62 would read
+        # as H(0.38) and certify bits
+        for e in (0.5, 0.62, 1.0):
+            with pytest.raises(ProtocolAbortError, match=r"e_sum/r = .* >= 1/2"):
+                final_length(1000, e, 100)
 
     def test_against_high_precision_oracle(self):
         # oracle: floor(1e6 * (1 - mp_binary_entropy(0.02))) - 100 = 858459
@@ -155,25 +158,32 @@ class TestFinalLength:
 
 
 class TestMismatchAdjustedLength:
+    """``final_length`` at an efficiency ratio r: floor(r n_z (1 - H(e/r))) - t_e."""
+
     def test_reduces_to_final_length_at_unit_ratio(self):
-        assert mismatch_adjusted_length(1.0, 1000, 0.1, 10) == final_length(1000, 0.1, 10)
+        # oracle: floor(1000 * (1 - H(0.1))) - 10 = 521
+        assert final_length(1000, 0.1, 10, 1.0) == final_length(1000, 0.1, 10) == 521
 
     def test_bitwise_equal_on_random_fixtures(self, rng):
+        # at r = 1 the formula is the matched-detector n_z (1 - H(e)), bit for bit
         for _ in range(1000):
             n_z = int(rng.integers(1, 10**6))
             e = float(rng.uniform(0.0, 0.4999))
             t_e = int(rng.integers(1, 300))
-            assert mismatch_adjusted_length(1.0, n_z, e, t_e) == final_length(n_z, e, t_e)
+            assert final_length(n_z, e, t_e, 1.0) == (
+                math.floor(n_z * (1.0 - binary_entropy(e))) - t_e)
 
     def test_abort_when_scaled_error_reaches_half(self):
+        # 0.46 / 0.9 = 0.511, although 0.46 alone is below 1/2
         with pytest.raises(ProtocolAbortError):
-            mismatch_adjusted_length(0.9, 1000, 0.46, 10)
+            final_length(1000, 0.46, 10, 0.9)
+        assert final_length(1000, 0.46, 10) == -6
 
     def test_mismatch_penalty(self):
         # oracle values: 667301 (r = 0.95) vs 713503 (r = 1)
-        adjusted = mismatch_adjusted_length(0.95, 10**6, 0.05, 100)
+        adjusted = final_length(10**6, 0.05, 100, 0.95)
         assert adjusted == 667301
-        assert adjusted < mismatch_adjusted_length(1.0, 10**6, 0.05, 100) == 713503
+        assert adjusted < final_length(10**6, 0.05, 100, 1.0) == 713503
 
 
 class TestTraceDistance:

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from siqrng.bits import BitBlock
-from siqrng.entropy_math import ProtocolParams, final_length
+from siqrng.entropy_math import ProtocolAbortError, ProtocolParams, final_length
 from siqrng.estimation import EstimationResult
 from siqrng.extractor import (
-    ExtractionError,
     ExtractionPlan,
     _smooth_length,
     extract_session,
@@ -65,8 +64,38 @@ class TestMakePlan:
         assert streams.toeplitz.bits_consumed == 0
 
     def test_nonpositive_output_rejected(self):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ProtocolAbortError, match="non-positive output length"):
             _extract(200, _est(e_bx=0.4), t_e=100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # e as an estimate gives it: at least one error, or 1/n_x, per check
+        e=st.integers(2, 10**9).flatmap(lambda m: st.integers(1, m - 1).map(lambda k: k / m)),
+        r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        n_z=st.integers(min_value=1, max_value=4000),
+        t_e=st.integers(min_value=1, max_value=200),
+    )
+    @example(e=0.62, r=1.0, n_z=2000, t_e=10)  # H(0.62) = H(0.38) would certify bits
+    @example(e=0.45, r=0.9, n_z=2000, t_e=10)  # e/r = 1/2 exactly
+    def test_abort_boundary(self, e, r, n_z, t_e):
+        # every abort draws no Toeplitz seed bit; otherwise K is the exact
+        # floor(r n_z (1 - H(e/r))) - t_e, and a K <= 0 aborts
+        streams = derive_streams(0)
+        params = ProtocolParams(total_pulses=2 * n_z + 2, planned_x_count=n_z + 1, t_e=t_e,
+                                efficiency_ratio=r)
+        final, _, summary, reason = extract_or_abort(
+            BitBlock.zeros(n_z), _est(e_bx=e), params, streams)
+        scaled = mpf(e) / mpf(r)
+        if scaled >= 0.5:
+            assert reason is not None and final is None
+        else:
+            exact = int(mp.floor(mpf(r) * n_z * (1 - mp_binary_entropy(scaled)))) - t_e
+            if exact > 0:
+                assert reason is None and len(final) == summary["K"] == exact
+            else:
+                assert reason is not None and final is None
+        if reason is not None:
+            assert streams.toeplitz.bits_consumed == 0
 
     def test_extraction_ratio_matches_deployment_figures(self):
         # invert 1 - H(e) = 91/115 with mpmath; e ~= 0.0329, ratio ~= 0.791
@@ -212,11 +241,11 @@ class TestExtractSession:
         assert len(final) == summary["K"] > 0
 
     def test_empty_session_rejected(self, rng):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ProtocolAbortError, match="no raw bits"):
             extract_session(BitBlock.zeros(0), _est(), 100, SeedSource.from_rng(rng))
 
     def test_aborted_session_rejected(self, rng):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ProtocolAbortError, match="aborted session"):
             extract_session(BitBlock.zeros(100), _est(abort=True), 10,
                             SeedSource.from_rng(rng))
 

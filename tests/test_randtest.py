@@ -32,7 +32,6 @@ from siqrng.randtest import (
     autocorrelation,
     battery_min_bits,
     block_frequency_test,
-    compare_raw_vs_final,
     cusum_test,
     erfc,
     gammaincc,
@@ -49,30 +48,34 @@ def _alternating(n):
     return np.tile(np.array([0, 1], dtype=np.uint8), n // 2)
 
 
+def _block(x01) -> BitBlock:
+    return BitBlock.from01(x01)
+
+
 class TestAutocorrelation:
     def test_alternating_sequence_fully_anticorrelated(self):
-        r = autocorrelation(_alternating(2**20), max_lag=1)
+        r = autocorrelation(_block(_alternating(2**20)), max_lag=1)
         # divide-by-n estimator gives -(n-1)/n, indistinguishable from -1 here
         assert r[0] == pytest.approx(-1.0, abs=1e-5)
 
     def test_constant_sequence_is_degenerate(self):
         with pytest.raises(DegenerateSequenceError):
-            autocorrelation(np.zeros(1000, dtype=np.uint8), max_lag=10)
+            autocorrelation(BitBlock.zeros(1000), max_lag=10)
 
     def test_ideal_rng_within_gaussian_envelope(self, rng):
         # null oracle: R(j) ~ N(0, 1/n); 4/sqrt(n) is the 4-sigma envelope
         n = 10**6
-        r = autocorrelation(rng.integers(0, 2, n, dtype=np.uint8), max_lag=100)
+        r = autocorrelation(_block(rng.integers(0, 2, n, dtype=np.uint8)), max_lag=100)
         assert np.mean(np.abs(r) <= 4 / np.sqrt(n)) >= 0.99
         assert np.all(r != 0.0)  # finite-size: never exactly zero
 
     def test_invariant_under_global_bit_flip(self, rng):
         x = rng.integers(0, 2, 5000, dtype=np.uint8)
-        assert autocorrelation(x, 50) == pytest.approx(autocorrelation(1 - x, 50))
+        assert autocorrelation(_block(x), 50) == pytest.approx(autocorrelation(_block(1 - x), 50))
 
     def test_needs_enough_bits(self):
         with pytest.raises(InsufficientLengthError):
-            autocorrelation(np.array([0, 1, 0], dtype=np.uint8), max_lag=10)
+            autocorrelation(_block([0, 1, 0]), max_lag=10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -89,9 +92,8 @@ class TestAutocorrelation:
         max_lag = min(lag, n - 2)
         x = (np.random.default_rng(seed).random(n) < density).astype(np.uint8)
         assume(0 < x.sum() < n)
-        got = autocorrelation(x, max_lag).tolist()
+        got = autocorrelation(_block(x), max_lag).tolist()
         assert got == [float(r) for r in exact_autocorrelation(x, max_lag)]
-        assert autocorrelation(BitBlock.from01(x), max_lag).tolist() == got
 
     @pytest.mark.parametrize("n", [192, 200, 257, 320])
     def test_single_pairs_across_word_boundaries(self, n):
@@ -99,7 +101,7 @@ class TestAutocorrelation:
         # that straddles a 64-bit word edge shows up in c_j
         x = np.zeros(n, dtype=np.uint8)
         x[[0, 63, 64, 65, 128]] = 1
-        got = autocorrelation(x, 130).tolist()
+        got = autocorrelation(_block(x), 130).tolist()
         assert got == [float(r) for r in exact_autocorrelation(x, 130)]
 
     def test_matches_dot_product_oracle(self, rng):
@@ -108,7 +110,7 @@ class TestAutocorrelation:
         markov = (np.cumsum(flips) & 1).astype(np.uint8)
         for x in (rng.integers(0, 2, n, dtype=np.uint8), markov):
             np.testing.assert_allclose(
-                autocorrelation(x, 100), dot_autocorrelation(x, 100), rtol=0, atol=1e-12
+                autocorrelation(_block(x), 100), dot_autocorrelation(x, 100), rtol=0, atol=1e-12
             )
 
     def test_curve_does_not_depend_on_blas_threads(self):
@@ -243,10 +245,8 @@ class TestPackedKernelsMatchOracles:
     def test_random_input(self, n, density, rng):
         x = (rng.random(n) < density).astype(np.uint8)
         assert cusum_test(x) == walk_cusum_test(x)
-        assert cusum_test(BitBlock.from01(x)) == walk_cusum_test(x)
         if n >= 128:
             assert longest_run_test(x) == column_longest_run_test(x)
-            assert longest_run_test(BitBlock.from01(x)) == column_longest_run_test(x)
 
     @pytest.mark.parametrize("n", LENGTHS[2:])
     def test_runs_of_ones_across_block_edges(self, n):
@@ -274,7 +274,7 @@ class TestPackedKernelsMatchOracles:
 
 class TestBattery:
     def test_ideal_rng_passes_battery(self, rng):
-        report = run_battery(rng.integers(0, 2, 2**21, dtype=np.uint8))
+        report = run_battery(_block(rng.integers(0, 2, 2**21, dtype=np.uint8)))
         assert report.all_passed
         assert report.proportion_pass >= 0.96
         assert len(report.autocorrelation) == 100
@@ -285,7 +285,7 @@ class TestBattery:
         # sha256 of the records without their P values and of the minimum
         # proportion, recorded while scipy.special computed the P values:
         # every statistic and pass flag is unchanged
-        x = np.random.default_rng(0xC0FFEE).integers(0, 2, 2**21, dtype=np.uint8)
+        x = _block(np.random.default_rng(0xC0FFEE).integers(0, 2, 2**21, dtype=np.uint8))
         doc = run_battery(x).to_dict()
         statistics = [{k: v for k, v in r.items() if k != "p_value"} for r in doc["tests"]]
         assert hashlib.sha256(json.dumps(statistics).encode()).hexdigest() == (
@@ -308,17 +308,17 @@ class TestBattery:
         minimum = battery_min_bits(n_partitions)
         assert minimum == 128 * n_partitions
         with pytest.raises(InsufficientLengthError, match="statistical battery"):
-            run_battery(rng.integers(0, 2, minimum - 1, dtype=np.uint8), n_partitions)
-        report = run_battery(rng.integers(0, 2, minimum, dtype=np.uint8), n_partitions,
+            run_battery(_block(rng.integers(0, 2, minimum - 1, dtype=np.uint8)), n_partitions)
+        report = run_battery(_block(rng.integers(0, 2, minimum, dtype=np.uint8)), n_partitions,
                              max_lag=10)
         assert len(report.records) == 5
 
     def test_biased_input_fails_battery(self, rng):
-        report = run_battery((rng.random(2**21) < 0.53).astype(np.uint8))
+        report = run_battery(_block(rng.random(2**21) < 0.53))
         assert not report.all_passed
 
     def test_report_serializes(self, rng):
-        report = run_battery(rng.integers(0, 2, 2**18, dtype=np.uint8))
+        report = run_battery(_block(rng.integers(0, 2, 2**18, dtype=np.uint8)))
         doc = report.to_dict()
         assert {r["name"] for r in doc["tests"]} == {
             "monobit", "block_frequency", "runs", "longest_run", "cusum"
@@ -326,20 +326,27 @@ class TestBattery:
         assert len(doc["autocorrelation"]) == 100
 
 
-def _extract_half(raw01, rng_seed=17):
+def _extract_half(raw01, rng_seed=17) -> BitBlock:
     est = EstimationResult(e_bx=0.1, theta=0.0, log2_eps_theta=-60.0, abort=False)
-    block = BitBlock.from01(raw01)
     final, _, _ = extract_session(
-        block, est, 20, SeedSource.from_rng(np.random.default_rng(rng_seed))
+        _block(raw01), est, 20, SeedSource.from_rng(np.random.default_rng(rng_seed))
     )
-    return final.to01()
+    return final
+
+
+def _max_abs_r(block: BitBlock) -> float:
+    return float(np.max(np.abs(autocorrelation(block, 100))))
 
 
 class TestCompareRawVsFinal:
+    """The pipeline's ``autocorrelation.csv``: R(j) of the raw Z bits next to
+    the battery's R(j) of the output."""
+
     def test_identical_inputs_have_equal_curves(self, rng):
-        x = rng.integers(0, 2, 2 * 10**5, dtype=np.uint8)
-        comparison = compare_raw_vs_final(x, x)
-        assert comparison.max_abs_raw == comparison.max_abs_final
+        # the battery's curve is the output column, computed once
+        block = _block(rng.integers(0, 2, 2 * 10**5, dtype=np.uint8))
+        curve = run_battery(block).autocorrelation
+        assert curve.tolist() == autocorrelation(block, 100).tolist()
 
     def test_biased_raw_improves_after_extraction(self, rng):
         # bias around 0.55, slowly modulated: a constant i.i.d. bias leaves
@@ -350,9 +357,9 @@ class TestCompareRawVsFinal:
         raw = (rng.random(n) < p).astype(np.uint8)
         _, p_mono = monobit_test(raw)
         assert p_mono < 0.01  # the bias itself is grossly visible
-        comparison = compare_raw_vs_final(raw, _extract_half(raw))
-        assert comparison.max_abs_raw > 0.012
-        assert comparison.max_abs_final < comparison.max_abs_raw
+        max_abs_raw = _max_abs_r(_block(raw))
+        assert max_abs_raw > 0.012
+        assert _max_abs_r(_extract_half(raw)) < max_abs_raw
 
     def test_markov_correlated_raw_improves_after_extraction(self, rng):
         # two-state chain with P(flip) = 0.45: lag-1 autocorrelation ~ +0.1
@@ -362,11 +369,13 @@ class TestCompareRawVsFinal:
         raw[0] = rng.integers(0, 2)
         for i in range(1, n):
             raw[i] = raw[i - 1] ^ flips[i]
-        comparison = compare_raw_vs_final(raw, _extract_half(raw))
-        assert comparison.max_abs_raw > 0.05
-        assert comparison.max_abs_final < comparison.max_abs_raw
+        max_abs_raw = _max_abs_r(_block(raw))
+        assert max_abs_raw > 0.05
+        assert _max_abs_r(_extract_half(raw)) < max_abs_raw
 
     def test_requires_large_blocks(self, rng):
-        small = rng.integers(0, 2, 10**4, dtype=np.uint8)
+        # lags up to 100 need 102 bits
+        x = rng.integers(0, 2, 102, dtype=np.uint8)
         with pytest.raises(InsufficientLengthError):
-            compare_raw_vs_final(small, small)
+            autocorrelation(_block(x[:101]), 100)
+        assert autocorrelation(_block(x), 100).size == 100
