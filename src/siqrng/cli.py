@@ -43,18 +43,17 @@ from .estimation import EstimationResult, estimate_session
 from .pipeline import (
     ESTIMATE_ABORT_REASON,
     autocorrelation_csv,
+    choose_basis_plan,
     curve_csv,
     curve_point_from_session,
     derive_streams,
     extract_or_abort,
     run_protocol_session,
     run_sweep,
-    shared_basis_plan,
     simulate_clicks,
-    tally_clicks,
 )
 from .randtest import autocorrelation, battery_min_bits, run_battery
-from .squash_sample import SessionTally
+from .squash_sample import SessionTally, squash_and_tally
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -131,14 +130,15 @@ def _write_abort_record(
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     streams = derive_streams(config.master_seed)
-    records = simulate_clicks(config, streams)
+    positions, plan_bits = choose_basis_plan(config, streams)
+    records = simulate_clicks(config, streams, positions)
     out = Path(args.out)
     fileio.write_click_file(out / "clicks.siqc", records)
     fileio.write_json(out / "simulate.json", {
         "total_pulses": records.size,
         "planned_x_count": config.params.planned_x_count,
         "basis_choice": config.basis_choice,
-        "basis_plan_bits": streams.basis.bits_consumed,
+        "basis_plan_bits": plan_bits,
         "master_seed": config.master_seed,
     })
     return EXIT_OK
@@ -146,7 +146,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_tally(args) -> int:
     records = fileio.read_click_file(args.clicks)
-    _write_tally(Path(args.out), tally_clicks(records, derive_streams(args.seed)))
+    tally = squash_and_tally(records, derive_streams(args.seed).double_click)
+    _write_tally(Path(args.out), tally)
     return EXIT_OK
 
 
@@ -204,13 +205,13 @@ def cmd_pipeline(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
 
-    # one active plan serves the sweep and the session alike
-    plan, plan_bits = shared_basis_plan(config)
+    # one basis plan serves the sweep and the session alike
+    plan = choose_basis_plan(config, derive_streams(config.master_seed))
     if config.sweep is not None:
-        points = run_sweep(config, plan, plan_bits)
+        points = run_sweep(config, plan)
         fileio.atomic_write_bytes(out / "sweep.csv", curve_csv(points).encode())
 
-    result = run_protocol_session(config, plan, plan_bits)
+    result = run_protocol_session(config, plan)
     fileio.write_click_file(out / "clicks.siqc", result.records)
     _write_tally(out, result.tally)
     _write_estimation(out, result.estimation, config.params, result.tally)

@@ -155,8 +155,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     ------
     ConfigError
         On unknown keys, missing required fields, wrong types, or
-        out-of-range values (range checks are delegated to the typed
-        configs).
+        out-of-range values, sweep values included (range checks are
+        delegated to the typed configs).
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -184,7 +184,14 @@ def config_from_dict(doc: dict) -> RunConfig:
         run["sweep"] = _sweep(_read(doc, "sweep", dict, "configuration"))
     if "master_seed" in doc:
         run["master_seed"] = _master_seed(doc)
-    return RunConfig(**run)
+    config = RunConfig(**run)
+    # each sweep point's config passes the same range checks before any session runs
+    for i, value in enumerate(config.sweep.values if config.sweep else ()):
+        try:
+            config.with_sweep_value(value)
+        except ValueError as exc:
+            raise ConfigError(f"sweep: values[{i}]: {exc}") from None
+    return config
 
 
 def load_config(path: Path, overrides: dict | None = None) -> RunConfig:

@@ -176,11 +176,34 @@ def log2_deviation_failure_bound(n: int, q_x: float, e_bx: float, theta: float) 
     return min(0.0, log2_prefactor - n * deviation_exponent(theta, e_bx, q_x))
 
 
+def _entropy_upper_bound(num: int, den: int) -> float:
+    """An upper bound on H(num / den) for an exact ratio in [0, 1/2]
+    (``num >= 0``, ``den > 0``); H(0) is 0 exactly.
+
+    H increases on [0, 1/2], so it is evaluated at the float at or above
+    the ratio, with ``log1p`` keeping the (1 - x) term accurate for small
+    x.  The result is raised by 2**-48 relative, which covers its few
+    rounding steps, and by 2**-1070 absolute, which covers a subnormal x.
+    """
+    if num == 0:
+        return 0.0
+    x = num / den  # correctly rounded
+    x_num, x_den = x.as_integer_ratio()
+    if x_num * den < num * x_den:
+        x = math.nextafter(x, 1.0)
+    h = -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / math.log(2.0))
+    return h * (1.0 + 2.0**-48) + 2.0**-1070
+
+
 def final_length(n_z: int, e_pz_bound: float, t_e: int, efficiency_ratio: float = 1.0) -> int:
     """Certified output length ``floor(r * n_z * (1 - H(e_pz_bound / r))) - t_e``.
 
     ``r`` is the detector efficiency ratio (1 for matched detectors).  May
-    be zero or negative; the caller aborts when the result is <= 0.
+    be zero or negative; the caller aborts when the result is <= 0.  The
+    float inputs are taken as the exact ratios of integers they hold and H
+    is bounded from above, so the length is never above the exact
+    formula's; it equals it unless the exact value lies within about
+    2**-48 relative of an integer.
 
     Raises
     ------
@@ -193,12 +216,19 @@ def final_length(n_z: int, e_pz_bound: float, t_e: int, efficiency_ratio: float 
         raise ValueError(f"efficiency ratio must be in (0, 1], got {efficiency_ratio}")
     if n_z < 1:
         raise ValueError(f"n_z must be >= 1, got {n_z}")
-    scaled = e_pz_bound / efficiency_ratio
-    if scaled >= 0.5:
+    if not e_pz_bound >= 0.0:
+        raise ValueError(f"error rate bound must be >= 0, got {e_pz_bound}")
+    r_num, r_den = efficiency_ratio.as_integer_ratio()
+    # an infinite bound reads as 1/0, which is past 1/2 like any other
+    e_num, e_den = e_pz_bound.as_integer_ratio() if math.isfinite(e_pz_bound) else (1, 0)
+    scaled_num, scaled_den = e_num * r_den, e_den * r_num  # e / r, exactly
+    if 2 * scaled_num >= scaled_den:
         raise ProtocolAbortError(
-            f"scaled error rate e_sum/r = {scaled:.6f} >= 1/2: no extractable bits"
+            f"scaled error rate e_sum/r = {e_pz_bound / efficiency_ratio:.6f} >= 1/2: "
+            "no extractable bits"
         )
-    return math.floor(efficiency_ratio * n_z * (1.0 - binary_entropy(scaled))) - t_e
+    h_num, h_den = _entropy_upper_bound(scaled_num, scaled_den).as_integer_ratio()
+    return r_num * n_z * (h_den - h_num) // (r_den * h_den) - t_e
 
 
 def trace_distance_from_fidelity(eps_f: float) -> float:

@@ -165,16 +165,15 @@ def estimate_session(tally: SessionTally, params: ProtocolParams) -> EstimationR
     The realized check fraction ``q_x = n_x / n`` (after losses) feeds the
     failure bound.  When no deviation meets the target, theta is pinned to
     ``1/2 - e_bx`` so that the reported bound reaches 1/2 and abort is set.
+    A session without X events (e_bx reads 1/2) or without Z events has
+    nothing to sample from or nothing to certify, and aborts the same way.
     """
-    if tally.n < 1 or tally.n_x < 1 or tally.n_z < 1:
-        raise ValueError(
-            f"degenerate session (n={tally.n}, n_x={tally.n_x}, n_z={tally.n_z})"
-        )
-    e_bx = observed_x_error(tally)
-    q_x = tally.n_x / tally.n
-    if e_bx >= 0.5:
-        return EstimationResult(e_bx=e_bx, theta=0.0, log2_eps_theta=0.0, abort=True)
+    e_bx = observed_x_error(tally) if tally.n_x else 0.5
+    if e_bx >= 0.5 or tally.n_z < 1:
+        return EstimationResult(e_bx=e_bx, theta=max(0.0, 0.5 - e_bx), log2_eps_theta=0.0,
+                                abort=True)
 
+    q_x = tally.n_x / tally.n
     theta = solve_deviation(tally.n, q_x, e_bx, params.eps_theta_exponent)
     if theta is None:
         theta = 0.5 - e_bx

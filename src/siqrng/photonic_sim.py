@@ -96,8 +96,7 @@ class DetectorConfig:
 
 
 # pulses per simulation block; it fixes which uniforms go to which detector,
-# so it is part of the stream's definition, and the passive basis draw and
-# the tally walk the same blocks
+# so it is part of the stream's definition, and the tally walks the same blocks
 BLOCK_SIZE = 1 << 21
 
 X_RECORD = Basis.X << 2  # the basis bit; X records are X_RECORD + pattern

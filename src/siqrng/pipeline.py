@@ -2,28 +2,28 @@
 and sweep.
 
 Every random stream of a run is derived from the 64-bit master seed:
-child 0 drives the physics (detector clicks and, in passive mode, the
-per-pulse basis draw), child 1 the basis-plan seed, child 2 the
-double-click assignment seed, child 3 the Toeplitz seed.  Identical config
-plus master seed therefore reproduces every artifact byte for byte.
+child 0 drives the physics (detector clicks), child 1 the active
+basis-plan seed, child 2 the double-click assignment seed, child 3 the
+Toeplitz seed and child 4 the passive splitter.  Identical config plus
+master seed therefore reproduces every artifact byte for byte.
 
 Each stage is one function that takes its stream from
-:func:`derive_streams`: :func:`simulate_clicks`, :func:`tally_clicks`,
+:func:`derive_streams`: :func:`choose_basis_plan`, :func:`simulate_clicks`,
+:func:`~siqrng.squash_sample.squash_and_tally`,
 :func:`~siqrng.estimation.estimate_session` and :func:`extract_or_abort`.
 :func:`run_protocol_session` chains them on one set of streams, and the
 CLI's staged subcommands call the same functions on streams derived from
 the same master seed, so both routes write the same bytes.
 
 Basis choice is *active* by default: positions are planned by exact seed
-dilution before the session.  The *passive* mode instead draws each
-pulse's basis independently with probability ``planned_x_count /
-total_pulses`` (a biased-splitter stand-in); it consumes no plan seed and
-is the practical choice for very large sessions.  The passive draw takes
-one uniform per pulse from the physics stream, in the simulator's blocks
-of :data:`~siqrng.photonic_sim.BLOCK_SIZE` pulses; drawing in blocks
-consumes the same uniforms in the same order as one draw of N, so the
-plan is the same, while the transient stays one block in size.  The whole
-plan is drawn before the session's click draws begin.
+dilution before the session.  The *passive* mode is a biased-splitter
+stand-in: each pulse goes to X independently with probability
+``planned_x_count / total_pulses``.  It draws the X count from the
+binomial law and then a uniform subset of that size, which is the same
+law as one Bernoulli draw per pulse, from the splitter stream; it
+consumes no plan seed.  Neither mode reads the physics stream, so the
+plan is a function of the config and the master seed alone: a run
+computes it once and hands it to every session, sweep points included.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .config import RunConfig
 from .entropy_math import ProtocolAbortError, ProtocolParams, composed_security
 from .estimation import EstimationResult, estimate_session
 from .extractor import extract_session
-from .photonic_sim import BLOCK_SIZE, run_session
+from .photonic_sim import run_session
 from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
 
@@ -51,15 +51,18 @@ class RandomStreams:
     basis: SeedSource
     double_click: SeedSource
     toeplitz: SeedSource
+    splitter: np.random.Generator
 
 
 def derive_streams(master_seed: int) -> RandomStreams:
-    children = np.random.SeedSequence(master_seed).spawn(4)
+    # children are indexed, so adding one leaves the seeds of the others as they were
+    children = np.random.SeedSequence(master_seed).spawn(5)
     return RandomStreams(
         physics=np.random.default_rng(children[0]),
         basis=SeedSource.from_rng(np.random.default_rng(children[1])),
         double_click=SeedSource.from_rng(np.random.default_rng(children[2])),
         toeplitz=SeedSource.from_rng(np.random.default_rng(children[3])),
+        splitter=np.random.default_rng(children[4]),
     )
 
 
@@ -80,43 +83,32 @@ class SessionResult:
         return self.abort_reason is not None
 
 
-def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> np.ndarray:
-    """X-basis positions for one session, per the configured choice mode."""
+def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> tuple[np.ndarray, int]:
+    """X-basis positions for one session, per the configured choice mode,
+    and the plan-seed bits they cost: ``(positions, seed_bits)``.
+
+    Active: exact seed dilution on the basis seed.  Passive: a binomial X
+    count, then a uniform subset of that size, from the splitter stream;
+    no plan seed is consumed.
+    """
     n = config.params.total_pulses
     n_x = config.params.planned_x_count
     if config.basis_choice == "active":
-        return plan_basis_positions(n, n_x, streams.basis)
-    # passive: biased-splitter behaviour, one independent draw per pulse
-    p = n_x / n
-    return np.concatenate([
-        np.flatnonzero(streams.physics.random(min(BLOCK_SIZE, n - start)) < p) + start
-        for start in range(0, n, BLOCK_SIZE)
-    ])
+        positions = plan_basis_positions(n, n_x, streams.basis)
+        return positions, streams.basis.bits_consumed
+    count = streams.splitter.binomial(n, n_x / n)
+    return np.sort(streams.splitter.choice(n, count, replace=False, shuffle=False)), 0
 
 
 def simulate_clicks(
-    config: RunConfig, streams: RandomStreams, basis_plan: np.ndarray | None = None
+    config: RunConfig, streams: RandomStreams, positions: np.ndarray
 ) -> np.ndarray:
-    """Simulate stage: the basis plan, derived from ``streams`` unless one
-    is given, then the click records, drawn from the physics stream."""
-    if basis_plan is None:
-        basis_plan = choose_basis_plan(config, streams)
+    """Simulate stage: the click records of a session whose X-basis
+    pulses are ``positions``, drawn from the physics stream."""
     return run_session(
         config.params.total_pulses, config.source, config.channel, config.detector,
-        basis_plan, streams.physics,
+        positions, streams.physics,
     )
-
-
-def tally_clicks(records: np.ndarray, streams: RandomStreams) -> SessionTally:
-    """Tally stage, Z double clicks drawing on the double-click seed; a
-    session without X or Z events raises ValueError."""
-    tally = squash_and_tally(records, streams.double_click)
-    if tally.n_x < 1 or tally.n_z < 1:
-        raise ValueError(
-            f"session degenerated to n_x={tally.n_x}, n_z={tally.n_z}: "
-            "nothing to certify"
-        )
-    return tally
 
 
 def extract_or_abort(
@@ -144,21 +136,18 @@ def extract_or_abort(
 
 
 def run_protocol_session(
-    config: RunConfig,
-    basis_plan: np.ndarray | None = None,
-    basis_plan_bits: int = 0,
+    config: RunConfig, plan: tuple[np.ndarray, int] | None = None
 ) -> SessionResult:
     """Run one full session: simulate, tally, estimate, and extract.
 
-    A precomputed ``basis_plan`` (with its seed cost) may be supplied to
-    share one plan across matched-seed sweep points; by default the plan
-    is derived from the config's own streams.
+    ``plan`` is the session's :func:`choose_basis_plan`; a run computes it
+    once and shares it between its sessions.  By default it is computed
+    from the config's own streams, which gives the same plan.
     """
     streams = derive_streams(config.master_seed)
-    records = simulate_clicks(config, streams, basis_plan)
-    if basis_plan is None:
-        basis_plan_bits = streams.basis.bits_consumed
-    tally = tally_clicks(records, streams)
+    positions, basis_plan_bits = plan if plan is not None else choose_basis_plan(config, streams)
+    records = simulate_clicks(config, streams, positions)
+    tally = squash_and_tally(records, streams.double_click)
     estimation = estimate_session(tally, config.params)
     final_bits, security, extraction, abort_reason = extract_or_abort(
         tally.z_bits, estimation, config.params, streams
@@ -240,42 +229,22 @@ def curve_point_from_session(result: SessionResult) -> CurvePoint:
     )
 
 
-def shared_basis_plan(config: RunConfig) -> tuple[np.ndarray | None, int]:
-    """The active basis plan of ``config`` and its seed cost, for sharing.
-
-    Every session of one run derives the same plan from the master seed, so
-    computing it once and handing it to :func:`run_protocol_session` changes
-    no artifact.  Passive mode returns ``(None, 0)``: its per-pulse basis
-    draw belongs to each session's own physics stream.
-    """
-    if config.basis_choice != "active":
-        return None, 0
-    streams = derive_streams(config.master_seed)
-    return choose_basis_plan(config, streams), streams.basis.bits_consumed
-
-
-def run_sweep(
-    config: RunConfig,
-    basis_plan: np.ndarray | None = None,
-    basis_plan_bits: int = 0,
-) -> list[CurvePoint]:
+def run_sweep(config: RunConfig, plan: tuple[np.ndarray, int] | None = None) -> list[CurvePoint]:
     """Run one session per sweep value with matched seeds.
 
     Every point reuses the same master seed, so detector-click uniforms and
     seed streams are common random numbers across points.  The sweep keys
     (``loss_db``, ``mean_photon_number``) never change ``total_pulses`` or
-    ``planned_x_count``, so every point has the same active basis plan: it
-    is computed once, or taken precomputed (with its seed cost) like
-    :func:`run_protocol_session` does.
+    ``planned_x_count``, so every point has the same basis plan: it is
+    computed once, or taken precomputed like :func:`run_protocol_session`
+    does.
     """
     if config.sweep is None:
         raise ValueError("config has no sweep specification")
-    if basis_plan is None:
-        basis_plan, basis_plan_bits = shared_basis_plan(config)
+    if plan is None:
+        plan = choose_basis_plan(config, derive_streams(config.master_seed))
     return [
-        curve_point_from_session(
-            run_protocol_session(config.with_sweep_value(value), basis_plan, basis_plan_bits)
-        )
+        curve_point_from_session(run_protocol_session(config.with_sweep_value(value), plan))
         for value in config.sweep.values
     ]
 

@@ -113,11 +113,12 @@ def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
 _SHORT_STRIDE = 8
 
 
-def unrank_combination(index: int, n: int, k: int) -> list[int]:
+def unrank_combination(index: int, n: int, k: int, total: int) -> list[int]:
     """Return the ``index``-th k-subset of {0..n-1} in lexicographic order.
 
-    Bijective over ``0 <= index < C(n, k)``; all arithmetic is exact.  With
-    ``m`` positions left and ``k_rem`` still to choose, the exact integer
+    ``total`` is C(n, k), evaluated once by the caller.  Bijective over
+    ``0 <= index < C(n, k)``; all arithmetic is exact.  With ``m``
+    positions left and ``k_rem`` still to choose, the exact integer
     ``t = C(m, k_rem) - rank`` fixes the next chosen position: it is the
     ``s``-th candidate, for the smallest stride ``s >= 1`` with
     ``C(m - s, k_rem) < t``.  Short expected strides walk candidate by
@@ -133,7 +134,6 @@ def unrank_combination(index: int, n: int, k: int) -> list[int]:
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"invalid combination shape C({n}, {k})")
-    total = math.comb(n, k)
     if not 0 <= index < total:
         raise ValueError(f"combination index {index} out of range [0, C({n},{k})={total})")
     out: list[int] = []
@@ -201,17 +201,11 @@ def _comb_at_stride(y: int, m: int, r: int, s: int) -> int:
     return y * math.comb(m - 1 - r, j) // math.comb(m - 1, j)
 
 
-def seed_length_required(n: int, k: int) -> int:
-    """Seed bits needed for one uniform choice window: ceil(log2 C(n, k)).
-
-    Never exceeds ``k * log2(n)`` for k >= 1.
-    """
-    if k < 0 or k > n:
-        raise ValueError(f"invalid combination shape C({n}, {k})")
-    total = math.comb(n, k)
-    bits = (total - 1).bit_length()
-    assert k == 0 or bits <= k * math.log2(n) + 1e-9
-    return bits
+def seed_length_required(choices: int) -> int:
+    """Seed bits of one uniform window over ``choices`` values:
+    ceil(log2 choices), which for C(n, k) choices never exceeds
+    ``k * log2(n)``."""
+    return (choices - 1).bit_length()
 
 
 def plan_basis_positions(n: int, k: int, seed: SeedSource, max_attempts: int = 1000) -> np.ndarray:
@@ -219,19 +213,19 @@ def plan_basis_positions(n: int, k: int, seed: SeedSource, max_attempts: int = 1
 
     Reads ``ceil(log2 C(n, k))``-bit windows from ``seed`` and rejects
     window values >= C(n, k); each window accepts with probability > 1/2,
-    so the expected consumption is below two windows.  Returns the sorted
-    chosen positions.
+    so the expected consumption is below two windows.  C(n, k) is
+    evaluated once per plan.  Returns the sorted chosen positions.
     """
     if k > n:
         raise ValueError(f"cannot choose {k} of {n} positions")
     total = math.comb(n, k)
-    width = seed_length_required(n, k)
+    width = seed_length_required(total)
     if width == 0:
         return np.arange(k, dtype=np.int64)  # single possibility (k == 0 or k == n)
     for _ in range(max_attempts):
         value = seed.take(width)
         if value < total:
-            return np.asarray(unrank_combination(value, n, k), dtype=np.int64)
+            return np.asarray(unrank_combination(value, n, k, total), dtype=np.int64)
     raise RuntimeError(
         f"no window value below C({n},{k}) after {max_attempts} attempts; "
         "seed stream is not plausibly uniform"

@@ -221,11 +221,6 @@ def where_run_session(n, source, channel, det, basis_plan, rng, block_size) -> n
     return click_records(basis, pattern)
 
 
-def one_draw_passive_plan(n: int, n_x: int, rng: np.random.Generator) -> np.ndarray:
-    """Passive X positions from a single draw of n uniforms."""
-    return np.flatnonzero(rng.random(n) < n_x / n)
-
-
 def mask_squash_and_tally(records: np.ndarray, seed) -> SessionTally:
     """Squash and tally through whole-stream basis and pattern masks."""
     basis, pattern = records >> 2, records & 3

@@ -141,8 +141,9 @@ def test_criterion_07_sampling_uniformity_exhaustive():
     for lost in [set(), {1, 3, 4, 8, 11}]:
         survivors = [i for i in range(n_total) if i not in lost]
         counts = defaultdict(Counter)
-        for index in range(math.comb(n_total, n_x)):
-            plan = unrank_combination(index, n_total, n_x)
+        total = math.comb(n_total, n_x)
+        for index in range(total):
+            plan = unrank_combination(index, n_total, n_x, total)
             surviving_x = tuple(p for p in plan if p not in lost)
             counts[len(surviving_x)][surviving_x] += 1
         for size, counter in counts.items():
@@ -156,8 +157,9 @@ def test_criterion_07_sampling_uniformity_exhaustive():
 def test_criterion_08_unranking_bijectivity_exhaustive():
     for n in range(0, 21):
         for k in range(0, n + 1):
+            total = math.comb(n, k)
             for index, reference in enumerate(itertools.combinations(range(n), k)):
-                assert tuple(unrank_combination(index, n, k)) == reference
+                assert tuple(unrank_combination(index, n, k, total)) == reference
     _pass(8, "combination unranking bijective for all N <= 20 (exhaustive)")
 
 

@@ -103,34 +103,50 @@ class TestPipeline:
         assert 0.0 <= deviation < 1e-6
 
     def test_sweep_plans_the_active_basis_once(self, honest_config, tmp_path, monkeypatch):
+        # one basis plan per run in both choice modes, shared by every sweep
+        # point and the session; an active plan evaluates one unranking
+        import siqrng.cli as cli
         import siqrng.pipeline as pipeline
 
-        calls = []
-        real_plan = pipeline.plan_basis_positions
+        plans, unrankings = [], []
+        real_choose, real_plan = pipeline.choose_basis_plan, pipeline.plan_basis_positions
+
+        def counting_choose(config, streams):
+            plans.append(config.basis_choice)
+            return real_choose(config, streams)
 
         def counting_plan(*args, **kwargs):
-            calls.append(args[:2])
+            unrankings.append(args[:2])
             return real_plan(*args, **kwargs)
 
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "choose_basis_plan", counting_choose)
         monkeypatch.setattr(pipeline, "plan_basis_positions", counting_plan)
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(honest_config), "--out", str(out),
-                     "--sweep", "loss_db=0,6"]) == 0
-        assert calls == [(HONEST_DOC["total_pulses"], HONEST_DOC["planned_x_count"])]
-        assert (out / "sweep.csv").exists()
+        for mode in ("active", "passive"):
+            plans.clear()
+            unrankings.clear()
+            config = tmp_path / f"{mode}.json"
+            config.write_text(json.dumps({**HONEST_DOC, "basis_choice": mode}))
+            out = tmp_path / mode
+            assert main(["pipeline", "--config", str(config), "--out", str(out),
+                         "--sweep", "loss_db=0,6"]) == 0
+            assert plans == [mode]
+            shape = (HONEST_DOC["total_pulses"], HONEST_DOC["planned_x_count"])
+            assert unrankings == ([shape] if mode == "active" else [])
+            assert (out / "sweep.csv").exists()
 
-        # a session that derives its own plan spends the same seed, bit for bit
-        own = pipeline.run_protocol_session(load_config(honest_config))
-        assert len(calls) == 2
-        assert read_json(out / "seed_ledger.json") == own.seed_ledger
-        assert read_bit_file(out / "final.siq") == own.final_bits
+            # a session that derives its own plan spends the same seed, bit for bit
+            own = pipeline.run_protocol_session(load_config(config))
+            assert plans == [mode, mode]
+            assert read_json(out / "seed_ledger.json") == own.seed_ledger
+            assert read_bit_file(out / "final.siq") == own.final_bits
 
     @pytest.mark.parametrize("extra, clicks, zbits", [
         # passive, across one simulation block edge
         ({"total_pulses": (1 << 21) + 1000, "planned_x_count": 20000,
           "basis_choice": "passive", "master_seed": 5},
-         "a3e147afcb25db3da4d258639d3351eda3be0761c2f2f670de9b7280a55a90ae",
-         "c4c20fb01eb1e9e2df1089d4d2085e418e048245885dffea5f025e0b791b4895"),
+         "71f9645767547baab3c391959f40fea38eedadac440e65c2f76c4d1731143d83",
+         "36f66d218b730d31f566f505e4a97a82315f897de5f6bf3a00f519a4a71dbf94"),
         ({"master_seed": 0xDEADBEEF},
          "9be9db75f6594ffdf059066cc1bea94d14386c7164a80da4e3da63bd3dbc5d6a",
          "05f18d9616ea254c2d5d956d47ed4301d54a6c43e8c0ae212cc58df21ffa8d52"),
@@ -159,19 +175,19 @@ class TestPipeline:
                     float(field)
 
     def test_short_certified_output_skips_battery(self, tmp_path, capsys):
-        # 8906 certified bits: too few for 100 battery partitions of 128 bits
+        # 9478 certified bits: too few for 100 battery partitions of 128 bits
         doc = {**HONEST_DOC, "total_pulses": 60_000, "planned_x_count": 3000,
                "master_seed": 11, "basis_choice": "passive"}
         config = tmp_path / "short.json"
         config.write_text(json.dumps(doc))
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
-        assert len(read_bit_file(out / "final.siq")) == 8906
+        assert len(read_bit_file(out / "final.siq")) == 9478
         assert not (out / "randtest.json").exists()
         assert "battery skipped" in capsys.readouterr().err
 
         assert main(["test", "--bits", str(out / "final.siq"), "--out", str(out)]) == 1
-        assert ("statistical battery needs >= 12800 bits, got 8906"
+        assert ("statistical battery needs >= 12800 bits, got 9478"
                 in capsys.readouterr().err)
         assert not (out / "randtest.json").exists()
 
@@ -462,6 +478,37 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert [row.split(",")[0] for row in lines[1:]] == ["0.0", "6.0", "12.0"]
 
+    def test_a_point_without_x_events_aborts_and_keeps_the_others(self, tmp_path):
+        # no dark counts: at 40 dB the 2e5 pulses give a few Z clicks and no X
+        doc = {**HONEST_DOC, "total_pulses": 200_000, "planned_x_count": 2000,
+               "detector": {"efficiency": 0.45, "dark_count_per_gate": 0.0},
+               "master_seed": 3}
+        config = tmp_path / "dark.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out),
+                     "--sweep", "loss_db=0,40"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["abort"] for row in rows] == ["0", "1"]
+        assert rows[1]["n_x"] == "0" and float(rows[1]["rate_bits_per_s"]) == 0.0
+
+        # the same session alone: pipeline and estimate abort, tally succeeds
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        config.write_text(json.dumps({**doc, "channel": {"loss_db": 40.0}}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        staged = tmp_path / "staged"
+        assert main(["simulate", "--config", str(config), "--out", str(staged)]) == 0
+        assert main(["tally", "--clicks", str(staged / "clicks.siqc"), "--out", str(staged)]) == 0
+        assert read_json(staged / "tally.json")["n_x"] == 0
+        assert main(["estimate", "--tally", str(staged / "tally.json"), "--config", str(config),
+                     "--out", str(staged)]) == 2
+        for record in (tmp_path / "run" / "abort.json", staged / "abort.json"):
+            doc = json.loads(record.read_text(), parse_constant=reject)
+            assert doc["abort"] is True and doc["tally"]["n_x"] == 0
+
 
 class TestErrorHandling:
     def test_missing_config_is_exit_1(self, tmp_path):
@@ -482,6 +529,10 @@ class TestErrorHandling:
             ("sweep", {"key": "loss_db", "values": 5}, "values"),
             ("master_seed", 1.5, "master_seed"),
             ("detector", {"efficiency": "x"}, "efficiency"),
+            # a sweep value out of range is named before any session runs
+            ("sweep", {"key": "loss_db", "values": [0, -1]}, "sweep: values[1]: loss"),
+            ("sweep", {"key": "mean_photon_number", "values": [-2]},
+             "sweep: values[0]: mean photon number"),
         ]:
             capsys.readouterr()
             bad.write_text(json.dumps({**HONEST_DOC, key: value}))

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from siqrng.entropy_math import (
     ProtocolAbortError,
@@ -145,6 +148,49 @@ class TestFinalLength:
     def test_against_high_precision_oracle(self):
         # oracle: floor(1e6 * (1 - mp_binary_entropy(0.02))) - 100 = 858459
         assert final_length(10**6, 0.02, 100) == 858459
+
+    def test_rounding_never_adds_a_bit(self):
+        # 1 - H(5e-324) rounds to 1.0 in floats, and 3 * fl(1/3) to 1.0
+        assert final_length(1000, 5e-324, 0) == 999
+        assert final_length(3, 0.0, 0, 1 / 3) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        e=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=2.0**-1022, exclude_min=True),  # subnormal
+            st.floats(min_value=0.0, max_value=0.5),
+            st.integers(2, 10**9).flatmap(lambda m: st.integers(1, m - 1).map(lambda k: k / m)),
+        ),
+        r=st.one_of(
+            st.just(1.0),
+            st.integers(3, 1000).map(lambda d: (d - 1) / d),  # 1/r is not exact
+            st.integers(3, 7).map(lambda d: 1 / d),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        ),
+        n_z=st.integers(1, 10**12),
+        t_e=st.integers(0, 200),
+    )
+    @example(e=5e-324, r=1.0, n_z=1000, t_e=0)
+    @example(e=0.0, r=1 / 3, n_z=3, t_e=0)
+    def test_never_above_the_exact_formula(self, e, r, n_z, t_e):
+        # the floats are exact rationals; K is at most the exact
+        # floor(r n_z (1 - H(e/r))) - t_e, and equal to it unless that value
+        # lies within the length's rounding margin above an integer
+        with mp.workprec(1400):  # resolves n_z (1 - H) for a subnormal e
+            scaled = mpf(e) / mpf(r)
+            if scaled >= 0.5:
+                with pytest.raises(ProtocolAbortError):
+                    final_length(n_z, e, t_e, r)
+                return
+            h = mp_binary_entropy(scaled)
+            value = mpf(r) * n_z * (1 - h)
+            exact = int(mp.floor(value)) - t_e
+            margin = mpf(r) * n_z * (h * mpf(2) ** -46 + mpf(2) ** -1060)
+            near_boundary = value - mp.floor(value) <= margin
+        got = final_length(n_z, e, t_e, r)
+        assert got <= exact
+        assert got == exact or near_boundary
 
     def test_monotonicity(self, rng):
         for _ in range(100):

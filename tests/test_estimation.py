@@ -156,6 +156,18 @@ class TestEstimateSession:
         assert result.abort
         assert result.e_pz_bound == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("tally, e_bx, theta", [
+        (dict(n_x=0, n_z=11), 0.5, 0.0),          # no X event: nothing to sample
+        (dict(n_x=0, n_z=0), 0.5, 0.0),
+        (dict(n_x=40, x_minus=8, n_z=0), 0.2, 0.3),  # no Z event: nothing to certify
+        (dict(n_x=10, x_minus=7, n_z=0), 0.7, 0.0),
+    ], ids=["no-x", "no-events", "no-z", "no-z-saturated"])
+    def test_session_without_x_or_z_events_aborts(self, tally, e_bx, theta):
+        result = estimate_session(_tally(**tally), ProtocolParams(100, 40))
+        assert result.abort and result.log2_eps_theta == 0.0
+        assert result.e_bx == pytest.approx(e_bx) and result.theta == pytest.approx(theta)
+        assert result.e_pz_bound >= 0.5
+
     def test_healthy_session(self):
         tally = _tally(n_x=1400, x_minus=28, n_z=10**6)
         params = ProtocolParams(10**6 + 1400, 1400, eps_theta_exponent=100)

@@ -33,7 +33,6 @@ from helpers import (
     click_events,
     click_records,
     mask_squash_and_tally,
-    one_draw_passive_plan,
     where_run_session,
 )
 
@@ -198,18 +197,6 @@ class TestBlockedSimulation:
                                  np.random.default_rng(n), BLOCK_SIZE)
         assert np.array_equal(fast, slow)
 
-    @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1])
-    def test_passive_plan_at_the_block_edge(self, n):
-        config = config_from_dict({"total_pulses": n, "planned_x_count": n // 3,
-                                   "basis_choice": "passive", "master_seed": n})
-        streams = derive_streams(config.master_seed)
-        plan = choose_basis_plan(config, streams)
-        oracle_rng = derive_streams(config.master_seed).physics
-        assert np.array_equal(plan, one_draw_passive_plan(n, n // 3, oracle_rng))
-        assert plan.dtype == np.int64
-        # the click draws that follow start from the same generator state
-        assert streams.physics.random() == oracle_rng.random()
-
     @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
                                    BLOCK_SIZE + 4096])
     def test_tally_at_the_block_edge(self, n):
@@ -239,7 +226,7 @@ def test_passive_simulate_and_tally_memory_is_bounded():
     tracemalloc.start()
     try:
         streams = derive_streams(config.master_seed)
-        plan = choose_basis_plan(config, streams)
+        plan, _ = choose_basis_plan(config, streams)
         records = run_session(config.params.total_pulses, config.source, config.channel,
                               config.detector, plan, streams.physics)
         tally = squash_and_tally(records, streams.double_click)
@@ -248,6 +235,46 @@ def test_passive_simulate_and_tally_memory_is_bounded():
         tracemalloc.stop()
     assert tally.n_z > n // 4
     assert peak <= 2 * n + 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestChooseBasisPlan:
+    def test_passive_plan_has_the_per_pulse_bernoulli_law(self):
+        # each pulse is X with probability p, independently: over 4000 master
+        # seeds every position's inclusion rate is within 5 sigma of p and
+        # every adjacent pair's joint rate within 5 sigma of p^2; a plan of
+        # exactly N_x positions would miss the pair rate by about 7 sigma
+        n, n_x, seeds = 8, 2, 4000
+        config = config_from_dict({"total_pulses": n, "planned_x_count": n_x,
+                                   "basis_choice": "passive"})
+        p = n_x / n
+        chosen = np.zeros((seeds, n), dtype=bool)
+        for seed in range(seeds):
+            positions, bits = choose_basis_plan(config, derive_streams(seed))
+            assert bits == 0 and positions.dtype == np.int64
+            assert np.array_equal(positions, np.unique(positions))
+            chosen[seed, positions] = True
+        rate = chosen.mean(axis=0)
+        assert np.all(np.abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / seeds)), rate
+        pairs = (chosen[:, :-1] & chosen[:, 1:]).mean(axis=0)
+        q = p * p
+        assert np.all(np.abs(pairs - q) <= 5 * math.sqrt(q * (1 - q) / seeds)), pairs
+
+    @pytest.mark.parametrize("mode", ["active", "passive"])
+    def test_plan_reads_no_other_stream(self, mode):
+        # the plan is a function of the config and the master seed alone, so
+        # a run computes it once and every session draws the same clicks
+        config = config_from_dict({"total_pulses": 5000, "planned_x_count": 200,
+                                   "basis_choice": mode, "master_seed": 77})
+        streams = derive_streams(config.master_seed)
+        positions, bits = choose_basis_plan(config, streams)
+        again, again_bits = choose_basis_plan(config, derive_streams(config.master_seed))
+        assert np.array_equal(positions, again) and bits == again_bits
+        assert (bits > 0) == (mode == "active")
+        fresh = derive_streams(config.master_seed)
+        assert np.array_equal(streams.physics.random(64), fresh.physics.random(64))
+        assert np.array_equal(streams.double_click.take_bits(64),
+                              fresh.double_click.take_bits(64))
+        assert np.array_equal(streams.toeplitz.take_bits(64), fresh.toeplitz.take_bits(64))
 
 
 class TestDetectionStatistics:

@@ -144,26 +144,28 @@ def _ranked_shapes(draw):
 
 class TestUnrankCombination:
     def test_lexicographic_minimum(self):
-        assert unrank_combination(0, 4, 2) == [0, 1]
+        assert unrank_combination(0, 4, 2, 6) == [0, 1]
 
     def test_enumerated_examples(self):
         # oracle: itertools enumeration of C(4, 2) in lexicographic order
         ref = list(itertools.combinations(range(4), 2))
-        assert tuple(unrank_combination(5, 4, 2)) == ref[5] == (2, 3)
-        assert tuple(unrank_combination(3, 4, 2)) == ref[3] == (1, 2)
+        assert tuple(unrank_combination(5, 4, 2, len(ref))) == ref[5] == (2, 3)
+        assert tuple(unrank_combination(3, 4, 2, len(ref))) == ref[3] == (1, 2)
 
     def test_bijection_exhaustive_small(self):
         for n in range(0, 13):
             for k in range(0, n + 1):
-                subsets = [tuple(unrank_combination(i, n, k)) for i in range(math.comb(n, k))]
+                total = math.comb(n, k)
+                subsets = [tuple(unrank_combination(i, n, k, total)) for i in range(total)]
                 assert subsets == list(itertools.combinations(range(n), k))
 
     def test_round_trip_rank_unrank(self, rng):
         for _ in range(500):
             n = int(rng.integers(1, 21))
             k = int(rng.integers(0, n + 1))
-            i = int(rng.integers(0, math.comb(n, k)))
-            assert rank_combination(unrank_combination(i, n, k), n) == i
+            total = math.comb(n, k)
+            i = int(rng.integers(0, total))
+            assert rank_combination(unrank_combination(i, n, k, total), n) == i
 
     def test_stride_paths_agree_with_walk(self, rng):
         # shapes straddle the neighbour-step / jump switch at n = 8k and reach
@@ -176,13 +178,14 @@ class TestUnrankCombination:
             picks = [0, total - 1, total // 2]
             picks += [int(rng.integers(0, 2**62)) * total // 2**62 for _ in range(8)]
             for i in picks:
-                got = unrank_combination(i, n, k)
+                got = unrank_combination(i, n, k, total)
                 assert got == walk_unrank(i, n, k)
                 assert rank_combination(got, n) == i
         # paper scale: the first and the last subset are known in closed form
         n, k = 10**6, 3700
-        assert unrank_combination(0, n, k) == walk_unrank(0, n, k) == list(range(k))
-        assert unrank_combination(math.comb(n, k) - 1, n, k) == list(range(n - k, n))
+        total = math.comb(n, k)
+        assert unrank_combination(0, n, k, total) == walk_unrank(0, n, k) == list(range(k))
+        assert unrank_combination(total - 1, n, k, total) == list(range(n - k, n))
 
     @settings(max_examples=60, deadline=None)
     @example((3000, 1500, 0))
@@ -193,7 +196,7 @@ class TestUnrankCombination:
     @given(_ranked_shapes())
     def test_unrank_is_the_inverse_of_rank(self, shape):
         n, k, i = shape
-        got = unrank_combination(i, n, k)
+        got = unrank_combination(i, n, k, math.comb(n, k))
         assert got == sorted(set(got)) and len(got) == k
         assert all(0 <= p < n for p in got)
         assert got == walk_unrank(i, n, k)
@@ -201,35 +204,37 @@ class TestUnrankCombination:
 
     def test_large_scale_round_trip(self, rng):
         n, k = 10**6, 40
-        i = int(rng.integers(0, 2**63)) % math.comb(n, k)
-        assert rank_combination(unrank_combination(i, n, k), n) == i
+        total = math.comb(n, k)
+        i = int(rng.integers(0, 2**63)) % total
+        assert rank_combination(unrank_combination(i, n, k, total), n) == i
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
-            unrank_combination(6, 4, 2)
+            unrank_combination(6, 4, 2, 6)
         with pytest.raises(ValueError):
-            unrank_combination(-1, 4, 2)
+            unrank_combination(-1, 4, 2, 6)
         with pytest.raises(ValueError):
-            unrank_combination(0, 4, 5)
+            unrank_combination(0, 4, 5, 0)
 
 
 class TestSeedLengthRequired:
     def test_trivial_choices_cost_nothing(self):
-        assert seed_length_required(10, 0) == 0
-        assert seed_length_required(10, 10) == 0
+        assert seed_length_required(math.comb(10, 0)) == 0
+        assert seed_length_required(math.comb(10, 10)) == 0
 
     def test_small_case(self):
         # C(4, 2) = 6 by enumeration, ceil(log2 6) = 3
         assert len(list(itertools.combinations(range(4), 2))) == 6
-        assert seed_length_required(4, 2) == 3
+        assert seed_length_required(math.comb(4, 2)) == 3
 
     def test_paper_scale_bound(self):
-        bits = seed_length_required(10**6, 1352)
+        bits = seed_length_required(math.comb(10**6, 1352))
         assert bits <= 1352 * math.log2(10**6) < 26948
 
     def test_exact_value_matches_bigint_binomial(self):
         total = math.comb(10**6, 1352)
-        assert seed_length_required(10**6, 1352) == (total - 1).bit_length()
+        assert seed_length_required(total) == (total - 1).bit_length()
+        assert 2 ** (seed_length_required(total) - 1) < total <= 2 ** seed_length_required(total)
 
 
 class TestPlanBasisPositions:
@@ -264,7 +269,7 @@ class TestPlanBasisPositions:
         seed = _seed_from01([1, 1, 1, 1, 0, 0, 1, 1])
         positions = plan_basis_positions(6, 2, seed)
         assert seed.bits_consumed == 8
-        assert positions.tolist() == unrank_combination(3, 6, 2)
+        assert positions.tolist() == unrank_combination(3, 6, 2, 15)
 
     def test_paper_scale_plan_is_unchanged(self):
         # the plan fixes every active-mode artifact, so its bytes and its
