@@ -205,13 +205,14 @@ def cmd_pipeline(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
 
-    # one basis plan serves the sweep and the session alike
+    # one basis plan serves the session and the sweep alike, and a sweep
+    # point at the config's own value takes the session instead of a rerun
     plan = choose_basis_plan(config, derive_streams(config.master_seed))
+    result = run_protocol_session(config, plan)
     if config.sweep is not None:
-        points = run_sweep(config, plan)
+        points = run_sweep(config, plan, result)
         fileio.atomic_write_bytes(out / "sweep.csv", curve_csv(points).encode())
 
-    result = run_protocol_session(config, plan)
     fileio.write_click_file(out / "clicks.siqc", result.records)
     _write_tally(out, result.tally)
     _write_estimation(out, result.estimation, config.params, result.tally)

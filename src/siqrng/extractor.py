@@ -1,23 +1,34 @@
 """Toeplitz-matrix hashing over GF(2).
 
-The extraction matrix T has shape K x n_z and is constant along
-diagonals: ``T[i][j] = seed[i - j + n_z - 1]`` for a seed of
-``n_z + K - 1`` bits, and ``y[i] = XOR_j T[i][j] & x[j]``.  This indexing
-convention is normative; the fast path below computes the same map as a
-GF(2) polynomial product, taking the band of coefficients
-``n_z-1 .. n_z+K-2`` of ``seed(t) * x(t)``.
+Extraction hashes each block of m raw bits to K output bits with the
+modified Toeplitz matrix ``(I_K | T)``: ``y = x[:K] XOR T x[K:]``, where T
+is the K x M Toeplitz matrix (M = m - K) ``T[i][j] = seed[i - j + M - 1]``
+on a seed of ``m - 1`` bits.  This indexing convention is normative.  The
+family is dual universal2 (Hayashi and Tsurumaru, IEEE Trans. Inf. Theory
+62, 2213 (2016), arXiv:1311.5322), the property that privacy
+amplification by phase-error correction needs, and it takes K fewer seed
+bits than the plain K x m Toeplitz matrix.  When K = m, T is empty: the
+block is its own output and takes no seed bits.
+
+:func:`toeplitz_extract` is the plain K x n_z hash,
+``T[i][j] = seed[i - j + n_z - 1]`` on ``n_z + K - 1`` seed bits, and the
+two share one kernel.  For an input of n bits it computes ``T x`` as a GF(2)
+polynomial product, taking the band of coefficients ``n-1 .. n+K-2`` of
+``seed(t) * x(t)``; T may be tall (K > n).
 
 The product is evaluated as an integer convolution by a *circular* real
 FFT (``numpy.fft``) of length ``L = _smooth_length(seed_length)``, the
 smallest 2^a 3^b 5^c at or above the seed length, and reduced mod 2.  The
 wrap-around adds linear coefficient ``c+L`` to coefficient ``c``; the
-linear product ends at coefficient ``n_z + seed_length - 2`` and every band
-coefficient has ``c+L >= n_z-1+seed_length``, so no alias reaches the band
-and it is exact.  For 0/1 sequences the FFT round-off is bounded far below
-1/2 at any block size this module accepts; a runtime guard checks the
-margin, so the result is bit-identical to the naive matrix-vector
-definition.  The worst margin of a session is reported as
-``fft_max_deviation``.
+linear product ends at coefficient ``n + seed_length - 2`` and every band
+coefficient has ``c+L >= n-1+seed_length``, so no alias reaches the band
+and it is exact.  For the (I | T) hash, n = M and the seed has m - 1
+bits: the product ends at ``m + M - 3`` and every band coefficient
+``c >= M-1`` has ``c+L >= M+m-2``.  For 0/1 sequences the FFT round-off
+is bounded far below 1/2 at any block size this module accepts; a
+runtime guard checks the margin, so the result is bit-identical to the
+naive matrix-vector definition.  The worst margin of a session is
+reported as ``fft_max_deviation``.
 
 Long inputs are split into balanced sub-blocks (default around 2**20 raw
 bits) extracted independently; each block contributes its own 2**(-t_e)
@@ -25,10 +36,10 @@ failure term via a union bound.  One Toeplitz seed, sized for the largest
 block, is consumed per session and reused across its blocks: the hash is a
 strong extractor, so outputs remain independent of the seed.  Its spectrum
 is computed once, and the blocks share one set of FFT scratch arrays.  A
-block's band reads only seed indices below its own ``seed_length``, and
-the alias argument holds for any seed no longer than ``L``, so the
-longest block's seed and its spectrum give every block the same bits as
-its own prefix of the seed would.
+block's band reads only seed indices below its own ``m - 1``, and the
+alias argument holds for any seed no longer than ``L``, so the longest
+block's seed and its spectrum give every block the same bits as its own
+prefix of the seed would.
 """
 
 from __future__ import annotations
@@ -81,40 +92,47 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _seed_spectrum(seed01: np.ndarray) -> tuple[np.ndarray, int]:
-    """Real-FFT spectrum of a seed at the circular length ``_smooth_length(len(seed01))``."""
-    length = _smooth_length(seed01.size)
-    return np.fft.rfft(seed01.astype(np.float64), n=length), length
-
-
 def _fft_work(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for one block at the circular length: the spectrum of the
-    product and the convolution.  A session reuses it for every block, so
+    """Scratch at the circular length: the spectrum of a product, and the
+    float buffer that holds each zero-padded input and then its
+    convolution.  A session reuses it for the seed and every block, so
     that no block faults in fresh pages for arrays of the FFT length."""
     return np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
 
 
+def _padded(bits01: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``bits01`` as floats at the front of ``buffer``, zeros after it."""
+    buffer[: bits01.size] = bits01
+    buffer[bits01.size :] = 0.0
+    return buffer
+
+
+def _seed_spectrum(seed01: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Real-FFT spectrum of a seed, zero-padded to the length of ``work``
+    (from :func:`_fft_work`), whose buffer it overwrites."""
+    return np.fft.rfft(_padded(seed01, work[1]))
+
+
 def _hash_band(
-    raw01: np.ndarray,
+    signal01: np.ndarray,
+    rows: int,
     spectrum: np.ndarray,
-    plan: ExtractionPlan,
     work: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, float]:
-    """Output bits of one block and its rounding deviation.
+    """``T x`` mod 2 and its rounding deviation, for the ``rows`` x n
+    Toeplitz matrix T whose seed has the spectrum ``spectrum``.
 
-    ``spectrum`` comes from :func:`_seed_spectrum` on a seed of at least
-    ``plan.seed_length`` bits; only its first ``plan.seed_length`` bits
-    reach the band.  ``work`` comes from :func:`_fft_work` at the same
-    length and is overwritten.
+    ``signal01`` is the n-bit input x, and the result is the band of
+    coefficients ``n-1 .. n+rows-2`` of the product.  ``spectrum`` comes
+    from :func:`_seed_spectrum` on a seed of at least ``n + rows - 1``
+    bits, no longer than the circular length; only its first
+    ``n + rows - 1`` bits reach the band.  ``work`` is overwritten.
     """
     product, conv = work
-    length = conv.size
-    signal = conv[: raw01.size]  # the block as floats, until the convolution overwrites it
-    signal[...] = raw01
-    np.fft.rfft(signal, n=length, out=product)
+    np.fft.rfft(_padded(signal01, conv), out=product)
     product *= spectrum
-    np.fft.irfft(product, n=length, out=conv)
-    band = conv[plan.n_z - 1 : plan.n_z - 1 + plan.K]
+    np.fft.irfft(product, n=conv.size, out=conv)
+    band = conv[signal01.size - 1 : signal01.size - 1 + rows]
     counts = np.rint(band)
     band -= counts
     deviation = float(np.max(np.abs(band, out=band))) if band.size else 0.0
@@ -139,9 +157,37 @@ def toeplitz_extract(raw: BitBlock, seed: BitBlock, plan: ExtractionPlan) -> Bit
         raise ValueError(f"raw length {len(raw)} != plan n_z {plan.n_z}")
     if len(seed) != plan.seed_length:
         raise ValueError(f"seed length {len(seed)} != plan seed length {plan.seed_length}")
-    spectrum, length = _seed_spectrum(seed.to01())
-    bits, _ = _hash_band(raw.to01(), spectrum, plan, _fft_work(length))
+    work = _fft_work(_smooth_length(plan.seed_length))
+    bits, _ = _hash_band(raw.to01(), plan.K, _seed_spectrum(seed.to01(), work), work)
     return BitBlock.from01(bits)
+
+
+def _dual_hash_blocks(
+    raw01: np.ndarray, plans: list[ExtractionPlan], seed01: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The (I | T) hash of consecutive blocks of ``raw01``, one per plan,
+    concatenated, and the worst rounding deviation.
+
+    ``seed01`` has the longest block's seed length; each block reads its
+    own prefix of it through the one shared spectrum.
+    """
+    out = np.empty(sum(p.K for p in plans), dtype=np.uint8)
+    max_deviation = 0.0
+    if seed01.size:
+        work = _fft_work(_smooth_length(seed01.size))
+        spectrum = _seed_spectrum(seed01, work)
+    start = filled = 0
+    for plan in plans:
+        block = raw01[start : start + plan.n_z]
+        head = out[filled : filled + plan.K]
+        head[...] = block[: plan.K]
+        if plan.K < plan.n_z:
+            bits, deviation = _hash_band(block[plan.K :], plan.K, spectrum, work)
+            head ^= bits
+            max_deviation = max(max_deviation, deviation)
+        start += plan.n_z
+        filled += plan.K
+    return out, max_deviation
 
 
 def _balanced_blocks(n: int, block_size: int) -> list[int]:
@@ -159,7 +205,7 @@ def extract_session(
     block_size: int = DEFAULT_BLOCK_SIZE,
     efficiency_ratio: float = 1.0,
 ) -> tuple[BitBlock, SecurityReport, dict]:
-    """Extract a whole session, sub-block by sub-block.
+    """Extract a whole session, sub-block by sub-block, with the (I | T) hash.
 
     Returns the concatenated output, the composed security report
     (``eps_f = eps_theta + n_blocks * 2**(-t_e)``), and a summary dict with
@@ -185,20 +231,11 @@ def extract_session(
     plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e, efficiency_ratio))
              for m in sizes]
 
-    seed_length = max(p.seed_length for p in plans)
-    spectrum, length = _seed_spectrum(seed_source.take_bits(seed_length))
-    work = _fft_work(length)
-
-    z01 = z_bits.to01()
-    outputs = []
-    max_deviation = 0.0
-    start = 0
-    for plan in plans:
-        bits, deviation = _hash_band(z01[start : start + plan.n_z], spectrum, plan, work)
-        outputs.append(bits)
-        max_deviation = max(max_deviation, deviation)
-        start += plan.n_z
-    final = BitBlock.from01(np.concatenate(outputs))
+    # a block's (I | T) hash takes n_z - 1 seed bits, none when T is empty (K = n_z)
+    seed_length = max(p.n_z - 1 if p.K < p.n_z else 0 for p in plans)
+    final01, max_deviation = _dual_hash_blocks(
+        z_bits.to01(), plans, seed_source.take_bits(seed_length))
+    final = BitBlock.from01(final01)
 
     report = composed_security(est.eps_theta, t_e, extraction_blocks=len(plans))
     summary = {

@@ -141,9 +141,10 @@ def run_session(
     (0 none, 1 d0, 2 d1, 3 double), the basis in bit 2 (0 Z, 1 X), upper
     bits zero.  It is the byte the click file stores (see
     :mod:`siqrng.fileio`).  ``basis_plan`` is the int array of the pulse
-    indices measured in the X basis, each in ``[0, n)``.
+    indices measured in the X basis, each in ``[0, n)``, in any order.
 
-    The X bits of the plan are set in the records first.  Pulses are then
+    The X bits of the plan are set in the records first, and each block
+    finds its X pulses in the plan, sorted once.  Pulses are then
     simulated in blocks of ``block_size``: each block draws one uniform per
     pulse for detector 0, then one per pulse for detector 1, and a detector
     clicks when its uniform is below the click probability of the pulse's
@@ -153,10 +154,11 @@ def run_session(
     byte per pulse is bounded by the block.
     """
     records = np.zeros(n, dtype=np.uint8)
-    if basis_plan.size:
-        if basis_plan.min() < 0 or basis_plan.max() >= n:
+    x_sorted = np.sort(basis_plan)
+    if x_sorted.size:
+        if x_sorted[0] < 0 or x_sorted[-1] >= n:
             raise ValueError("basis plan positions out of range")
-        records[basis_plan] = X_RECORD
+        records[x_sorted] = X_RECORD
 
     pz = click_probabilities(source, channel, det, Basis.Z)
     px = click_probabilities(source, channel, det, Basis.X)
@@ -166,7 +168,8 @@ def run_session(
     for start in range(0, n, block_size):
         block = records[start : start + block_size]
         m = block.size
-        x = np.flatnonzero(block)  # only the basis bit is set so far
+        lo, hi = np.searchsorted(x_sorted, (start, start + m))
+        x = x_sorted[lo:hi] - start  # the block's X pulses
         for detector in (0, 1):
             u = rng.random(m, out=uniforms[:m])
             click = np.less(u, pz[detector], out=clicks[:m])

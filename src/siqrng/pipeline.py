@@ -28,7 +28,7 @@ computes it once and hands it to every session, sweep points included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -229,7 +229,11 @@ def curve_point_from_session(result: SessionResult) -> CurvePoint:
     )
 
 
-def run_sweep(config: RunConfig, plan: tuple[np.ndarray, int] | None = None) -> list[CurvePoint]:
+def run_sweep(
+    config: RunConfig,
+    plan: tuple[np.ndarray, int] | None = None,
+    session: SessionResult | None = None,
+) -> list[CurvePoint]:
     """Run one session per sweep value with matched seeds.
 
     Every point reuses the same master seed, so detector-click uniforms and
@@ -237,16 +241,24 @@ def run_sweep(config: RunConfig, plan: tuple[np.ndarray, int] | None = None) -> 
     (``loss_db``, ``mean_photon_number``) never change ``total_pulses`` or
     ``planned_x_count``, so every point has the same basis plan: it is
     computed once, or taken precomputed like :func:`run_protocol_session`
-    does.
+    does.  ``session`` is a session already run on this plan; a point whose
+    config equals its config takes it instead of running again.  Equal
+    configs differ at most in how a number is written (``0`` and ``0.0``),
+    so the row carries the point's own config.
     """
     if config.sweep is None:
         raise ValueError("config has no sweep specification")
     if plan is None:
         plan = choose_basis_plan(config, derive_streams(config.master_seed))
-    return [
-        curve_point_from_session(run_protocol_session(config.with_sweep_value(value), plan))
-        for value in config.sweep.values
-    ]
+    points = []
+    for value in config.sweep.values:
+        point = config.with_sweep_value(value)
+        if session is not None and session.config == point:
+            result = replace(session, config=point)
+        else:
+            result = run_protocol_session(point, plan)
+        points.append(curve_point_from_session(result))
+    return points
 
 
 def _csv_cell(value) -> str:

@@ -86,11 +86,11 @@ def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
         block = records[start : start + BLOCK_SIZE]
         x_counts += np.bincount(block[block >= X_RECORD], minlength=x_counts.size)
         # Z single and double clicks are the records 1..3
-        z_blocks.append(block[(block - np.uint8(1)) < 3])
+        z_blocks.append(np.compress((block - np.uint8(1)) < 3, block))
     z_bits01 = np.concatenate(z_blocks) if z_blocks else np.zeros(0, dtype=np.uint8)
     z_bits01 -= 1  # D0 -> bit 0, D1 -> bit 1, and 2 marks a double click
-    doubles = z_bits01 == 2
-    n_doubles = int(np.count_nonzero(doubles))
+    doubles = np.flatnonzero(z_bits01 == 2)
+    n_doubles = doubles.size
     if n_doubles:
         # one call: the seed's bounded draw is buffered, so splitting it
         # per block would change the assigned bits

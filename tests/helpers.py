@@ -2,7 +2,8 @@
 
 These deliberately re-derive results by a different route than the
 package: arbitrary-precision arithmetic for the entropy formulas, a
-direct matrix-vector product for the Toeplitz hash, the textbook ranking
+direct matrix-vector product for the Toeplitz hash and an explicit
+[I | T] matrix for the modified one, the textbook ranking
 formula as the inverse of unranking, a candidate-by-candidate walk
 as a second unranker, exact rationals and float64 dot products for the
 lag autocorrelation, and an int64 walk and a column-by-column scan for
@@ -83,6 +84,22 @@ def naive_toeplitz(raw01: np.ndarray, seed01: np.ndarray, k_out: int) -> np.ndar
         row = seed01[i + n - 1 :: -1][:n]  # seed[i-j+n-1] for j = 0..n-1
         out[i] = int(np.dot(row.astype(np.int64), raw01.astype(np.int64))) & 1
     return out
+
+
+def naive_dual_toeplitz(raw01: np.ndarray, seed01: np.ndarray, k_out: int) -> np.ndarray:
+    """y = [I_K | T] x mod 2, with the K x n matrix written out in full.
+
+    T is the K x (n-K) Toeplitz matrix ``T[i][j] = seed[i - j + n - K - 1]``
+    on an (n-1)-bit seed, or empty with no seed when K = n.
+    """
+    n = raw01.size
+    m = n - k_out
+    assert seed01.size == (n - 1 if m else 0)
+    rows, cols = np.arange(k_out)[:, None], np.arange(m)[None, :]
+    matrix = np.concatenate(
+        [np.eye(k_out, dtype=np.uint8), seed01[rows - cols + m - 1].astype(np.uint8)], axis=1
+    )
+    return (np.count_nonzero(matrix & raw01.astype(np.uint8), axis=1) & 1).astype(np.uint8)
 
 
 def rank_combination(positions, n: int) -> int:

@@ -478,6 +478,43 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert [row.split(",")[0] for row in lines[1:]] == ["0.0", "6.0", "12.0"]
 
+    def test_pipeline_runs_each_sweep_point_once(self, tmp_path, monkeypatch):
+        # the config's own value, written as the integer 0, is one of 14 sweep
+        # values: its session runs once, for the sweep row and the artifacts
+        import siqrng.pipeline as pipeline
+
+        doc = {**HONEST_DOC, "total_pulses": 200_000, "planned_x_count": 2000,
+               "channel": {"loss_db": 0}}
+        config = tmp_path / "own.json"
+        config.write_text(json.dumps(doc))
+        losses = []
+        real_simulate = pipeline.simulate_clicks
+
+        def counting_simulate(config, streams, positions):
+            losses.append(config.channel.loss_db)
+            return real_simulate(config, streams, positions)
+
+        monkeypatch.setattr(pipeline, "simulate_clicks", counting_simulate)
+        sweep = "loss_db=0,2.5,5,7.5,10,12.5,15,17.5,20,22.5,25,30,35,40"
+        runs = {name: tmp_path / name for name in ("pipeline", "sweep", "alone")}
+        assert main(["pipeline", "--config", str(config), "--out", str(runs["pipeline"]),
+                     "--sweep", sweep]) == 0
+        assert len(losses) == 14 and sorted(losses) == sorted(set(losses))
+
+        # the bytes of the sweep and of the session, each run on its own
+        assert main(["sweep", "--config", str(config), "--out", str(runs["sweep"]),
+                     "--sweep", sweep]) == 0
+        assert main(["pipeline", "--config", str(config), "--out", str(runs["alone"])]) == 0
+        assert len(losses) == 14 + 14 + 1
+        assert ((runs["pipeline"] / "sweep.csv").read_bytes()
+                == (runs["sweep"] / "sweep.csv").read_bytes())
+        written = sorted(p.name for p in runs["alone"].iterdir())
+        assert "final.siq" in written and "curve_point.json" in written
+        assert sorted(p.name for p in runs["pipeline"].iterdir()) == sorted(
+            [*written, "sweep.csv"])
+        for name in written:
+            assert (runs["pipeline"] / name).read_bytes() == (runs["alone"] / name).read_bytes()
+
     def test_a_point_without_x_events_aborts_and_keeps_the_others(self, tmp_path):
         # no dark counts: at 40 dB the 2e5 pulses give a few Z clicks and no X
         doc = {**HONEST_DOC, "total_pulses": 200_000, "planned_x_count": 2000,

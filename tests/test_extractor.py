@@ -15,6 +15,8 @@ from siqrng.entropy_math import ProtocolAbortError, ProtocolParams, final_length
 from siqrng.estimation import EstimationResult
 from siqrng.extractor import (
     ExtractionPlan,
+    _balanced_blocks,
+    _dual_hash_blocks,
     _smooth_length,
     extract_session,
     toeplitz_extract,
@@ -22,7 +24,7 @@ from siqrng.extractor import (
 from siqrng.pipeline import ESTIMATE_ABORT_REASON, derive_streams, extract_or_abort
 from siqrng.seeds import SeedSource
 
-from helpers import mp_binary_entropy, naive_toeplitz
+from helpers import mp_binary_entropy, naive_dual_toeplitz, naive_toeplitz
 
 
 def _est(e_bx=0.02, theta=0.0, log2_eps=-100.0, abort=False):
@@ -36,13 +38,13 @@ def _extract(n_z, est, t_e):
 
 
 class TestMakePlan:
-    """The extraction plan a session makes: K and the Toeplitz seed length
+    """The extraction plan a session makes: K and the (I | T) seed length
     that ``extract_session`` certifies for one block."""
 
     def test_zero_error_plan(self):
         final, _, summary = _extract(1000, _est(e_bx=0.0, theta=0.0), t_e=100)
         assert len(final) == summary["K"] == 900
-        assert summary["toeplitz_seed_bits"] == 1000 + 900 - 1
+        assert summary["toeplitz_seed_bits"] == 1000 - 1
 
     def test_reference_plan_size(self):
         # oracle: floor(1e6 * (1 - H(0.02))) - 100 = 858459, in one block
@@ -229,6 +231,101 @@ class TestToeplitzExtract:
             toeplitz_extract(BitBlock.zeros(100), BitBlock.zeros(10), plan)
 
 
+class TestDualToeplitz:
+    """The (I | T) hash of ``extract_session`` against the explicit
+    [I_K | T] matrix, blocks sharing one seed spectrum."""
+
+    @staticmethod
+    def _check(raw01, plans, seed01):
+        fast, deviation = _dual_hash_blocks(raw01, plans, seed01)
+        pieces, start = [], 0
+        for plan in plans:
+            block = raw01[start : start + plan.n_z]
+            own_seed = seed01[: plan.n_z - 1] if plan.K < plan.n_z else seed01[:0]
+            pieces.append(naive_dual_toeplitz(block, own_seed, plan.K))
+            start += plan.n_z
+        assert np.array_equal(fast, np.concatenate(pieces))
+        assert 0.0 <= deviation < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_z=st.integers(min_value=1, max_value=3000),
+        n_blocks=st.integers(min_value=1, max_value=5),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        drops=st.lists(st.booleans(), min_size=5, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_blocks_match_explicit_matrix(self, n_z, n_blocks, k_frac, drops, seed):
+        # balanced blocks whose K differ by at most one, T wide or tall
+        sizes = _balanced_blocks(n_z, math.ceil(n_z / n_blocks))
+        k_top = max(1, round(k_frac * min(sizes)))
+        ks = [max(1, k_top - drop) for drop, _ in zip(drops, sizes)]
+        plans = [ExtractionPlan(n_z=m, K=k) for m, k in zip(sizes, ks)]
+        rng = np.random.default_rng(seed)
+        raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
+        seed01 = rng.integers(0, 2, max(p.n_z - 1 if p.K < p.n_z else 0 for p in plans),
+                              dtype=np.uint8)
+        self._check(raw01, plans, seed01)
+
+    @pytest.mark.parametrize("m,k_out", [
+        (700, 699),   # M = 1
+        (700, 1),     # K = 1
+        (700, 700),   # K = m: T empty, no seed
+        (1, 1),       # one bit
+        (513, 300),   # seed 512 = 2^9, so L == seed length
+        (1001, 900),  # seed 1000 = 2^3 5^3
+        (1025, 1),    # seed 1024 with K = 1
+        (1025, 1000), # seed 1024, T tall
+    ])
+    def test_edge_shapes(self, rng, m, k_out):
+        plan = ExtractionPlan(n_z=m, K=k_out)
+        raw01 = rng.integers(0, 2, m, dtype=np.uint8)
+        seed01 = rng.integers(0, 2, m - 1 if k_out < m else 0, dtype=np.uint8)
+        self._check(raw01, [plan], seed01)
+
+    @pytest.mark.parametrize("k_out", [1, 500, 999])
+    def test_alias_boundary_with_all_ones(self, k_out):
+        # m - 1 = 1000 = L: the first aliased coefficient lands one past the
+        # product's top, and all-ones inputs make every coefficient maximal
+        m = 1001
+        assert _smooth_length(m - 1) == m - 1
+        plan = ExtractionPlan(n_z=m, K=k_out)
+        self._check(np.ones(m, dtype=np.uint8), [plan], np.ones(m - 1, dtype=np.uint8))
+
+    def test_full_length_output_is_the_input_and_draws_no_seed(self, rng):
+        # e = 0 and t_e = 0 give K = n_z: T is empty, and an empty seed suffices
+        raw = BitBlock.from01(rng.integers(0, 2, 2500, dtype=np.uint8))
+        seed = SeedSource.from_bits(BitBlock.zeros(0))
+        final, _, summary = extract_session(raw, _est(e_bx=0.0), 0, seed)
+        assert final == raw
+        assert summary["toeplitz_seed_bits"] == seed.bits_consumed == 0
+        assert summary["fft_max_deviation"] == 0.0
+
+    def test_transforms_have_the_block_seed_length(self, rng, monkeypatch):
+        # the seed has max_block - 1 bits: one transform for it, two per
+        # block, all at the circular length of that seed
+        lengths = []
+        real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
+
+        def rfft(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return real_rfft(a, n, *args, **kwargs)
+
+        def irfft(a, n=None, *args, **kwargs):
+            lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
+            return real_irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        raw = BitBlock.from01(rng.integers(0, 2, 10_000, dtype=np.uint8))
+        _, _, summary = extract_session(raw, _est(), 20, SeedSource.from_rng(rng),
+                                        block_size=3000)
+        blocks = summary["block_sizes"]
+        assert blocks == [2500] * 4
+        assert summary["toeplitz_seed_bits"] == max(blocks) - 1
+        assert lengths == [_smooth_length(max(blocks) - 1)] * (2 * len(blocks) + 1)
+
+
 class TestExtractSession:
     def test_reference_security_report(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 5000))
@@ -281,13 +378,11 @@ class TestExtractSession:
         seed_bits = SeedSource.from_rng(np.random.default_rng(3)).take_bits(
             summary["toeplitz_seed_bits"]
         )
+        assert seed_bits.size == 999
         pieces = []
         for i, size in enumerate(summary["block_sizes"]):
-            plan = ExtractionPlan(n_z=size, K=(len(final)) // 2)
             block = raw01[i * 1000 : i * 1000 + size]
-            pieces.append(
-                naive_toeplitz(block, seed_bits[: plan.seed_length], plan.K)
-            )
+            pieces.append(naive_dual_toeplitz(block, seed_bits[: size - 1], len(final) // 2))
         assert np.array_equal(final.to01(), np.concatenate(pieces))
 
     def test_mismatch_ratio_shortens_output(self, rng):
@@ -338,21 +433,21 @@ class TestExtractSession:
         plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e))
                  for m in sizes]
         seed_bits = SeedSource.from_rng(np.random.default_rng(seed)).take_bits(
-            max(p.seed_length for p in plans)
+            max(p.n_z - 1 for p in plans)
         )
         assert summary["toeplitz_seed_bits"] == seed_bits.size
         pieces, start = [], 0
         for plan in plans:
             block = raw01[start : start + plan.n_z]
-            pieces.append(naive_toeplitz(block, seed_bits[: plan.seed_length], plan.K))
+            pieces.append(naive_dual_toeplitz(block, seed_bits[: plan.n_z - 1], plan.K))
             start += plan.n_z
         assert np.array_equal(final.to01(), np.concatenate(pieces))
         assert 0.0 <= summary["fft_max_deviation"] < 1e-6
 
     def test_multi_block_output_is_unchanged(self):
-        # the Toeplitz definition fixes every output bit, so a multi-block
+        # the (I | T) definition fixes every output bit, so a multi-block
         # session at fixed seeds is pinned: blocks of 1000001, 1000001 and
-        # 1000000 bits, whose K differ by one, share one 1858460-bit seed
+        # 1000000 bits, whose K differ by one, share one 1000000-bit seed
         raw = BitBlock.from01(
             np.random.default_rng(20261018).integers(0, 2, 3_000_002, dtype=np.uint8)
         )
@@ -361,8 +456,8 @@ class TestExtractSession:
             SeedSource.from_rng(np.random.default_rng(7)),
         )
         assert summary["block_sizes"] == [1_000_001, 1_000_001, 1_000_000]
-        assert summary["toeplitz_seed_bits"] == 1_858_460
+        assert summary["toeplitz_seed_bits"] == 1_000_000
         assert len(final) == 2_575_379
         assert hashlib.sha256(final.data.tobytes()).hexdigest() == (
-            "c895164e191f4808a3122ec45c69f7cf2c7b837e8a512f7ebe9c61a84ef76ab0"
+            "740d48ce9a84ed462ce6a8925215534cda3ced55f4dc58b5c41615db61d7f755"
         )
