@@ -26,11 +26,7 @@ from .estimation import (
     plan_x_count,
     solve_deviation,
 )
-from .extractor import (
-    ExtractionPlan,
-    extract_session,
-    toeplitz_extract,
-)
+from .extractor import extract_session
 from .photonic_sim import (
     Basis,
     ChannelConfig,

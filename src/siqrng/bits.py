@@ -51,10 +51,6 @@ class BitBlock:
         return cls(np.packbits(arr, bitorder="little"), int(arr.size))
 
     @classmethod
-    def zeros(cls, length: int) -> "BitBlock":
-        return cls(np.zeros((length + 7) // 8, dtype=np.uint8), length)
-
-    @classmethod
     def from_bytes(cls, raw: bytes, length: int) -> "BitBlock":
         arr = np.frombuffer(raw, dtype=np.uint8).copy()
         block = cls(arr, length)

@@ -39,9 +39,8 @@ from pathlib import Path
 from . import fileio
 from .config import ConfigError, RunConfig, load_config
 from .entropy_math import ProtocolParams
-from .estimation import EstimationResult, estimate_session
+from .estimation import ESTIMATE_ABORT_REASON, EstimationResult, estimate_session
 from .pipeline import (
-    ESTIMATE_ABORT_REASON,
     autocorrelation_csv,
     choose_basis_plan,
     curve_csv,

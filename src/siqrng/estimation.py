@@ -25,6 +25,8 @@ from .fileio import record_field
 from .squash_sample import SessionTally
 
 BISECTION_TOL = 1e-12
+# the abort reason of a session whose estimate aborted: it certifies nothing
+ESTIMATE_ABORT_REASON = "e_bx + theta >= 1/2"
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,14 @@ class EstimationResult:
     @classmethod
     def from_record(cls, doc: dict) -> tuple["EstimationResult", ProtocolParams, SessionTally]:
         """Read a :meth:`record` back; ValueError on a missing key, a wrong
-        type, or values the parameters' or the tally's checks reject."""
+        type, a negative ``theta``, or values the parameters' or the
+        tally's checks reject."""
+        theta = record_field(doc, "theta", float)
+        if theta < 0:
+            raise ValueError(f"key 'theta' must be >= 0, got {theta!r}")
         result = cls(
             e_bx=record_field(doc, "e_bx", float),
-            theta=record_field(doc, "theta", float),
+            theta=theta,
             log2_eps_theta=record_field(doc, "log2_eps_theta", float),
             abort=record_field(doc, "abort", bool),
         )

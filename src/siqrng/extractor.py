@@ -6,29 +6,21 @@ is the K x M Toeplitz matrix (M = m - K) ``T[i][j] = seed[i - j + M - 1]``
 on a seed of ``m - 1`` bits.  This indexing convention is normative.  The
 family is dual universal2 (Hayashi and Tsurumaru, IEEE Trans. Inf. Theory
 62, 2213 (2016), arXiv:1311.5322), the property that privacy
-amplification by phase-error correction needs, and it takes K fewer seed
-bits than the plain K x m Toeplitz matrix.  When K = m, T is empty: the
-block is its own output and takes no seed bits.
+amplification by phase-error correction needs.  When K = m, T is empty:
+the block is its own output and takes no seed bits.
 
-:func:`toeplitz_extract` is the plain K x n_z hash,
-``T[i][j] = seed[i - j + n_z - 1]`` on ``n_z + K - 1`` seed bits, and the
-two share one kernel.  For an input of n bits it computes ``T x`` as a GF(2)
-polynomial product, taking the band of coefficients ``n-1 .. n+K-2`` of
-``seed(t) * x(t)``; T may be tall (K > n).
-
-The product is evaluated as an integer convolution by a *circular* real
-FFT (``numpy.fft``) of length ``L = _smooth_length(seed_length)``, the
-smallest 2^a 3^b 5^c at or above the seed length, and reduced mod 2.  The
-wrap-around adds linear coefficient ``c+L`` to coefficient ``c``; the
-linear product ends at coefficient ``n + seed_length - 2`` and every band
-coefficient has ``c+L >= n-1+seed_length``, so no alias reaches the band
-and it is exact.  For the (I | T) hash, n = M and the seed has m - 1
-bits: the product ends at ``m + M - 3`` and every band coefficient
-``c >= M-1`` has ``c+L >= M+m-2``.  For 0/1 sequences the FFT round-off
-is bounded far below 1/2 at any block size this module accepts; a
-runtime guard checks the margin, so the result is bit-identical to the
-naive matrix-vector definition.  The worst margin of a session is
-reported as ``fft_max_deviation``.
+``T x[K:]`` is the band of coefficients ``M-1 .. M+K-2`` of the GF(2)
+polynomial product ``seed(t) * x[K:](t)``.  The product is evaluated as an
+integer convolution by a *circular* real FFT (``numpy.fft``) of length
+``L = _smooth_length(m - 1)``, the smallest 2^a 3^b 5^c at or above the
+seed length, and reduced mod 2.  The wrap-around adds linear coefficient
+``c+L`` to coefficient ``c``; the linear product ends at coefficient
+``m + M - 3`` and every band coefficient ``c >= M-1`` has
+``c+L >= M+m-2``, so no alias reaches the band and it is exact.  For 0/1
+sequences the FFT round-off is bounded far below 1/2 at any block size
+this module accepts; a runtime guard checks the margin, so the result is
+bit-identical to the naive matrix-vector definition.  The worst margin of
+a session is reported as ``fft_max_deviation``.
 
 Long inputs are split into balanced sub-blocks (default around 2**20 raw
 bits) extracted independently; each block contributes its own 2**(-t_e)
@@ -45,36 +37,17 @@ prefix of the seed would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import BitBlock
 from .entropy_math import ProtocolAbortError, SecurityReport, composed_security, final_length
-from .estimation import EstimationResult
+from .estimation import ESTIMATE_ABORT_REASON, EstimationResult
 from .seeds import SeedSource
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 # FFT round-off guard; actual deviations are ~1e-10 at the default block size
 _ROUNDING_GUARD = 0.25
-
-
-@dataclass(frozen=True)
-class ExtractionPlan:
-    """Shape of one Toeplitz extraction: n_z raw bits -> K output bits."""
-
-    n_z: int
-    K: int
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise ProtocolAbortError(f"non-positive output length K={self.K}")
-        if self.K > self.n_z:
-            raise ValueError(f"output length K={self.K} exceeds input n_z={self.n_z}")
-
-    @property
-    def seed_length(self) -> int:
-        return self.n_z + self.K - 1
 
 
 def _smooth_length(n: int) -> int:
@@ -92,25 +65,11 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _fft_work(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch at the circular length: the spectrum of a product, and the
-    float buffer that holds each zero-padded input and then its
-    convolution.  A session reuses it for the seed and every block, so
-    that no block faults in fresh pages for arrays of the FFT length."""
-    return np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
-
-
 def _padded(bits01: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """``bits01`` as floats at the front of ``buffer``, zeros after it."""
     buffer[: bits01.size] = bits01
     buffer[bits01.size :] = 0.0
     return buffer
-
-
-def _seed_spectrum(seed01: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Real-FFT spectrum of a seed, zero-padded to the length of ``work``
-    (from :func:`_fft_work`), whose buffer it overwrites."""
-    return np.fft.rfft(_padded(seed01, work[1]))
 
 
 def _hash_band(
@@ -123,10 +82,10 @@ def _hash_band(
     Toeplitz matrix T whose seed has the spectrum ``spectrum``.
 
     ``signal01`` is the n-bit input x, and the result is the band of
-    coefficients ``n-1 .. n+rows-2`` of the product.  ``spectrum`` comes
-    from :func:`_seed_spectrum` on a seed of at least ``n + rows - 1``
-    bits, no longer than the circular length; only its first
-    ``n + rows - 1`` bits reach the band.  ``work`` is overwritten.
+    coefficients ``n-1 .. n+rows-2`` of the product.  ``spectrum`` is the
+    real FFT of a seed of at least ``n + rows - 1`` bits, zero-padded to the
+    circular length; only its first ``n + rows - 1`` bits reach the band.
+    ``work``, the product's spectrum and a float buffer, is overwritten.
     """
     product, conv = work
     np.fft.rfft(_padded(signal01, conv), out=product)
@@ -145,48 +104,34 @@ def _hash_band(
     return parity.astype(np.uint8), deviation
 
 
-def toeplitz_extract(raw: BitBlock, seed: BitBlock, plan: ExtractionPlan) -> BitBlock:
-    """Apply the K x n_z Toeplitz hash defined by ``seed`` to ``raw``.
-
-    Raises
-    ------
-    ValueError
-        If the input or seed length does not match the plan.
-    """
-    if len(raw) != plan.n_z:
-        raise ValueError(f"raw length {len(raw)} != plan n_z {plan.n_z}")
-    if len(seed) != plan.seed_length:
-        raise ValueError(f"seed length {len(seed)} != plan seed length {plan.seed_length}")
-    work = _fft_work(_smooth_length(plan.seed_length))
-    bits, _ = _hash_band(raw.to01(), plan.K, _seed_spectrum(seed.to01(), work), work)
-    return BitBlock.from01(bits)
-
-
 def _dual_hash_blocks(
-    raw01: np.ndarray, plans: list[ExtractionPlan], seed01: np.ndarray
+    raw01: np.ndarray, shapes: list[tuple[int, int]], seed01: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The (I | T) hash of consecutive blocks of ``raw01``, one per plan,
-    concatenated, and the worst rounding deviation.
+    """The (I | T) hash of consecutive blocks of ``raw01``, one per
+    ``(m, K)`` shape, concatenated, and the worst rounding deviation.
 
     ``seed01`` has the longest block's seed length; each block reads its
-    own prefix of it through the one shared spectrum.
+    own prefix of it through the one shared spectrum.  The seed and every
+    block share one set of FFT scratch arrays, so that no block faults in
+    fresh pages for arrays of the FFT length.
     """
-    out = np.empty(sum(p.K for p in plans), dtype=np.uint8)
+    out = np.empty(sum(k for _, k in shapes), dtype=np.uint8)
     max_deviation = 0.0
     if seed01.size:
-        work = _fft_work(_smooth_length(seed01.size))
-        spectrum = _seed_spectrum(seed01, work)
+        length = _smooth_length(seed01.size)
+        work = np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
+        spectrum = np.fft.rfft(_padded(seed01, work[1]))
     start = filled = 0
-    for plan in plans:
-        block = raw01[start : start + plan.n_z]
-        head = out[filled : filled + plan.K]
-        head[...] = block[: plan.K]
-        if plan.K < plan.n_z:
-            bits, deviation = _hash_band(block[plan.K :], plan.K, spectrum, work)
+    for m, k in shapes:
+        block = raw01[start : start + m]
+        head = out[filled : filled + k]
+        head[...] = block[:k]
+        if k < m:
+            bits, deviation = _hash_band(block[k:], k, spectrum, work)
             head ^= bits
             max_deviation = max(max_deviation, deviation)
-        start += plan.n_z
-        filled += plan.K
+        start += m
+        filled += k
     return out, max_deviation
 
 
@@ -222,27 +167,29 @@ def extract_session(
         If the seed source cannot supply the Toeplitz seed.
     """
     if est.abort:
-        raise ProtocolAbortError("cannot extract an aborted session")
+        raise ProtocolAbortError(ESTIMATE_ABORT_REASON)
     n_z = len(z_bits)
     if n_z == 0:
         raise ProtocolAbortError("no raw bits to extract")
 
     sizes = _balanced_blocks(n_z, block_size)
-    plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e, efficiency_ratio))
-             for m in sizes]
+    shapes = [(m, final_length(m, est.e_pz_bound, t_e, efficiency_ratio)) for m in sizes]
+    for _, k in shapes:
+        if k <= 0:
+            raise ProtocolAbortError(f"non-positive output length K={k}")
 
-    # a block's (I | T) hash takes n_z - 1 seed bits, none when T is empty (K = n_z)
-    seed_length = max(p.n_z - 1 if p.K < p.n_z else 0 for p in plans)
+    # a block's (I | T) hash takes m - 1 seed bits, none when T is empty (K = m)
+    seed_length = max(m - 1 if k < m else 0 for m, k in shapes)
     final01, max_deviation = _dual_hash_blocks(
-        z_bits.to01(), plans, seed_source.take_bits(seed_length))
+        z_bits.to01(), shapes, seed_source.take_bits(seed_length))
     final = BitBlock.from01(final01)
 
-    report = composed_security(est.eps_theta, t_e, extraction_blocks=len(plans))
+    report = composed_security(est.eps_theta, t_e, extraction_blocks=len(shapes))
     summary = {
         "n_z": n_z,
         "K": len(final),
         "t_e": t_e,
-        "n_blocks": len(plans),
+        "n_blocks": len(shapes),
         "block_sizes": sizes,
         "toeplitz_seed_bits": seed_length,
         "fft_max_deviation": max_deviation,

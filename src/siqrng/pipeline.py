@@ -41,9 +41,6 @@ from .photonic_sim import run_session
 from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
 
-# the abort reason of a session whose estimate already aborted
-ESTIMATE_ABORT_REASON = "e_bx + theta >= 1/2"
-
 
 @dataclass
 class RandomStreams:
@@ -119,12 +116,10 @@ def extract_or_abort(
     ``(None, None, None, reason)`` when the session certifies nothing.
 
     ``t_e`` and the efficiency ratio come from ``params``, the Toeplitz seed
-    from ``streams``.  An aborted estimate consumes no seed; a length
-    formula that certifies nothing (``e/r >= 1/2`` or ``K <= 0``) aborts
-    with the error's message as the reason.
+    from ``streams``.  The reason is the message of the ProtocolAbortError
+    that :func:`~siqrng.extractor.extract_session` raises, before it draws
+    any seed bit, when the estimate aborted or no length is certified.
     """
-    if estimation.abort:
-        return None, None, None, ESTIMATE_ABORT_REASON
     try:
         final_bits, report, summary = extract_session(
             z_bits, estimation, params.t_e, streams.toeplitz,
@@ -209,10 +204,8 @@ def curve_point_from_session(result: SessionResult) -> CurvePoint:
     else:
         duration_s = config.params.total_pulses / config.repetition_rate_hz
         rate = min(k / duration_s, 1.0 / config.dead_time_s)
-        blocks = result.extraction.get("n_blocks", 1) if result.extraction else 1
-        eps_t = composed_security(
-            2.0 ** -config.params.eps_theta_exponent, config.params.t_e, blocks
-        ).eps_t
+        eps_t = composed_security(2.0 ** -config.params.eps_theta_exponent,
+                                  config.params.t_e, result.extraction["n_blocks"]).eps_t
     return CurvePoint(
         loss_db=config.channel.loss_db,
         mean_photon_number=config.source.mean_photon_number,

@@ -27,6 +27,9 @@ from .fileio import record_field
 from .photonic_sim import BLOCK_SIZE, X_RECORD, Pattern
 from .seeds import SeedSource
 
+# windows a basis plan reads before it gives up; each accepts with probability > 1/2
+PLAN_MAX_ATTEMPTS = 1000
+
 
 @dataclass
 class SessionTally:
@@ -47,18 +50,18 @@ class SessionTally:
     z_bits: BitBlock | None = None
     seed_bits_consumed: int = 0
 
-    def __post_init__(self):
-        self.validate()
+    _COUNTS = ("n", "n_x", "n_z", "x_minus", "x_double", "seed_bits_consumed")
 
-    def validate(self):
+    def __post_init__(self):
+        for key in self._COUNTS:
+            if getattr(self, key) < 0:
+                raise ValueError(f"key {key!r} must be >= 0, got {getattr(self, key)}")
         if self.n != self.n_x + self.n_z:
             raise ValueError(f"n={self.n} != n_x+n_z={self.n_x + self.n_z}")
         if self.x_minus + self.x_double > self.n_x:
             raise ValueError("more X errors than X events")
         if self.z_bits is not None and len(self.z_bits) != self.n_z:
             raise ValueError(f"z_bits has {len(self.z_bits)} bits, expected n_z={self.n_z}")
-
-    _COUNTS = ("n", "n_x", "n_z", "x_minus", "x_double", "seed_bits_consumed")
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in self._COUNTS}
@@ -208,7 +211,7 @@ def seed_length_required(choices: int) -> int:
     return (choices - 1).bit_length()
 
 
-def plan_basis_positions(n: int, k: int, seed: SeedSource, max_attempts: int = 1000) -> np.ndarray:
+def plan_basis_positions(n: int, k: int, seed: SeedSource) -> np.ndarray:
     """Choose k of n positions uniformly, consuming seed bits.
 
     Reads ``ceil(log2 C(n, k))``-bit windows from ``seed`` and rejects
@@ -222,11 +225,11 @@ def plan_basis_positions(n: int, k: int, seed: SeedSource, max_attempts: int = 1
     width = seed_length_required(total)
     if width == 0:
         return np.arange(k, dtype=np.int64)  # single possibility (k == 0 or k == n)
-    for _ in range(max_attempts):
+    for _ in range(PLAN_MAX_ATTEMPTS):
         value = seed.take(width)
         if value < total:
             return np.asarray(unrank_combination(value, n, k, total), dtype=np.int64)
     raise RuntimeError(
-        f"no window value below C({n},{k}) after {max_attempts} attempts; "
+        f"no window value below C({n},{k}) after {PLAN_MAX_ATTEMPTS} attempts; "
         "seed stream is not plausibly uniform"
     )

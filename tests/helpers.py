@@ -14,8 +14,9 @@ simulator, the passive basis draw and the tally are also kept in their
 full-length form: per-pulse probability arrays, one draw of N uniforms,
 and whole-stream masks; and the tally once more per event, squashing one
 click event at a time.
-Also click records built from basis and pattern arrays, and the
-environment for tests that run the package in a fresh interpreter.
+Also click records built from basis and pattern arrays, an all-zero bit
+block, and the environment for tests that run the package in a fresh
+interpreter.
 """
 
 import enum
@@ -73,6 +74,11 @@ def mp_log2_failure_bound(n, q_x, e_bx, theta) -> mpf:
     n, q_x, e_bx = mpf(n), mpf(q_x), mpf(e_bx)
     prefactor = -mpf("0.5") * mp.log(q_x * (1 - q_x) * e_bx * (1 - e_bx) * n) / mp.log(2)
     return min(mpf(0), prefactor - n * mp_deviation_exponent(theta, e_bx, q_x))
+
+
+def zero_bits(length: int) -> BitBlock:
+    """A block of ``length`` zero bits."""
+    return BitBlock(np.zeros((length + 7) // 8, dtype=np.uint8), length)
 
 
 def naive_toeplitz(raw01: np.ndarray, seed01: np.ndarray, k_out: int) -> np.ndarray:

@@ -18,13 +18,13 @@ from siqrng.bits import BitBlock
 from siqrng.config import config_from_dict
 from siqrng.entropy_math import composed_security, log2_deviation_failure_bound
 from siqrng.estimation import EstimationResult, plan_x_count, solve_deviation
-from siqrng.extractor import ExtractionPlan, extract_session, toeplitz_extract
+from siqrng.extractor import _dual_hash_blocks, extract_session
 from siqrng.pipeline import curve_csv, run_protocol_session, run_sweep
 from siqrng.randtest import autocorrelation, run_battery
 from siqrng.seeds import SeedSource
 from siqrng.squash_sample import unrank_combination
 
-from helpers import mp_binary_entropy, naive_toeplitz
+from helpers import mp_binary_entropy, naive_dual_toeplitz, zero_bits
 
 REFERENCE_PARAMS = {
     "eps_theta_exponent": 100,
@@ -79,7 +79,7 @@ def test_criterion_02_extraction_ratio_consistency():
     )
     assert abs(e_star - 0.033) < 0.001
     est = EstimationResult(e_bx=e_star, theta=0.0, log2_eps_theta=-100.0, abort=False)
-    final, _, _ = extract_session(BitBlock.zeros(115_000), est, 100,
+    final, _, _ = extract_session(zero_bits(115_000), est, 100,
                                   SeedSource.from_rng(np.random.default_rng(2)))
     assert len(final) / 115_000 == pytest.approx(0.7913, abs=0.01)
     _pass(2, "91/115 extraction ratio reproduced at e ~= 0.033 within 0.01")
@@ -129,11 +129,11 @@ def test_criterion_06_toeplitz_oracle_equivalence():
         n_z = int(rng.integers(1, 513))
         k_out = int(rng.integers(1, n_z + 1))
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
-        seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out)
-        fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
-        assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
-    _pass(6, "fast Toeplitz path bit-identical to naive GF(2) multiply, 1000 cases")
+        # the (I | T) seed: n_z - 1 bits, none when T is empty (K = n_z)
+        seed01 = rng.integers(0, 2, n_z - 1 if k_out < n_z else 0, dtype=np.uint8)
+        fast, _ = _dual_hash_blocks(raw01, [(n_z, k_out)], seed01)
+        assert np.array_equal(fast, naive_dual_toeplitz(raw01, seed01, k_out))
+    _pass(6, "fast (I | T) Toeplitz path bit-identical to naive GF(2) multiply, 1000 cases")
 
 
 def test_criterion_07_sampling_uniformity_exhaustive():

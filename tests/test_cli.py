@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import child_env
+from helpers import child_env, zero_bits
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -351,6 +351,14 @@ class TestStagedParity:
                 assert piped.read_bytes() == staged.read_bytes(), name
 
 
+def _holder(doc: dict, keys: tuple) -> tuple[dict, str]:
+    """The dict in ``doc`` that holds the last of the nested ``keys``, and that key."""
+    *parents, key = keys
+    for parent in parents:
+        doc = doc[parent]
+    return doc, key
+
+
 class TestStagedErrorPaths:
     @pytest.fixture
     def passive_config(self, tmp_path):
@@ -434,21 +442,40 @@ class TestStagedErrorPaths:
                                              capsys):
         path = estimated / record
         doc = read_json(path)
-        *parents, key = keys
-        holder = doc
-        for parent in parents:
-            holder = holder[parent]
+        holder, key = _holder(doc, keys)
         del holder[key]
         path.write_text(json.dumps(doc))
         capsys.readouterr()
-        if record == "tally.json":
-            code = main(["estimate", "--tally", str(path), "--config", str(passive_config),
-                         "--out", str(estimated)])
-        else:
-            code = self._extract(estimated)
-        assert code == 1
+        assert self._read_back(estimated, passive_config, record) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and repr(key) in err
+
+    @pytest.mark.parametrize("record, keys, value", [
+        ("tally.json", ("x_double",), -10),  # counts x_minus - 5 errors
+        ("estimation.json", ("theta",), -0.001),
+        ("estimation.json", ("tally", "n_z"), -1),
+    ])
+    def test_record_with_a_negative_count_is_exit_1(self, estimated, passive_config, record,
+                                                    keys, value, capsys):
+        path = estimated / record
+        doc = read_json(path)
+        holder, key = _holder(doc, keys)
+        holder[key] = value
+        if key == "n_z":
+            holder["n"] = holder["n_x"] + value  # n = n_x + n_z still holds
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._read_back(estimated, passive_config, record) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and repr(key) in err
+
+    def _read_back(self, estimated, passive_config, record) -> int:
+        """Run the stage that reads ``record``: estimate for the tally,
+        extract for the estimate."""
+        if record == "tally.json":
+            return main(["estimate", "--tally", str(estimated / record),
+                         "--config", str(passive_config), "--out", str(estimated)])
+        return self._extract(estimated)
 
     def test_record_with_a_wrong_type_is_exit_1(self, estimated, capsys):
         path = estimated / "estimation.json"
@@ -459,10 +486,9 @@ class TestStagedErrorPaths:
         assert "'abort' must be bool" in capsys.readouterr().err
 
     def test_zbits_of_another_session_is_exit_1(self, estimated, capsys):
-        from siqrng.bits import BitBlock
         from siqrng.fileio import write_bit_file
 
-        write_bit_file(estimated / "zbits.siq", BitBlock.zeros(1000))
+        write_bit_file(estimated / "zbits.siq", zero_bits(1000))
         assert self._extract(estimated) == 1
         assert "n_z=" in capsys.readouterr().err
 

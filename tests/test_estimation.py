@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from siqrng.bits import BitBlock
 from siqrng.config import config_from_dict
 from siqrng.entropy_math import ProtocolParams, log2_deviation_failure_bound
 from siqrng.estimation import (
@@ -18,13 +17,13 @@ from siqrng.estimation import (
 from siqrng.pipeline import run_protocol_session
 from siqrng.squash_sample import SessionTally
 
-from helpers import mp_binary_entropy, mp_binary_entropy_derivative
+from helpers import mp_binary_entropy, mp_binary_entropy_derivative, zero_bits
 
 
 def _tally(n_x=100, x_minus=0, x_double=0, n_z=1000):
     return SessionTally(
         n=n_x + n_z, n_x=n_x, n_z=n_z, x_minus=x_minus, x_double=x_double,
-        z_bits=BitBlock.zeros(n_z),
+        z_bits=zero_bits(n_z),
     )
 
 

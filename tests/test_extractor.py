@@ -12,19 +12,12 @@ from mpmath import mp, mpf
 
 from siqrng.bits import BitBlock
 from siqrng.entropy_math import ProtocolAbortError, ProtocolParams, final_length
-from siqrng.estimation import EstimationResult
-from siqrng.extractor import (
-    ExtractionPlan,
-    _balanced_blocks,
-    _dual_hash_blocks,
-    _smooth_length,
-    extract_session,
-    toeplitz_extract,
-)
-from siqrng.pipeline import ESTIMATE_ABORT_REASON, derive_streams, extract_or_abort
+from siqrng.estimation import ESTIMATE_ABORT_REASON, EstimationResult
+from siqrng.extractor import _balanced_blocks, _dual_hash_blocks, _smooth_length, extract_session
+from siqrng.pipeline import derive_streams, extract_or_abort
 from siqrng.seeds import SeedSource
 
-from helpers import mp_binary_entropy, naive_dual_toeplitz, naive_toeplitz
+from helpers import mp_binary_entropy, naive_dual_toeplitz, naive_toeplitz, zero_bits
 
 
 def _est(e_bx=0.02, theta=0.0, log2_eps=-100.0, abort=False):
@@ -33,7 +26,7 @@ def _est(e_bx=0.02, theta=0.0, log2_eps=-100.0, abort=False):
 
 def _extract(n_z, est, t_e):
     """``extract_session`` of ``n_z`` zero bits at a fixed seed."""
-    return extract_session(BitBlock.zeros(n_z), est, t_e,
+    return extract_session(zero_bits(n_z), est, t_e,
                            SeedSource.from_rng(np.random.default_rng(1)))
 
 
@@ -61,7 +54,7 @@ class TestMakePlan:
         # an aborted estimate plans nothing and draws no Toeplitz seed
         streams = derive_streams(0)
         params = ProtocolParams(total_pulses=2000, planned_x_count=100)
-        outcome = extract_or_abort(BitBlock.zeros(1000), _est(abort=True), params, streams)
+        outcome = extract_or_abort(zero_bits(1000), _est(abort=True), params, streams)
         assert outcome == (None, None, None, ESTIMATE_ABORT_REASON)
         assert streams.toeplitz.bits_consumed == 0
 
@@ -86,7 +79,7 @@ class TestMakePlan:
         params = ProtocolParams(total_pulses=2 * n_z + 2, planned_x_count=n_z + 1, t_e=t_e,
                                 efficiency_ratio=r)
         final, _, summary, reason = extract_or_abort(
-            BitBlock.zeros(n_z), _est(e_bx=e), params, streams)
+            zero_bits(n_z), _est(e_bx=e), params, streams)
         scaled = mpf(e) / mpf(r)
         if scaled >= 0.5:
             assert reason is not None and final is None
@@ -121,9 +114,10 @@ def _brute_smooth_length(n: int) -> int:
         m += 1
 
 
-# Toeplitz seed lengths of the benchmark sessions (passive, staged, active
-# sweep) and of the pinned multi-block session
-FIXTURE_SEED_LENGTHS = [1_783_957, 1_783_522, 546_841, 1_858_460]
+# (I | T) seed lengths, the longest block's m - 1, of the benchmark sessions
+# (passive, staged, the active sweep's 0 dB session) and of the pinned
+# multi-block session
+FIXTURE_SEED_LENGTHS = [1_042_159, 1_041_731, 363_522, 1_000_000]
 
 
 class TestSmoothLength:
@@ -141,26 +135,33 @@ class TestSmoothLength:
             assert _smooth_length(n) == next_fast_len(n, real=True), n
 
 
+def _plain_hash(raw01: np.ndarray, seed01: np.ndarray, k_out: int) -> np.ndarray:
+    """The plain K x n Toeplitz hash ``T[i][j] = seed[i - j + n - 1]`` of an
+    n-bit ``raw01`` on an (n + K - 1)-bit seed, through the production
+    kernel: it is the (I | T) hash of ``[0^K | raw01]`` with m = n + K."""
+    padded = np.concatenate([np.zeros(k_out, dtype=np.uint8), raw01])
+    out, _ = _dual_hash_blocks(padded, [(padded.size, k_out)], seed01)
+    return out
+
+
 class TestToeplitzExtract:
+    """The plain Toeplitz hash against the naive oracle, computed by the
+    (I | T) kernel on a zero-prefixed input (:func:`_plain_hash`)."""
+
     def test_worked_example(self):
         # K=2, n_z=3: T = [[seed[2], seed[1], seed[0]], [seed[3], seed[2], seed[1]]]
-        plan = ExtractionPlan(n_z=3, K=2)
-        raw = BitBlock.from01([1, 1, 0])
-        seed = BitBlock.from01([1, 0, 1, 1])
-        assert toeplitz_extract(raw, seed, plan).to01().tolist() == [1, 0]
-        assert naive_toeplitz(raw.to01(), seed.to01(), 2).tolist() == [1, 0]
+        raw01 = np.array([1, 1, 0], dtype=np.uint8)
+        seed01 = np.array([1, 0, 1, 1], dtype=np.uint8)
+        assert _plain_hash(raw01, seed01, 2).tolist() == [1, 0]
+        assert naive_toeplitz(raw01, seed01, 2).tolist() == [1, 0]
 
     def test_zero_raw_gives_zero_output(self, rng):
-        plan = ExtractionPlan(n_z=64, K=32)
-        seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
-        out = toeplitz_extract(BitBlock.zeros(64), seed, plan)
-        assert not out.to01().any()
+        seed01 = rng.integers(0, 2, 64 + 32 - 1, dtype=np.uint8)
+        assert not _plain_hash(np.zeros(64, dtype=np.uint8), seed01, 32).any()
 
     def test_zero_seed_gives_zero_output(self, rng):
-        plan = ExtractionPlan(n_z=64, K=32)
-        raw = BitBlock.from01(rng.integers(0, 2, 64))
-        out = toeplitz_extract(raw, BitBlock.zeros(plan.seed_length), plan)
-        assert not out.to01().any()
+        raw01 = rng.integers(0, 2, 64, dtype=np.uint8)
+        assert not _plain_hash(raw01, np.zeros(64 + 32 - 1, dtype=np.uint8), 32).any()
 
     def test_matches_naive_oracle_on_1000_instances(self, rng):
         for _ in range(1000):
@@ -168,17 +169,15 @@ class TestToeplitzExtract:
             k_out = int(rng.integers(1, n_z + 1))
             raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
             seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-            plan = ExtractionPlan(n_z=n_z, K=k_out)
-            fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
-            assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
+            assert np.array_equal(_plain_hash(raw01, seed01, k_out),
+                                  naive_toeplitz(raw01, seed01, k_out))
 
     def test_matches_naive_oracle_at_larger_scale(self, rng):
         n_z, k_out = 6000, 4200
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out)
-        fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
-        assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
+        assert np.array_equal(_plain_hash(raw01, seed01, k_out),
+                              naive_toeplitz(raw01, seed01, k_out))
 
     @pytest.mark.parametrize("n_z,k_out", [
         (1, 1),        # smallest hash: seed_length 1, L 1
@@ -191,9 +190,8 @@ class TestToeplitzExtract:
     def test_matches_naive_oracle_at_edge_shapes(self, rng, n_z, k_out):
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         seed01 = rng.integers(0, 2, n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out)
-        fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
-        assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
+        assert np.array_equal(_plain_hash(raw01, seed01, k_out),
+                              naive_toeplitz(raw01, seed01, k_out))
 
     def test_alias_boundary_with_all_ones(self):
         # L == seed_length: the first aliased coefficient lands one past the
@@ -202,33 +200,22 @@ class TestToeplitzExtract:
         assert _smooth_length(n_z + k_out - 1) == n_z + k_out - 1
         raw01 = np.ones(n_z, dtype=np.uint8)
         seed01 = np.ones(n_z + k_out - 1, dtype=np.uint8)
-        plan = ExtractionPlan(n_z=n_z, K=k_out)
-        fast = toeplitz_extract(BitBlock.from01(raw01), BitBlock.from01(seed01), plan)
-        assert np.array_equal(fast.to01(), naive_toeplitz(raw01, seed01, k_out))
+        assert np.array_equal(_plain_hash(raw01, seed01, k_out),
+                              naive_toeplitz(raw01, seed01, k_out))
 
     def test_linearity(self, rng):
-        plan = ExtractionPlan(n_z=256, K=128)
-        seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
+        seed01 = rng.integers(0, 2, 256 + 128 - 1, dtype=np.uint8)
         for _ in range(50):
             a = rng.integers(0, 2, 256, dtype=np.uint8)
             b = rng.integers(0, 2, 256, dtype=np.uint8)
-            lhs = toeplitz_extract(BitBlock.from01(a ^ b), seed, plan).to01()
-            rhs = (toeplitz_extract(BitBlock.from01(a), seed, plan).to01()
-                   ^ toeplitz_extract(BitBlock.from01(b), seed, plan).to01())
+            lhs = _plain_hash(a ^ b, seed01, 128)
+            rhs = _plain_hash(a, seed01, 128) ^ _plain_hash(b, seed01, 128)
             assert np.array_equal(lhs, rhs)
 
     def test_deterministic(self, rng):
-        plan = ExtractionPlan(n_z=300, K=200)
-        raw = BitBlock.from01(rng.integers(0, 2, 300))
-        seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
-        assert toeplitz_extract(raw, seed, plan) == toeplitz_extract(raw, seed, plan)
-
-    def test_length_mismatch_rejected(self, rng):
-        plan = ExtractionPlan(n_z=100, K=50)
-        with pytest.raises(ValueError):
-            toeplitz_extract(BitBlock.zeros(99), BitBlock.zeros(plan.seed_length), plan)
-        with pytest.raises(ValueError):
-            toeplitz_extract(BitBlock.zeros(100), BitBlock.zeros(10), plan)
+        raw01 = rng.integers(0, 2, 300, dtype=np.uint8)
+        seed01 = rng.integers(0, 2, 300 + 200 - 1, dtype=np.uint8)
+        assert np.array_equal(_plain_hash(raw01, seed01, 200), _plain_hash(raw01, seed01, 200))
 
 
 class TestDualToeplitz:
@@ -236,14 +223,14 @@ class TestDualToeplitz:
     [I_K | T] matrix, blocks sharing one seed spectrum."""
 
     @staticmethod
-    def _check(raw01, plans, seed01):
-        fast, deviation = _dual_hash_blocks(raw01, plans, seed01)
+    def _check(raw01, shapes, seed01):
+        fast, deviation = _dual_hash_blocks(raw01, shapes, seed01)
         pieces, start = [], 0
-        for plan in plans:
-            block = raw01[start : start + plan.n_z]
-            own_seed = seed01[: plan.n_z - 1] if plan.K < plan.n_z else seed01[:0]
-            pieces.append(naive_dual_toeplitz(block, own_seed, plan.K))
-            start += plan.n_z
+        for m, k in shapes:
+            block = raw01[start : start + m]
+            own_seed = seed01[: m - 1] if k < m else seed01[:0]
+            pieces.append(naive_dual_toeplitz(block, own_seed, k))
+            start += m
         assert np.array_equal(fast, np.concatenate(pieces))
         assert 0.0 <= deviation < 1e-6
 
@@ -260,12 +247,12 @@ class TestDualToeplitz:
         sizes = _balanced_blocks(n_z, math.ceil(n_z / n_blocks))
         k_top = max(1, round(k_frac * min(sizes)))
         ks = [max(1, k_top - drop) for drop, _ in zip(drops, sizes)]
-        plans = [ExtractionPlan(n_z=m, K=k) for m, k in zip(sizes, ks)]
+        shapes = list(zip(sizes, ks))
         rng = np.random.default_rng(seed)
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
-        seed01 = rng.integers(0, 2, max(p.n_z - 1 if p.K < p.n_z else 0 for p in plans),
+        seed01 = rng.integers(0, 2, max(m - 1 if k < m else 0 for m, k in shapes),
                               dtype=np.uint8)
-        self._check(raw01, plans, seed01)
+        self._check(raw01, shapes, seed01)
 
     @pytest.mark.parametrize("m,k_out", [
         (700, 699),   # M = 1
@@ -278,10 +265,9 @@ class TestDualToeplitz:
         (1025, 1000), # seed 1024, T tall
     ])
     def test_edge_shapes(self, rng, m, k_out):
-        plan = ExtractionPlan(n_z=m, K=k_out)
         raw01 = rng.integers(0, 2, m, dtype=np.uint8)
         seed01 = rng.integers(0, 2, m - 1 if k_out < m else 0, dtype=np.uint8)
-        self._check(raw01, [plan], seed01)
+        self._check(raw01, [(m, k_out)], seed01)
 
     @pytest.mark.parametrize("k_out", [1, 500, 999])
     def test_alias_boundary_with_all_ones(self, k_out):
@@ -289,13 +275,12 @@ class TestDualToeplitz:
         # product's top, and all-ones inputs make every coefficient maximal
         m = 1001
         assert _smooth_length(m - 1) == m - 1
-        plan = ExtractionPlan(n_z=m, K=k_out)
-        self._check(np.ones(m, dtype=np.uint8), [plan], np.ones(m - 1, dtype=np.uint8))
+        self._check(np.ones(m, dtype=np.uint8), [(m, k_out)], np.ones(m - 1, dtype=np.uint8))
 
     def test_full_length_output_is_the_input_and_draws_no_seed(self, rng):
         # e = 0 and t_e = 0 give K = n_z: T is empty, and an empty seed suffices
         raw = BitBlock.from01(rng.integers(0, 2, 2500, dtype=np.uint8))
-        seed = SeedSource.from_bits(BitBlock.zeros(0))
+        seed = SeedSource.from_bits(zero_bits(0))
         final, _, summary = extract_session(raw, _est(e_bx=0.0), 0, seed)
         assert final == raw
         assert summary["toeplitz_seed_bits"] == seed.bits_consumed == 0
@@ -339,12 +324,14 @@ class TestExtractSession:
 
     def test_empty_session_rejected(self, rng):
         with pytest.raises(ProtocolAbortError, match="no raw bits"):
-            extract_session(BitBlock.zeros(0), _est(), 100, SeedSource.from_rng(rng))
+            extract_session(zero_bits(0), _est(), 100, SeedSource.from_rng(rng))
 
     def test_aborted_session_rejected(self, rng):
-        with pytest.raises(ProtocolAbortError, match="aborted session"):
-            extract_session(BitBlock.zeros(100), _est(abort=True), 10,
-                            SeedSource.from_rng(rng))
+        seed = SeedSource.from_rng(rng)
+        with pytest.raises(ProtocolAbortError) as raised:
+            extract_session(zero_bits(100), _est(abort=True), 10, seed)
+        assert str(raised.value) == ESTIMATE_ABORT_REASON
+        assert seed.bits_consumed == 0
 
     def test_deterministic_given_seed_stream(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 3000))
@@ -395,18 +382,18 @@ class TestExtractSession:
         assert len(shorter) < len(matched)
 
     def test_seed_reuse_across_raw_blocks_is_statistically_sound(self, rng):
-        # one seed, many raw blocks: outputs from independent raws stay
-        # uncorrelated (strong-extractor reuse contract), checked via the
-        # monobit statistic of the concatenated output
+        # one seed, many raw blocks in one call: outputs from independent raws
+        # stay uncorrelated (strong-extractor reuse contract), checked via the
+        # monobit statistic of the concatenated output.  Each block's first K
+        # bits are zero, so its output is T x[K:], the part the seed makes
         from siqrng.randtest import monobit_test
 
-        plan = ExtractionPlan(n_z=4096, K=2048)
-        seed = BitBlock.from01(rng.integers(0, 2, plan.seed_length))
-        outputs = []
-        for _ in range(40):
-            raw = BitBlock.from01(rng.integers(0, 2, 4096))
-            outputs.append(toeplitz_extract(raw, seed, plan).to01())
-        _, p_value = monobit_test(np.concatenate(outputs))
+        k_out, width, blocks = 2048, 4096, 40
+        raw01 = np.zeros((blocks, k_out + width), dtype=np.uint8)
+        raw01[:, k_out:] = rng.integers(0, 2, (blocks, width))
+        seed01 = rng.integers(0, 2, k_out + width - 1, dtype=np.uint8)
+        out, _ = _dual_hash_blocks(raw01.ravel(), [(k_out + width, k_out)] * blocks, seed01)
+        _, p_value = monobit_test(out)
         assert p_value >= 0.01
 
     @settings(max_examples=60, deadline=None)
@@ -430,17 +417,14 @@ class TestExtractSession:
         )
         sizes = summary["block_sizes"]
         assert sum(sizes) == n_z and max(sizes) - min(sizes) <= 1
-        plans = [ExtractionPlan(n_z=m, K=final_length(m, est.e_pz_bound, t_e))
-                 for m in sizes]
-        seed_bits = SeedSource.from_rng(np.random.default_rng(seed)).take_bits(
-            max(p.n_z - 1 for p in plans)
-        )
+        ks = [final_length(m, est.e_pz_bound, t_e) for m in sizes]
+        seed_bits = SeedSource.from_rng(np.random.default_rng(seed)).take_bits(max(sizes) - 1)
         assert summary["toeplitz_seed_bits"] == seed_bits.size
         pieces, start = [], 0
-        for plan in plans:
-            block = raw01[start : start + plan.n_z]
-            pieces.append(naive_dual_toeplitz(block, seed_bits[: plan.n_z - 1], plan.K))
-            start += plan.n_z
+        for m, k in zip(sizes, ks):
+            block = raw01[start : start + m]
+            pieces.append(naive_dual_toeplitz(block, seed_bits[: m - 1], k))
+            start += m
         assert np.array_equal(final.to01(), np.concatenate(pieces))
         assert 0.0 <= summary["fft_max_deviation"] < 1e-6
 

@@ -87,18 +87,28 @@ def test_guard_flags_a_missing_import(tmp_path):
 # definitions kept although only the tests read them, each with its reason
 TEST_ONLY_ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
-    "toeplitz_extract": "the hash kernel's direct entry, checked against the naive oracle",
     "plan_x_count": "the paper's check-count planner (acceptance criterion 10)",
     "SeedSource.from_bits": "a seed of exact bits for tests that fix every seed bit",
 }
 
 
-def _reads(tree) -> Counter:
-    """How often each name is read as a ``Name`` or an ``Attribute``."""
+def _imported_modules(tree) -> set[str]:
+    """Names that a plain ``import`` statement binds in ``tree``."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
+def _reads(tree, modules: set[str]) -> Counter:
+    """How often each name is read as a ``Name`` or an ``Attribute``.  An
+    attribute of one of ``modules`` (``np.zeros``) reads that module, not
+    the package, and does not count."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Name)
+        or (isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules))
     )
 
 
@@ -117,13 +127,14 @@ def unread_definitions(package: Path) -> list[str]:
     outside the definition itself."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
-    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    modules = {path: _imported_modules(tree) for path, tree in trees.items()}
+    reads = sum((_reads(tree, modules[path]) for path, tree in trees.items()), Counter())
     return [
         f"{path.stem}:{qualname}"
         for path, tree in trees.items()
         for qualname, node in _definitions(tree)
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and reads[node.name] == _reads(node)[node.name]
+        and reads[node.name] == _reads(node, modules[path])[node.name]
     ]
 
 
@@ -166,3 +177,21 @@ def test_guard_flags_an_unread_definition(tmp_path):
     assert unread_definitions(tmp_path) == [
         "mod:recursive", "mod:exported_only", "mod:C.unread", "mod:Unused",
     ]
+
+
+def test_guard_does_not_count_a_module_attribute_of_the_same_name(tmp_path):
+    # np.zeros reads numpy's zeros, not the package's; other.used reads the
+    # package's own module, bound by a relative import
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from . import other\n"
+        "def zeros(n):\n"
+        "    return n\n"
+        "RESULT = np.zeros(3), other.used()\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+    )
+    assert unread_definitions(tmp_path) == ["mod:zeros"]

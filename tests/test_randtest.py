@@ -17,6 +17,7 @@ from helpers import (
     dot_autocorrelation,
     exact_autocorrelation,
     walk_cusum_test,
+    zero_bits,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -60,7 +61,7 @@ class TestAutocorrelation:
 
     def test_constant_sequence_is_degenerate(self):
         with pytest.raises(DegenerateSequenceError):
-            autocorrelation(BitBlock.zeros(1000), max_lag=10)
+            autocorrelation(zero_bits(1000), max_lag=10)
 
     def test_ideal_rng_within_gaussian_envelope(self, rng):
         # null oracle: R(j) ~ N(0, 1/n); 4/sqrt(n) is the 4-sigma envelope

@@ -17,6 +17,7 @@ from siqrng.photonic_sim import Basis, Pattern
 from siqrng.pipeline import derive_streams
 from siqrng.seeds import SeedExhaustedError, SeedSource
 from siqrng.squash_sample import (
+    PLAN_MAX_ATTEMPTS,
     SessionTally,
     plan_basis_positions,
     seed_length_required,
@@ -34,6 +35,7 @@ from helpers import (
     squash,
     tally_session,
     walk_unrank,
+    zero_bits,
 )
 
 
@@ -130,7 +132,17 @@ class TestTally:
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
-            SessionTally(n=3, n_x=1, n_z=1, z_bits=BitBlock.zeros(1))
+            SessionTally(n=3, n_x=1, n_z=1, z_bits=zero_bits(1))
+
+    @pytest.mark.parametrize("key", ["n", "n_x", "n_z", "x_minus", "x_double",
+                                     "seed_bits_consumed"])
+    def test_negative_count_rejected(self, key):
+        counts = dict(n=100, n_x=50, n_z=50, x_minus=10, x_double=10, seed_bits_consumed=0)
+        counts[key] = -1
+        if key in ("n_x", "n_z"):
+            counts["n"] = counts["n_x"] + counts["n_z"]
+        with pytest.raises(ValueError, match=f"'{key}' must be >= 0"):
+            SessionTally(**counts)
 
 
 @st.composite
@@ -281,6 +293,13 @@ class TestPlanBasisPositions:
             "08946ac49ff682dc22a959871158f7a53f5d5239475cb2f1a0911e8354191c30"
         )
         assert seed.bits_consumed == 35211
+
+    def test_exhausted_attempts_raise(self):
+        # C(3, 1) = 3: 2-bit windows, and an all-ones window reads 3, always rejected
+        with pytest.raises(RuntimeError, match=f"after {PLAN_MAX_ATTEMPTS} attempts"):
+            plan_basis_positions(3, 1, _seed_from01([1] * (2 * PLAN_MAX_ATTEMPTS)))
+        with pytest.raises(SeedExhaustedError):
+            plan_basis_positions(3, 1, _seed_from01([1] * (2 * PLAN_MAX_ATTEMPTS - 1)))
 
     def test_oversized_choice_rejected(self):
         with pytest.raises(ValueError):
