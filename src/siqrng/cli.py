@@ -38,20 +38,24 @@ from pathlib import Path
 
 from . import fileio
 from .config import ConfigError, RunConfig, load_config
-from .entropy_math import ProtocolParams
+from .entropy_math import ProtocolAbortError
 from .estimation import ESTIMATE_ABORT_REASON, EstimationResult, estimate_session
+from .extractor import extract_session
 from .pipeline import (
     autocorrelation_csv,
     choose_basis_plan,
     curve_csv,
     curve_point_from_session,
     derive_streams,
-    extract_or_abort,
     run_protocol_session,
     run_sweep,
     simulate_clicks,
+    write_abort,
+    write_estimation,
+    write_extraction,
+    write_tally,
 )
-from .randtest import autocorrelation, battery_min_bits, run_battery
+from .randtest import BATTERY_MIN_BITS, autocorrelation, run_battery
 from .squash_sample import SessionTally, squash_and_tally
 
 EXIT_OK = 0
@@ -95,33 +99,7 @@ def _load_config(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-# each stage record has one writer, shared by pipeline and the staged commands
-
-def _write_tally(out: Path, tally: SessionTally):
-    fileio.write_bit_file(out / "zbits.siq", tally.z_bits)
-    fileio.write_json(out / "tally.json", tally.to_dict())
-
-
-def _write_estimation(
-    out: Path, estimation: EstimationResult, params: ProtocolParams, tally: SessionTally
-):
-    fileio.write_json(out / "estimation.json", estimation.record(params, tally))
-
-
-def _write_extraction(out: Path, final_bits, security: dict, summary: dict):
-    fileio.write_bit_file(out / "final.siq", final_bits)
-    fileio.write_json(out / "security.json", {**security, **summary})
-
-
-def _write_abort_record(
-    out: Path, reason: str, estimation: EstimationResult, tally: SessionTally
-) -> int:
-    fileio.write_json(out / "abort.json", {
-        "abort": True,
-        "reason": reason,
-        "estimation": estimation.to_dict(),
-        "tally": tally.to_dict(),
-    })
+def _protocol_abort(reason: str) -> int:
     print(f"protocol abort: {reason}", file=sys.stderr)
     return EXIT_ABORT
 
@@ -146,7 +124,7 @@ def cmd_simulate(args) -> int:
 def cmd_tally(args) -> int:
     records = fileio.read_click_file(args.clicks)
     tally = squash_and_tally(records, derive_streams(args.seed).double_click)
-    _write_tally(Path(args.out), tally)
+    write_tally(Path(args.out), tally)
     return EXIT_OK
 
 
@@ -155,9 +133,10 @@ def cmd_estimate(args) -> int:
     tally = fileio.read_record(args.tally, SessionTally.from_dict)
     est = estimate_session(tally, config.params)
     out = Path(args.out)
-    _write_estimation(out, est, config.params, tally)
+    write_estimation(out, est, config.params, tally)
     if est.abort:
-        return _write_abort_record(out, ESTIMATE_ABORT_REASON, est, tally)
+        write_abort(out, ESTIMATE_ABORT_REASON, est, tally)
+        return _protocol_abort(ESTIMATE_ABORT_REASON)
     return EXIT_OK
 
 
@@ -171,13 +150,16 @@ def cmd_extract(args) -> int:
             f"{args.zbits}: {len(z_bits)} bits, but {args.estimation} "
             f"was estimated from n_z={tally.n_z}"
         )
-    final_bits, security, summary, reason = extract_or_abort(
-        z_bits, est, params, derive_streams(args.seed)
-    )
     out = Path(args.out)
-    if reason is not None:
-        return _write_abort_record(out, reason, est, tally)
-    _write_extraction(out, final_bits, security, summary)
+    try:
+        final_bits, report, summary = extract_session(
+            z_bits, est, params.t_e, derive_streams(args.seed).toeplitz,
+            efficiency_ratio=params.efficiency_ratio,
+        )
+    except ProtocolAbortError as exc:
+        write_abort(out, str(exc), est, tally)
+        return _protocol_abort(str(exc))
+    write_extraction(out, final_bits, report, summary)
     return EXIT_OK
 
 
@@ -207,27 +189,21 @@ def cmd_pipeline(args) -> int:
     # one basis plan serves the session and the sweep alike, and a sweep
     # point at the config's own value takes the session instead of a rerun
     plan = choose_basis_plan(config, derive_streams(config.master_seed))
-    result = run_protocol_session(config, plan)
+    result = run_protocol_session(config, plan, out)
     if config.sweep is not None:
         points = run_sweep(config, plan, result)
         fileio.atomic_write_bytes(out / "sweep.csv", curve_csv(points).encode())
-
-    fileio.write_click_file(out / "clicks.siqc", result.records)
-    _write_tally(out, result.tally)
-    _write_estimation(out, result.estimation, config.params, result.tally)
-    fileio.write_json(out / "seed_ledger.json", result.seed_ledger)
     if result.aborted:
-        return _write_abort_record(out, result.abort_reason, result.estimation, result.tally)
+        return _protocol_abort(result.abort_reason)
 
-    _write_extraction(out, result.final_bits, result.security, result.extraction)
     fileio.write_json(out / "curve_point.json",
                       {k: getattr(curve_point_from_session(result), k)
                        for k in ("loss_db", "K", "rate_bits_per_s", "eps_t")})
 
     # too short a certified output is still a success; it only goes untested
-    if len(result.final_bits) < (minimum := battery_min_bits()):
+    if len(result.final_bits) < BATTERY_MIN_BITS:
         print(f"statistical battery skipped: {len(result.final_bits)} certified bits, "
-              f"needs >= {minimum}", file=sys.stderr)
+              f"needs >= {BATTERY_MIN_BITS}", file=sys.stderr)
         return EXIT_OK
     report = run_battery(result.final_bits)
     fileio.write_json(out / "randtest.json", report.to_dict())

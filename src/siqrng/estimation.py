@@ -71,17 +71,19 @@ class EstimationResult:
     @classmethod
     def from_record(cls, doc: dict) -> tuple["EstimationResult", ProtocolParams, SessionTally]:
         """Read a :meth:`record` back; ValueError on a missing key, a wrong
-        type, a negative ``theta``, or values the parameters' or the
-        tally's checks reject."""
-        theta = record_field(doc, "theta", float)
-        if theta < 0:
+        type, a value out of its range (``0 < e_bx <= 1``, ``theta >= 0``,
+        ``log2_eps_theta <= 0``), or values the parameters' or the tally's
+        checks reject."""
+        e_bx, theta, log2_eps_theta = (record_field(doc, key, float)
+                                       for key in ("e_bx", "theta", "log2_eps_theta"))
+        if not 0 < e_bx <= 1:
+            raise ValueError(f"key 'e_bx' must be in (0, 1], got {e_bx!r}")
+        if not theta >= 0:
             raise ValueError(f"key 'theta' must be >= 0, got {theta!r}")
-        result = cls(
-            e_bx=record_field(doc, "e_bx", float),
-            theta=theta,
-            log2_eps_theta=record_field(doc, "log2_eps_theta", float),
-            abort=record_field(doc, "abort", bool),
-        )
+        if not log2_eps_theta <= 0:
+            raise ValueError(f"key 'log2_eps_theta' must be <= 0, got {log2_eps_theta!r}")
+        result = cls(e_bx=e_bx, theta=theta, log2_eps_theta=log2_eps_theta,
+                     abort=record_field(doc, "abort", bool))
         params = record_field(doc, "params", dict)
         params = ProtocolParams(**{key: record_field(params, key, kind)
                                    for key, kind in PARAM_KINDS.items()})

@@ -10,9 +10,11 @@ master seed therefore reproduces every artifact byte for byte.
 Each stage is one function that takes its stream from
 :func:`derive_streams`: :func:`choose_basis_plan`, :func:`simulate_clicks`,
 :func:`~siqrng.squash_sample.squash_and_tally`,
-:func:`~siqrng.estimation.estimate_session` and :func:`extract_or_abort`.
-:func:`run_protocol_session` chains them on one set of streams, and the
-CLI's staged subcommands call the same functions on streams derived from
+:func:`~siqrng.estimation.estimate_session` and
+:func:`~siqrng.extractor.extract_session`.  :func:`run_protocol_session`
+chains them on one set of streams and, given an output directory, writes
+each stage's record as the stage ends.  The CLI's staged subcommands call
+the same functions and the same record writers on streams derived from
 the same master seed, so both routes write the same bytes.
 
 Basis choice is *active* by default: positions are planned by exact seed
@@ -29,12 +31,14 @@ computes it once and hands it to every session, sweep points included.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .bits import BitBlock
 from .config import RunConfig
-from .entropy_math import ProtocolAbortError, ProtocolParams, composed_security
+from .entropy_math import ProtocolAbortError, ProtocolParams, SecurityReport, composed_security
 from .estimation import EstimationResult, estimate_session
 from .extractor import extract_session
 from .photonic_sim import run_session
@@ -66,11 +70,9 @@ def derive_streams(master_seed: int) -> RandomStreams:
 @dataclass
 class SessionResult:
     config: RunConfig
-    records: np.ndarray
     tally: SessionTally
     estimation: EstimationResult
     final_bits: BitBlock | None
-    security: dict | None
     extraction: dict | None
     seed_ledger: dict
     abort_reason: str | None = None
@@ -108,45 +110,64 @@ def simulate_clicks(
     )
 
 
-def extract_or_abort(
-    z_bits: BitBlock, estimation: EstimationResult, params: ProtocolParams,
-    streams: RandomStreams,
-) -> tuple[BitBlock | None, dict | None, dict | None, str | None]:
-    """Extract stage: ``(final_bits, security, summary, None)``, or
-    ``(None, None, None, reason)`` when the session certifies nothing.
+# each stage record has one writer, shared by the session and the staged commands
 
-    ``t_e`` and the efficiency ratio come from ``params``, the Toeplitz seed
-    from ``streams``.  The reason is the message of the ProtocolAbortError
-    that :func:`~siqrng.extractor.extract_session` raises, before it draws
-    any seed bit, when the estimate aborted or no length is certified.
-    """
-    try:
-        final_bits, report, summary = extract_session(
-            z_bits, estimation, params.t_e, streams.toeplitz,
-            efficiency_ratio=params.efficiency_ratio,
-        )
-    except ProtocolAbortError as exc:
-        return None, None, None, str(exc)
-    return final_bits, report.to_dict(), summary, None
+def write_tally(out: Path, tally: SessionTally):
+    fileio.write_bit_file(out / "zbits.siq", tally.z_bits)
+    fileio.write_json(out / "tally.json", tally.to_dict())
+
+
+def write_estimation(out: Path, est: EstimationResult, params: ProtocolParams, tally: SessionTally):
+    fileio.write_json(out / "estimation.json", est.record(params, tally))
+
+
+def write_extraction(out: Path, final_bits: BitBlock, report: SecurityReport, summary: dict):
+    fileio.write_bit_file(out / "final.siq", final_bits)
+    fileio.write_json(out / "security.json", {**report.to_dict(), **summary})
+
+
+def write_abort(out: Path, reason: str, est: EstimationResult, tally: SessionTally):
+    fileio.write_json(out / "abort.json", {"abort": True, "reason": reason,
+                                           "estimation": est.to_dict(), "tally": tally.to_dict()})
 
 
 def run_protocol_session(
-    config: RunConfig, plan: tuple[np.ndarray, int] | None = None
+    config: RunConfig, plan: tuple[np.ndarray, int] | None = None, out: Path | None = None
 ) -> SessionResult:
     """Run one full session: simulate, tally, estimate, and extract.
 
     ``plan`` is the session's :func:`choose_basis_plan`; a run computes it
     once and shares it between its sessions.  By default it is computed
     from the config's own streams, which gives the same plan.
+
+    With ``out``, each stage writes its record there as it ends:
+    ``clicks.siqc``; ``zbits.siq`` and ``tally.json``; ``estimation.json``;
+    then ``seed_ledger.json`` and ``final.siq`` with ``security.json``, or
+    ``abort.json`` when the session certifies nothing.  The click records
+    are dropped once the tally has read them, so extraction starts from
+    the packed Z bits alone.
     """
     streams = derive_streams(config.master_seed)
     positions, basis_plan_bits = plan if plan is not None else choose_basis_plan(config, streams)
     records = simulate_clicks(config, streams, positions)
+    if out is not None:
+        fileio.write_click_file(out / "clicks.siqc", records)
     tally = squash_and_tally(records, streams.double_click)
+    del records
+    if out is not None:
+        write_tally(out, tally)
     estimation = estimate_session(tally, config.params)
-    final_bits, security, extraction, abort_reason = extract_or_abort(
-        tally.z_bits, estimation, config.params, streams
-    )
+    if out is not None:
+        write_estimation(out, estimation, config.params, tally)
+
+    final_bits = report = extraction = abort_reason = None
+    try:
+        final_bits, report, extraction = extract_session(
+            tally.z_bits, estimation, config.params.t_e, streams.toeplitz,
+            efficiency_ratio=config.params.efficiency_ratio,
+        )
+    except ProtocolAbortError as exc:
+        abort_reason = str(exc)
 
     double_click_bits = tally.seed_bits_consumed
     toeplitz_bits = extraction["toeplitz_seed_bits"] if extraction else 0
@@ -158,17 +179,14 @@ def run_protocol_session(
         "non_toeplitz_bits": basis_plan_bits + double_click_bits,
         "output_bits": len(final_bits) if final_bits is not None else 0,
     }
-    return SessionResult(
-        config=config,
-        records=records,
-        tally=tally,
-        estimation=estimation,
-        final_bits=final_bits,
-        security=security,
-        extraction=extraction,
-        seed_ledger=seed_ledger,
-        abort_reason=abort_reason,
-    )
+    if out is not None:
+        fileio.write_json(out / "seed_ledger.json", seed_ledger)
+        if abort_reason is None:
+            write_extraction(out, final_bits, report, extraction)
+        else:
+            write_abort(out, abort_reason, estimation, tally)
+    return SessionResult(config, tally, estimation, final_bits, extraction, seed_ledger,
+                         abort_reason)
 
 
 @dataclass

@@ -57,9 +57,14 @@ from .bits import BitBlock
 
 P_VALUE_THRESHOLD = 0.01
 PROPORTION_THRESHOLD = 0.96
-DEFAULT_PARTITIONS = 100
-# largest per-test minimum: longest run, and block frequency at its default block length
+# equal sub-sequences of the battery, and lags of its autocorrelation curve
+N_PARTITIONS = 100
+MAX_LAG = 100
+BLOCK_FREQUENCY_LEN = 128
+# largest per-test minimum: longest run, and block frequency at its block length
 MIN_TEST_BITS = 128
+# shortest input the battery takes: every partition holds MIN_TEST_BITS
+BATTERY_MIN_BITS = N_PARTITIONS * MIN_TEST_BITS
 
 
 # relative size of a term or factor at which the series and continued
@@ -232,15 +237,13 @@ def monobit_test(bits) -> tuple[float, float]:
     return statistic, float(erfc(statistic / math.sqrt(2.0)))
 
 
-def block_frequency_test(bits, block_len: int = 128) -> tuple[float, float]:
-    """Proportion of ones within fixed-length blocks."""
+def block_frequency_test(bits) -> tuple[float, float]:
+    """Proportion of ones within blocks of BLOCK_FREQUENCY_LEN bits."""
     x = _as01(bits)
-    if block_len < 2:
-        raise ValueError(f"block length must be >= 2, got {block_len}")
-    _require(x.size, max(100, block_len), "block frequency test")
-    n_blocks = x.size // block_len
-    pi = x[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
-    chi2 = 4.0 * block_len * float(np.sum((pi - 0.5) ** 2))
+    _require(x.size, max(100, BLOCK_FREQUENCY_LEN), "block frequency test")
+    n_blocks = x.size // BLOCK_FREQUENCY_LEN
+    pi = x[: n_blocks * BLOCK_FREQUENCY_LEN].reshape(n_blocks, BLOCK_FREQUENCY_LEN).mean(axis=1)
+    chi2 = 4.0 * BLOCK_FREQUENCY_LEN * float(np.sum((pi - 0.5) ** 2))
     return chi2, float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
 
 
@@ -371,13 +374,12 @@ class TestReport:
     """Battery outcome: full-sequence records plus sub-sequence proportions.
 
     ``proportion_pass`` is the smallest per-test proportion of sub-sequences
-    with P >= 0.01; ``autocorrelation`` is R(j) for j = 1..max_lag.
+    with P >= 0.01; ``autocorrelation`` is R(j) for j = 1..MAX_LAG.
     """
 
     records: list[TestRecord] = field(default_factory=list)
     proportion_pass: float = 0.0
     autocorrelation: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n_partitions: int = DEFAULT_PARTITIONS
 
     @property
     def all_passed(self) -> bool:
@@ -387,40 +389,32 @@ class TestReport:
         return {
             "tests": [r.to_dict() for r in self.records],
             "proportion_pass": self.proportion_pass,
-            "n_partitions": self.n_partitions,
+            "n_partitions": N_PARTITIONS,
             "all_passed": self.all_passed,
             "autocorrelation": self.autocorrelation.tolist(),
         }
 
 
-def battery_min_bits(n_partitions: int = DEFAULT_PARTITIONS) -> int:
-    """Shortest input the battery takes: every partition holds MIN_TEST_BITS."""
-    return n_partitions * MIN_TEST_BITS
-
-
-def run_battery(
-    block: BitBlock,
-    n_partitions: int = DEFAULT_PARTITIONS,
-    max_lag: int = 100,
-) -> TestReport:
-    """Run every implemented test on the full sequence and on equal partitions.
+def run_battery(block: BitBlock) -> TestReport:
+    """Run every implemented test on the full sequence and on N_PARTITIONS
+    equal partitions.
 
     Raises
     ------
     InsufficientLengthError
-        If fewer than ``battery_min_bits(n_partitions)`` bits are supplied.
+        If fewer than BATTERY_MIN_BITS bits are supplied.
     """
     x = block.to01()
-    _require(x.size, battery_min_bits(n_partitions), "statistical battery")
-    part_len = x.size // n_partitions
-    report = TestReport(n_partitions=n_partitions)
+    _require(x.size, BATTERY_MIN_BITS, "statistical battery")
+    part_len = x.size // N_PARTITIONS
+    report = TestReport()
     for name, test in ALL_TESTS.items():
         statistic, p_value = test(x)
         passing = 0
-        for i in range(n_partitions):
+        for i in range(N_PARTITIONS):
             _, sub_p = test(x[i * part_len : (i + 1) * part_len])
             passing += sub_p >= P_VALUE_THRESHOLD
-        proportion = passing / n_partitions
+        proportion = passing / N_PARTITIONS
         report.records.append(
             TestRecord(
                 name=name,
@@ -431,5 +425,5 @@ def run_battery(
             )
         )
     report.proportion_pass = min(r.proportion_pass for r in report.records)
-    report.autocorrelation = autocorrelation(block, max_lag)
+    report.autocorrelation = autocorrelation(block, MAX_LAG)
     return report

@@ -80,8 +80,12 @@ def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
     Equivalent to squashing every event in pulse order and folding the
     outcomes one by one (``tests/helpers.py`` keeps that fold as an
     oracle); Z double clicks consume seed bits in pulse order.
-    The records are walked in blocks of :data:`BLOCK_SIZE` pulses, so the
-    transient memory is bounded by a block plus the selected Z records.
+    The records are walked in blocks of :data:`BLOCK_SIZE` pulses, and the
+    per-block Z selections are dropped once concatenated, so the transient
+    memory beyond the records stays within ``2 * n_z + 3 * BLOCK_SIZE``
+    bytes: two bytes per Z record (the selections and their concatenation,
+    then the concatenation and the boolean mask of its double clicks), plus
+    a block's two comparison arrays and its selection.
     """
     x_counts = np.zeros(X_RECORD + len(Pattern), dtype=np.int64)
     z_blocks = []
@@ -91,9 +95,10 @@ def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
         # Z single and double clicks are the records 1..3
         z_blocks.append(np.compress((block - np.uint8(1)) < 3, block))
     z_bits01 = np.concatenate(z_blocks) if z_blocks else np.zeros(0, dtype=np.uint8)
+    del z_blocks
     z_bits01 -= 1  # D0 -> bit 0, D1 -> bit 1, and 2 marks a double click
-    doubles = np.flatnonzero(z_bits01 == 2)
-    n_doubles = doubles.size
+    doubles = z_bits01 == 2
+    n_doubles = int(np.count_nonzero(doubles))
     if n_doubles:
         # one call: the seed's bounded draw is buffered, so splitting it
         # per block would change the assigned bits

@@ -469,6 +469,23 @@ class TestStagedErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and repr(key) in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("e_bx", -0.1),
+        ("e_bx", 0.0),  # no estimate gives less than 1/n_x
+        ("e_bx", 2.0),
+        ("log2_eps_theta", 5.0),
+    ])
+    def test_estimate_out_of_range_is_exit_1(self, estimated, key, value, capsys):
+        path = estimated / "estimation.json"
+        doc = read_json(path)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._extract(estimated) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and repr(key) in err
+        assert not (estimated / "final.siq").exists()
+
     def _read_back(self, estimated, passive_config, record) -> int:
         """Run the stage that reads ``record``: estimate for the tally,
         extract for the estimate."""

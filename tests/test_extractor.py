@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from siqrng.bits import BitBlock
-from siqrng.entropy_math import ProtocolAbortError, ProtocolParams, final_length
+from siqrng.entropy_math import ProtocolAbortError, final_length
 from siqrng.estimation import ESTIMATE_ABORT_REASON, EstimationResult
 from siqrng.extractor import _balanced_blocks, _dual_hash_blocks, _smooth_length, extract_session
-from siqrng.pipeline import derive_streams, extract_or_abort
 from siqrng.seeds import SeedSource
 
 from helpers import mp_binary_entropy, naive_dual_toeplitz, naive_toeplitz, zero_bits
@@ -50,14 +49,6 @@ class TestMakePlan:
         final, _, _ = _extract(10**6, _est(e_bx=0.49), t_e=100)
         assert len(final) == 188
 
-    def test_aborted_estimation_rejected(self):
-        # an aborted estimate plans nothing and draws no Toeplitz seed
-        streams = derive_streams(0)
-        params = ProtocolParams(total_pulses=2000, planned_x_count=100)
-        outcome = extract_or_abort(zero_bits(1000), _est(abort=True), params, streams)
-        assert outcome == (None, None, None, ESTIMATE_ABORT_REASON)
-        assert streams.toeplitz.bits_consumed == 0
-
     def test_nonpositive_output_rejected(self):
         with pytest.raises(ProtocolAbortError, match="non-positive output length"):
             _extract(200, _est(e_bx=0.4), t_e=100)
@@ -73,24 +64,20 @@ class TestMakePlan:
     @example(e=0.62, r=1.0, n_z=2000, t_e=10)  # H(0.62) = H(0.38) would certify bits
     @example(e=0.45, r=0.9, n_z=2000, t_e=10)  # e/r = 1/2 exactly
     def test_abort_boundary(self, e, r, n_z, t_e):
-        # every abort draws no Toeplitz seed bit; otherwise K is the exact
-        # floor(r n_z (1 - H(e/r))) - t_e, and a K <= 0 aborts
-        streams = derive_streams(0)
-        params = ProtocolParams(total_pulses=2 * n_z + 2, planned_x_count=n_z + 1, t_e=t_e,
-                                efficiency_ratio=r)
-        final, _, summary, reason = extract_or_abort(
-            zero_bits(n_z), _est(e_bx=e), params, streams)
+        # every abort raises before it draws a Toeplitz seed bit; otherwise K
+        # is the exact floor(r n_z (1 - H(e/r))) - t_e, and a K <= 0 aborts
+        seed = SeedSource.from_rng(np.random.default_rng(0))
         scaled = mpf(e) / mpf(r)
-        if scaled >= 0.5:
-            assert reason is not None and final is None
+        exact = (int(mp.floor(mpf(r) * n_z * (1 - mp_binary_entropy(scaled)))) - t_e
+                 if scaled < 0.5 else 0)
+        if exact > 0:
+            final, _, summary = extract_session(zero_bits(n_z), _est(e_bx=e), t_e, seed,
+                                                efficiency_ratio=r)
+            assert len(final) == summary["K"] == exact
         else:
-            exact = int(mp.floor(mpf(r) * n_z * (1 - mp_binary_entropy(scaled)))) - t_e
-            if exact > 0:
-                assert reason is None and len(final) == summary["K"] == exact
-            else:
-                assert reason is not None and final is None
-        if reason is not None:
-            assert streams.toeplitz.bits_consumed == 0
+            with pytest.raises(ProtocolAbortError):
+                extract_session(zero_bits(n_z), _est(e_bx=e), t_e, seed, efficiency_ratio=r)
+            assert seed.bits_consumed == 0
 
     def test_extraction_ratio_matches_deployment_figures(self):
         # invert 1 - H(e) = 91/115 with mpmath; e ~= 0.0329, ratio ~= 0.791

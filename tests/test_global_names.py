@@ -10,6 +10,11 @@ Every function, class and method the package defines must be read
 somewhere in the package.  A definition only the tests call is code the
 tests keep correct although no production path runs it; such code belongs
 in ``tests/helpers.py``.  The ``ast`` scan below finds it by name.
+
+Every parameter with a default must be passed by some package call.  A
+default only the tests override is a test seam: the production path runs
+one value, and the others are code only the tests keep correct.  The same
+scan matches calls to definitions by name.
 """
 
 import ast
@@ -138,6 +143,72 @@ def unread_definitions(package: Path) -> list[str]:
     ]
 
 
+# defaulted parameters only the tests pass, each with its reason
+TEST_ONLY_PARAMETERS = {
+    "cli:main(argv)": "the console script passes none; the tests pass the argument list",
+    "extractor:extract_session(block_size)":
+        "small blocks test multi-block extraction; goes with the one-hash item",
+    "photonic_sim:run_session(block_size)":
+        "small blocks test the blocked simulation; goes with the simulate-stage item",
+}
+
+
+def _defaulted(node, is_method: bool) -> list[tuple[int | None, str]]:
+    """``(position, name)`` of each parameter of the function ``node`` that
+    has a default; a keyword-only one has no position.  A method's
+    positions count from the argument after ``self``."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    first_default = len(positional) - len(args.defaults)
+    found = [(i, name) for i, name in enumerate(positional) if i >= first_default]
+    if is_method:
+        found = [(i - 1, name) for i, name in found]
+    return found + [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+
+
+def _passes(call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter: by keyword, by position, or
+    possibly through ``*`` or ``**``."""
+    return any(k.arg in (None, name) for k in call.keywords) or any(
+        isinstance(a, ast.Starred) for a in call.args) or (
+        position is not None and len(call.args) > position)
+
+
+def unpassed_defaults(package: Path) -> list[str]:
+    """``module:qualified.name(parameter)`` of each defaulted parameter of a
+    function or method in ``package`` (outside ``__init__.py``) that no
+    call of the package passes, outside the definition itself.  A call
+    matches by name; a call of an attribute of a plainly imported module
+    (``np.zeros``) calls that module, not the package."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        modules = _imported_modules(tree)
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name):
+                calls.setdefault(func.id, []).append(node)
+            elif isinstance(func, ast.Attribute) and not (
+                    isinstance(func.value, ast.Name) and func.value.id in modules):
+                calls.setdefault(func.attr, []).append(node)
+    found = []
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        for qualname, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            is_method = "." in qualname and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            own = {id(inner) for inner in ast.walk(node)}
+            outside = [call for call in calls.get(node.name, []) if id(call) not in own]
+            found += [f"{path.stem}:{qualname}({name})"
+                      for position, name in _defaulted(node, is_method)
+                      if not any(_passes(call, position, name) for call in outside)]
+    return found
+
+
 def test_package_defines_nothing_only_tests_read():
     found = [name for name in unread_definitions(ROOT / "src" / "siqrng")
              if name.split(":")[1] not in TEST_ONLY_ALLOWED]
@@ -176,6 +247,42 @@ def test_guard_flags_an_unread_definition(tmp_path):
     )
     assert unread_definitions(tmp_path) == [
         "mod:recursive", "mod:exported_only", "mod:C.unread", "mod:Unused",
+    ]
+
+
+def test_package_passes_every_defaulted_parameter():
+    found = set(unpassed_defaults(ROOT / "src" / "siqrng"))
+    allowed = set(TEST_ONLY_PARAMETERS)
+    assert found <= allowed, (
+        "defaulted parameters no package call passes (make them constants, or allow "
+        "with a reason):\n" + "\n".join(sorted(found - allowed)))
+    assert allowed <= found, "allowed but now passed: " + ", ".join(sorted(allowed - found))
+
+
+def test_guard_flags_a_parameter_no_call_passes(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import f\n")
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "def f(a, by_position=1, by_keyword=2, unpassed=3, *, keyword_only=4):\n"
+        "    return f(a, unpassed=unpassed, keyword_only=keyword_only)\n"
+        "def star(a=1):\n"
+        "    return a\n"
+        "def double_star(a=1):\n"
+        "    return a\n"
+        "def zeros(n=0):\n"
+        "    return n\n"
+        "class C:\n"
+        "    def method(self, x=1, y=2):\n"
+        "        return x + y\n"
+        "    @staticmethod\n"
+        "    def static(x=1, y=2):\n"
+        "        return x + y\n"
+        "RESULT = (f(0, 1, by_keyword=5), star(*[1]), double_star(**{}), C().method(1),\n"
+        "          C.static(1), np.zeros(3))\n"
+    )
+    assert unpassed_defaults(tmp_path) == [
+        "mod:f(unpassed)", "mod:f(keyword_only)", "mod:zeros(n)", "mod:C.method(y)",
+        "mod:C.static(y)",
     ]
 
 

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from siqrng import pipeline
 from siqrng.config import config_from_dict
+from siqrng.extractor import extract_session
 from siqrng.photonic_sim import (
     BLOCK_SIZE,
     Basis,
@@ -24,7 +26,7 @@ from siqrng.photonic_sim import (
     detector_intensities,
     run_session,
 )
-from siqrng.pipeline import choose_basis_plan, derive_streams
+from siqrng.pipeline import choose_basis_plan, derive_streams, simulate_clicks
 from siqrng.seeds import SeedSource
 from siqrng.squash_sample import squash_and_tally
 
@@ -235,6 +237,48 @@ def test_passive_simulate_and_tally_memory_is_bounded():
         tracemalloc.stop()
     assert tally.n_z > n // 4
     assert peak <= 2 * n + 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+PASSIVE_2_24 = {"total_pulses": 1 << 24, "planned_x_count": 22000, "basis_choice": "passive",
+                "master_seed": 424242}
+
+
+def test_tally_transient_memory_is_bounded():
+    # two bytes per Z record and a few blocks beyond the records: the
+    # per-block selections are dropped once concatenated, and the double
+    # clicks are marked by a one-byte mask instead of an int64 index
+    config = config_from_dict(PASSIVE_2_24)
+    streams = derive_streams(config.master_seed)
+    records = simulate_clicks(config, streams, choose_basis_plan(config, streams)[0])
+    tracemalloc.start()
+    try:
+        tally = squash_and_tally(records, streams.double_click)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tally.n_z > records.size // 4
+    assert peak <= 2 * tally.n_z + 3 * BLOCK_SIZE, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_session_extracts_from_the_packed_z_bits_alone(tmp_path, monkeypatch):
+    # the session writes the click records and drops them after the tally,
+    # so extraction starts from well under a quarter byte per pulse
+    config = config_from_dict(PASSIVE_2_24)
+    live = []
+
+    def traced_extract_session(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return extract_session(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_session", traced_extract_session)
+    tracemalloc.start()
+    try:
+        result = pipeline.run_protocol_session(config, out=tmp_path)
+    finally:
+        tracemalloc.stop()
+    n = config.params.total_pulses
+    assert not result.aborted and (tmp_path / "clicks.siqc").stat().st_size == 13 + n
+    assert live[0] < n // 4, f"{live[0] / 2**20:.1f} MiB live at extraction entry"
 
 
 class TestChooseBasisPlan:

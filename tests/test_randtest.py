@@ -28,10 +28,10 @@ from siqrng.bits import BitBlock
 from siqrng.estimation import EstimationResult
 from siqrng.extractor import extract_session
 from siqrng.randtest import (
+    BATTERY_MIN_BITS,
     DegenerateSequenceError,
     InsufficientLengthError,
     autocorrelation,
-    battery_min_bits,
     block_frequency_test,
     cusum_test,
     erfc,
@@ -156,7 +156,7 @@ class TestIndividualTests:
     def test_block_frequency_structured_failure(self):
         # blocks of all-0 then all-1: balanced overall, grossly unbalanced per block
         x = np.concatenate([np.zeros(2**12, np.uint8), np.ones(2**12, np.uint8)])
-        _, p_block = block_frequency_test(x, block_len=128)
+        _, p_block = block_frequency_test(x)
         _, p_mono = monobit_test(x)
         assert p_mono == 1.0 and p_block < 1e-10
 
@@ -304,15 +304,13 @@ class TestBattery:
         for got, want in zip(doc["tests"], reference, strict=True):
             assert got["p_value"] == pytest.approx(want["p_value"], rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("n_partitions", [100, 10])
-    def test_rejects_input_below_partition_minimum(self, n_partitions, rng):
-        minimum = battery_min_bits(n_partitions)
-        assert minimum == 128 * n_partitions
+    def test_rejects_input_below_partition_minimum(self, rng):
+        assert BATTERY_MIN_BITS == 128 * 100
         with pytest.raises(InsufficientLengthError, match="statistical battery"):
-            run_battery(_block(rng.integers(0, 2, minimum - 1, dtype=np.uint8)), n_partitions)
-        report = run_battery(_block(rng.integers(0, 2, minimum, dtype=np.uint8)), n_partitions,
-                             max_lag=10)
+            run_battery(_block(rng.integers(0, 2, BATTERY_MIN_BITS - 1, dtype=np.uint8)))
+        report = run_battery(_block(rng.integers(0, 2, BATTERY_MIN_BITS, dtype=np.uint8)))
         assert len(report.records) == 5
+        assert report.to_dict()["n_partitions"] == 100
 
     def test_biased_input_fails_battery(self, rng):
         report = run_battery(_block(rng.random(2**21) < 0.53))
