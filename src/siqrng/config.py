@@ -8,7 +8,6 @@ for the split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -88,15 +87,12 @@ def _require_keys(doc: dict, allowed: set, context: str):
 
 def _read(doc: dict, key: str, kind: type, context: str):
     """``doc[key]`` read by :func:`~siqrng.fileio.record_field`; a missing
-    key, a wrong type or a number that is not finite (JSON ``NaN`` and
-    ``Infinity`` parse) is a ConfigError naming the key."""
+    key, a wrong type or a number that is not finite is a ConfigError
+    naming the key."""
     try:
-        value = record_field(doc, key, kind)
+        return record_field(doc, key, kind)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{context}: key {key!r} must be a finite number, got {value!r}")
-    return value
 
 
 def _fields(doc: dict, kinds: dict, context: str, as_given: bool = False) -> dict:

@@ -22,12 +22,23 @@ this module accepts; a runtime guard checks the margin, so the result is
 bit-identical to the naive matrix-vector definition.  The worst margin of
 a session is reported as ``fft_max_deviation``.
 
+Blocks are hashed two at a time by Kronecker substitution (Harvey, J. Symb.
+Comput. 44, 1502 (2009)): one transform pair convolves the seed with
+``x_a + 2^r x_b``, where ``2^r`` is the smallest power of two above every
+block's M, and gives ``c = c_a + 2^r c_b``.  A circular count at any index
+sums at most M bit products, so ``0 <= c_b <= M < 2^r``: ``c mod 2^r`` is
+``c_a`` and ``c >> r`` is ``c_b`` at every index, and each block's band is
+alias-free as above.  ``c < 2^(2r)``, which must stay at or below ``2^50``
+(M below 2^25 bits) for float64 to resolve it; larger blocks are refused.
+``fft_max_deviation`` is then the worst margin of the packed values, about
+7.6e-6 for blocks of 2**20 bits.  A last odd block is hashed alone.
+
 Long inputs are split into balanced sub-blocks (default around 2**20 raw
 bits) extracted independently; each block contributes its own 2**(-t_e)
 failure term via a union bound.  One Toeplitz seed, sized for the largest
 block, is consumed per session and reused across its blocks: the hash is a
 strong extractor, so outputs remain independent of the seed.  Its spectrum
-is computed once, and the blocks share one set of FFT scratch arrays.  A
+is computed once, and the pairs share one set of FFT scratch arrays.  A
 block's band reads only seed indices below its own ``m - 1``, and the
 alias argument holds for any seed no longer than ``L``, so the longest
 block's seed and its spectrum give every block the same bits as its own
@@ -46,8 +57,12 @@ from .estimation import ESTIMATE_ABORT_REASON, EstimationResult
 from .seeds import SeedSource
 
 DEFAULT_BLOCK_SIZE = 1 << 20
-# FFT round-off guard; actual deviations are ~1e-10 at the default block size
+# FFT round-off guard; a session of 2**20-bit blocks, hashed in packed
+# pairs, deviates by about 7.6e-6
 _ROUNDING_GUARD = 0.25
+# packed counts stay below 2**50, where float64 spacing (at most 1/8) is
+# still below the rounding guard
+_MAX_PACKED_BITS = 50
 
 
 def _smooth_length(n: int) -> int:
@@ -73,35 +88,48 @@ def _padded(bits01: np.ndarray, buffer: np.ndarray) -> np.ndarray:
 
 
 def _hash_band(
-    signal01: np.ndarray,
-    rows: int,
+    pair: list[tuple[np.ndarray, np.ndarray]],
+    shift: int,
     spectrum: np.ndarray,
     work: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, float]:
-    """``T x`` mod 2 and its rounding deviation, for the ``rows`` x n
-    Toeplitz matrix T whose seed has the spectrum ``spectrum``.
+) -> float:
+    """XOR ``T x`` mod 2 into ``head`` for each ``(x, head)`` of ``pair``, one
+    or two, in one transform pair; return the rounding deviation.
 
-    ``signal01`` is the n-bit input x, and the result is the band of
-    coefficients ``n-1 .. n+rows-2`` of the product.  ``spectrum`` is the
-    real FFT of a seed of at least ``n + rows - 1`` bits, zero-padded to the
-    circular length; only its first ``n + rows - 1`` bits reach the band.
-    ``work``, the product's spectrum and a float buffer, is overwritten.
+    T is the ``head.size`` x ``x.size`` Toeplitz matrix whose seed has the
+    spectrum ``spectrum``, and ``T x`` is the band of coefficients
+    ``x.size-1 .. x.size+head.size-2`` of the product.  ``spectrum`` is the
+    real FFT of a seed of at least ``x.size + head.size - 1`` bits,
+    zero-padded to the circular length; only that prefix reaches the band.
+    Two inputs are convolved as ``x_a + 2**shift * x_b``, and every count
+    stays below ``2**shift``.  ``work``, the product's spectrum and a float
+    buffer, is overwritten.
     """
     product, conv = work
-    np.fft.rfft(_padded(signal01, conv), out=product)
+    signals = [x for x, _ in pair]
+    _padded(signals[-1], conv)
+    if len(signals) == 2:
+        conv[: signals[1].size] *= float(1 << shift)
+        conv[: signals[0].size] += signals[0]
+    np.fft.rfft(conv, out=product)
     product *= spectrum
     np.fft.irfft(product, n=conv.size, out=conv)
-    band = conv[signal01.size - 1 : signal01.size - 1 + rows]
-    counts = np.rint(band)
-    band -= counts
+    # one band from the lower start to the higher end holds both blocks' bands
+    low = min(x.size for x in signals) - 1
+    band = conv[low : max(x.size - 1 + head.size for x, head in pair)]
+    packed = np.rint(band).astype(np.int64)
+    band -= packed
     deviation = float(np.max(np.abs(band, out=band))) if band.size else 0.0
     if deviation >= _ROUNDING_GUARD:
         raise ArithmeticError(
             f"FFT convolution rounding margin violated (deviation {deviation:.3g})"
         )
-    parity = counts.astype(np.int64)
-    parity &= 1
-    return parity.astype(np.uint8), deviation
+    for x, head in pair:
+        begin = x.size - 1 - low
+        # a count's lowest byte holds its parity
+        head ^= packed[begin : begin + head.size].astype(np.uint8) & 1
+        packed >>= shift
+    return deviation
 
 
 def _dual_hash_blocks(
@@ -111,28 +139,43 @@ def _dual_hash_blocks(
     ``(m, K)`` shape, concatenated, and the worst rounding deviation.
 
     ``seed01`` has the longest block's seed length; each block reads its
-    own prefix of it through the one shared spectrum.  The seed and every
-    block share one set of FFT scratch arrays, so that no block faults in
-    fresh pages for arrays of the FFT length.
+    own prefix of it through the one shared spectrum.  The blocks with T
+    not empty (K < m) are hashed two at a time, in order, each pair in one
+    transform pair packed at the radix ``2**shift`` above every block's M; a
+    last odd block is hashed alone.  The seed and every pair share one set
+    of FFT scratch arrays, so that no pair faults in fresh pages for arrays
+    of the FFT length.
+
+    Raises
+    ------
+    ValueError
+        If a packed count could reach ``2**_MAX_PACKED_BITS`` (M of 2**25
+        bits or more), where float64 rounding would no longer be exact.
     """
+    widest = max(m - k for m, k in shapes)
+    shift = widest.bit_length()
+    if 2 * shift > _MAX_PACKED_BITS:
+        raise ValueError(f"blocks with M = {widest} bits pack counts up to "
+                         f"2**{2 * shift}, past 2**{_MAX_PACKED_BITS}")
     out = np.empty(sum(k for _, k in shapes), dtype=np.uint8)
-    max_deviation = 0.0
-    if seed01.size:
-        length = _smooth_length(seed01.size)
-        work = np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
-        spectrum = np.fft.rfft(_padded(seed01, work[1]))
+    hashed = []
     start = filled = 0
     for m, k in shapes:
         block = raw01[start : start + m]
         head = out[filled : filled + k]
         head[...] = block[:k]
         if k < m:
-            bits, deviation = _hash_band(block[k:], k, spectrum, work)
-            head ^= bits
-            max_deviation = max(max_deviation, deviation)
+            hashed.append((block[k:], head))
         start += m
         filled += k
-    return out, max_deviation
+    if not hashed:
+        return out, 0.0
+    length = _smooth_length(seed01.size)
+    work = np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
+    spectrum = np.fft.rfft(_padded(seed01, work[1]))
+    deviations = [_hash_band(hashed[i : i + 2], shift, spectrum, work)
+                  for i in range(0, len(hashed), 2)]
+    return out, max(deviations)
 
 
 def _balanced_blocks(n: int, block_size: int) -> list[int]:
@@ -155,8 +198,10 @@ def extract_session(
     Returns the concatenated output, the composed security report
     (``eps_f = eps_theta + n_blocks * 2**(-t_e)``), and a summary dict with
     block shapes, exact Toeplitz seed consumption and the worst FFT rounding
-    deviation of any block.  Each block's length comes from
-    :func:`~siqrng.entropy_math.final_length` at the efficiency ratio.
+    deviation of any packed pair of blocks.  Each block's length comes from
+    :func:`~siqrng.entropy_math.final_length` at the efficiency ratio.  The
+    blocks are hashed two per transform pair, one transform pair for every
+    two blocks with K < m and one transform for the seed.
 
     Raises
     ------

@@ -42,7 +42,12 @@ class FormatError(ValueError):
 
 
 def record_field(doc: dict, key: str, kind: type):
-    """``doc[key]`` as a ``kind``: int, float (an int converts), bool or dict."""
+    """``doc[key]`` as a ``kind``: int, float (an int converts), bool or dict.
+
+    A float must be finite: JSON ``NaN`` and ``Infinity`` parse, and so does
+    an integer too large for a float, but none of them is a number a record
+    can hold.
+    """
     if key not in doc:
         raise ValueError(f"missing key {key!r}")
     value = doc[key]
@@ -50,7 +55,15 @@ def record_field(doc: dict, key: str, kind: type):
         value, (int, float) if kind is float else kind
     ):
         raise ValueError(f"key {key!r} must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"key {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def atomic_write_bytes(path: Path, payload, header: bytes = b""):

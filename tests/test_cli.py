@@ -486,6 +486,26 @@ class TestStagedErrorPaths:
         assert err.startswith("error: ") and str(path) in err and repr(key) in err
         assert not (estimated / "final.siq").exists()
 
+    @pytest.mark.parametrize("keys, value", [
+        (("theta",), math.inf),             # passes the range check, then aborts
+        (("log2_eps_theta",), -math.inf),   # certifies eps_f = 2^-t_e alone
+        (("e_bx",), math.nan),
+        (("params", "efficiency_ratio"), 10**400),  # too large for a float
+    ], ids=["theta-inf", "log2_eps_theta-minus-inf", "e_bx-nan", "efficiency_ratio-10**400"])
+    def test_estimate_not_finite_is_exit_1(self, estimated, keys, value, capsys):
+        # JSON NaN and Infinity parse; a record holding one is malformed
+        path = estimated / "estimation.json"
+        doc = read_json(path)
+        holder, key = _holder(doc, keys)
+        holder[key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._extract(estimated) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: key {key!r} must be a finite number, got {value!r}\n")
+        assert not (estimated / "abort.json").exists()
+        assert not (estimated / "final.siq").exists()
+
     def _read_back(self, estimated, passive_config, record) -> int:
         """Run the stage that reads ``record``: estimate for the tally,
         extract for the estimate."""

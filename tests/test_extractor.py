@@ -3,6 +3,7 @@ linearity, planning arithmetic, and session-level block accounting."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,25 @@ def _extract(n_z, est, t_e):
     """``extract_session`` of ``n_z`` zero bits at a fixed seed."""
     return extract_session(zero_bits(n_z), est, t_e,
                            SeedSource.from_rng(np.random.default_rng(1)))
+
+
+@pytest.fixture
+def transform_lengths(monkeypatch):
+    """The length of every ``np.fft.rfft`` and ``np.fft.irfft`` run after it."""
+    lengths = []
+    real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
+
+    def rfft(a, n=None, *args, **kwargs):
+        lengths.append(np.shape(a)[-1] if n is None else n)
+        return real_rfft(a, n, *args, **kwargs)
+
+    def irfft(a, n=None, *args, **kwargs):
+        lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
+        return real_irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    return lengths
 
 
 class TestMakePlan:
@@ -205,21 +225,30 @@ class TestToeplitzExtract:
         assert np.array_equal(_plain_hash(raw01, seed01, 200), _plain_hash(raw01, seed01, 200))
 
 
+def transform_count(hashed: int) -> int:
+    """The real FFTs and inverses that hash ``hashed`` blocks of K < m: one
+    for the seed and two per pair, a last odd block hashed alone."""
+    return 1 + 2 * math.ceil(hashed / 2)
+
+
+def _check_blocks(raw01, shapes, seed01):
+    """``_dual_hash_blocks`` block by block against the explicit [I_K | T]
+    matrix on each block's own seed prefix, and its rounding margin."""
+    fast, deviation = _dual_hash_blocks(raw01, shapes, seed01)
+    start = filled = 0
+    for m, k in shapes:
+        own_seed = seed01[: m - 1] if k < m else seed01[:0]
+        expected = naive_dual_toeplitz(raw01[start : start + m], own_seed, k)
+        assert np.array_equal(fast[filled : filled + k], expected), (m, k)
+        start += m
+        filled += k
+    assert filled == fast.size
+    assert 0.0 <= deviation < 1e-6
+
+
 class TestDualToeplitz:
     """The (I | T) hash of ``extract_session`` against the explicit
     [I_K | T] matrix, blocks sharing one seed spectrum."""
-
-    @staticmethod
-    def _check(raw01, shapes, seed01):
-        fast, deviation = _dual_hash_blocks(raw01, shapes, seed01)
-        pieces, start = [], 0
-        for m, k in shapes:
-            block = raw01[start : start + m]
-            own_seed = seed01[: m - 1] if k < m else seed01[:0]
-            pieces.append(naive_dual_toeplitz(block, own_seed, k))
-            start += m
-        assert np.array_equal(fast, np.concatenate(pieces))
-        assert 0.0 <= deviation < 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,7 +268,7 @@ class TestDualToeplitz:
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         seed01 = rng.integers(0, 2, max(m - 1 if k < m else 0 for m, k in shapes),
                               dtype=np.uint8)
-        self._check(raw01, shapes, seed01)
+        _check_blocks(raw01, shapes, seed01)
 
     @pytest.mark.parametrize("m,k_out", [
         (700, 699),   # M = 1
@@ -254,7 +283,7 @@ class TestDualToeplitz:
     def test_edge_shapes(self, rng, m, k_out):
         raw01 = rng.integers(0, 2, m, dtype=np.uint8)
         seed01 = rng.integers(0, 2, m - 1 if k_out < m else 0, dtype=np.uint8)
-        self._check(raw01, [(m, k_out)], seed01)
+        _check_blocks(raw01, [(m, k_out)], seed01)
 
     @pytest.mark.parametrize("k_out", [1, 500, 999])
     def test_alias_boundary_with_all_ones(self, k_out):
@@ -262,7 +291,7 @@ class TestDualToeplitz:
         # product's top, and all-ones inputs make every coefficient maximal
         m = 1001
         assert _smooth_length(m - 1) == m - 1
-        self._check(np.ones(m, dtype=np.uint8), [(m, k_out)], np.ones(m - 1, dtype=np.uint8))
+        _check_blocks(np.ones(m, dtype=np.uint8), [(m, k_out)], np.ones(m - 1, dtype=np.uint8))
 
     def test_full_length_output_is_the_input_and_draws_no_seed(self, rng):
         # e = 0 and t_e = 0 give K = n_z: T is empty, and an empty seed suffices
@@ -273,29 +302,111 @@ class TestDualToeplitz:
         assert summary["toeplitz_seed_bits"] == seed.bits_consumed == 0
         assert summary["fft_max_deviation"] == 0.0
 
-    def test_transforms_have_the_block_seed_length(self, rng, monkeypatch):
-        # the seed has max_block - 1 bits: one transform for it, two per
-        # block, all at the circular length of that seed
-        lengths = []
-        real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
-
-        def rfft(a, n=None, *args, **kwargs):
-            lengths.append(np.shape(a)[-1] if n is None else n)
-            return real_rfft(a, n, *args, **kwargs)
-
-        def irfft(a, n=None, *args, **kwargs):
-            lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
-            return real_irfft(a, n, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", rfft)
-        monkeypatch.setattr(np.fft, "irfft", irfft)
+    def test_transforms_have_the_block_seed_length(self, rng, transform_lengths):
+        # the seed has max_block - 1 bits: one transform for it, two per pair
+        # of hashed blocks, all at the circular length of that seed
         raw = BitBlock.from01(rng.integers(0, 2, 10_000, dtype=np.uint8))
         _, _, summary = extract_session(raw, _est(), 20, SeedSource.from_rng(rng),
                                         block_size=3000)
         blocks = summary["block_sizes"]
         assert blocks == [2500] * 4
         assert summary["toeplitz_seed_bits"] == max(blocks) - 1
-        assert lengths == [_smooth_length(max(blocks) - 1)] * (2 * len(blocks) + 1)
+        hashed = len(blocks)  # every block has K < m
+        assert transform_count(hashed) == 5
+        assert transform_lengths == [_smooth_length(max(blocks) - 1)] * transform_count(hashed)
+
+
+class TestPackedPairs:
+    """Two blocks share a transform as ``x_a + 2**r x_b``; every block's
+    bits still match the [I_K | T] definition."""
+
+    @staticmethod
+    def _random(rng, shapes):
+        """Random blocks of ``shapes``, the shapes, and a seed of the longest
+        seed length: the arguments of :func:`_check_blocks`."""
+        raw01 = rng.integers(0, 2, sum(m for m, _ in shapes), dtype=np.uint8)
+        seed01 = rng.integers(0, 2, max(m - 1 if k < m else 0 for m, k in shapes),
+                              dtype=np.uint8)
+        return raw01, shapes, seed01
+
+    @pytest.mark.parametrize("shapes", [
+        [(1201, 700), (1200, 700)],                 # two, M 501 and 500
+        [(1200, 700), (1201, 700), (1201, 701)],   # three: the last hashed alone
+        [(1201, 700), (1200, 699), (1200, 700), (1201, 701)],  # four, M 501 and 500
+        [(1000, 10), (1001, 10), (1000, 11), (1001, 11), (1000, 10)],  # T wide
+        [(1025, 1000), (1024, 1000)],               # T tall, M 25 and 24
+    ])
+    def test_pairs_match_explicit_matrix(self, rng, shapes, transform_lengths):
+        _check_blocks(*self._random(rng, shapes))
+        assert len(transform_lengths) == transform_count(len(shapes))
+
+    def test_full_length_block_between_hashed_ones_takes_no_transform(
+            self, rng, transform_lengths):
+        # K = m: the block is its own output, and its neighbours pair across it
+        shapes = [(900, 500), (900, 900), (901, 500)]
+        _check_blocks(*self._random(rng, shapes))
+        assert len(transform_lengths) == transform_count(2) == 3
+
+    @pytest.mark.parametrize("cols_a, cols_b", [
+        (511, 511),   # M = 2^9 - 1: radix 2^9, every count 2^9 - 1
+        (512, 512),   # M = 2^9: radix 2^10, every count 2^9
+        (511, 512),   # neighbours across the radix step
+        (512, 511),
+    ])
+    def test_counts_reaching_the_radix(self, cols_a, cols_b):
+        # an all-ones seed and input make every band count equal to M, the
+        # columns of T and the largest a count can be: one below the radix,
+        # or its half
+        k = 300
+        shapes = [(cols_a + k, k), (cols_b + k, k)]
+        raw01 = np.ones(sum(m for m, _ in shapes), dtype=np.uint8)
+        seed01 = np.ones(max(m for m, _ in shapes) - 1, dtype=np.uint8)
+        _check_blocks(raw01, shapes, seed01)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.integers(1, 400).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+            min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_any_small_shapes_match_explicit_matrix(self, shapes, seed):
+        # unbalanced neighbours too: the union band of a pair may be wide
+        _check_blocks(*self._random(np.random.default_rng(seed), shapes))
+
+    @pytest.mark.parametrize("shapes", [
+        [(2**25 + 1, 1), (2**25 + 1, 1)],   # M = 2^25: radix 2^26, counts to 2^52
+        [(2**25 + 1, 1), (10, 5)],          # the radix is the session's
+    ])
+    def test_oversized_radix_is_refused(self, shapes):
+        # a zero-stride view stands in for the blocks: nothing of their size
+        # is allocated, and the check comes before any transform
+        raw01 = np.broadcast_to(np.uint8(1), (sum(m for m, _ in shapes),))
+        with pytest.raises(ValueError, match=r"2\*\*50"):
+            _dual_hash_blocks(raw01, shapes, np.zeros(0, dtype=np.uint8))
+
+    def test_hash_memory_is_bounded(self):
+        # four blocks of 2^18 bits: the peak inside the hash is the output,
+        # the seed spectrum, the product spectrum, the float buffer and two
+        # band arrays of K + 1, the rounded counts and their int64 copy, plus
+        # 64 KiB for array headers and ufunc cast buffers.  A pair's int64
+        # band kept alive into the next pair adds 8 K = 1.6 MB to it
+        m, k = 1 << 18, 200_000
+        shapes = [(m, k)] * 4
+        raw01, _, seed01 = self._random(np.random.default_rng(18), shapes)
+        length = _smooth_length(m - 1)
+        transform_buffers = 2 * 16 * (length // 2 + 1) + 8 * length
+        bound = 4 * k + transform_buffers + 2 * 8 * (k + 1) + (64 << 10)
+        assert bound == 10_357_040
+        # numpy keeps the plan of a transform length once it has run one
+        _dual_hash_blocks(raw01, shapes, seed01)
+        tracemalloc.start()
+        try:
+            _dual_hash_blocks(raw01, shapes, seed01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestExtractSession:
