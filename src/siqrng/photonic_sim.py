@@ -21,13 +21,24 @@ The honest source prepares the "+" superposition with a small intensity
 leak ``e_mis`` into the orthogonal mode; the adversarial source emits a
 fixed Z eigenstate, which yields deterministic Z outcomes but a 50/50
 split (and frequent double clicks) in the X basis.
+
+The two detectors are independent given the basis, so a pulse's pattern
+(none, d0, d1, double) has the product law of their marginals, and one
+uniform per pulse draws it against three cumulative thresholds.  Pulse i
+reads output i of the physics stream.  :func:`run_session` draws the
+lower half of a session on the calling thread and the upper half on one
+helper thread, from a copy of the generator moved on by
+``advance(n // 2)``; since no pulse reads another's output, the records
+are those of one serial draw, whatever the split or the chunk size.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -95,11 +106,11 @@ class DetectorConfig:
             raise ValueError(f"dark count must be in [0, 1), got {self.dark_count}")
 
 
-# pulses per simulation block; it fixes which uniforms go to which detector,
-# so it is part of the stream's definition, and the tally walks the same blocks
-BLOCK_SIZE = 1 << 21
-
 X_RECORD = Basis.X << 2  # the basis bit; X records are X_RECORD + pattern
+
+# pulses drawn per chunk: 2^16 doubles (512 KiB) stay in cache; pulse i reads
+# output i of the physics stream in any chunk, so this sets the speed only
+CHUNK = 1 << 16
 
 
 def detector_intensities(source: SourceConfig, basis: Basis) -> tuple[float, float]:
@@ -126,6 +137,38 @@ def click_probabilities(
     return p0, p1
 
 
+def pattern_thresholds(p0: float, p1: float) -> np.ndarray:
+    """Cumulative probabilities ``(c1, c2, c3)`` of the patterns none, d0
+    and d1 of two independent detectors that click with probabilities
+    ``p0`` and ``p1``; a uniform ``u`` in [0, 1) has the pattern
+    ``[u >= c1] + [u >= c2] + [u >= c3]``, the count of thresholds <= u."""
+    c1 = (1.0 - p0) * (1.0 - p1)
+    c2 = c1 + p0 * (1.0 - p1)
+    c3 = c2 + (1.0 - p0) * p1
+    return np.array([c1, c2, c3])
+
+
+def _simulate_span(records, x_sorted, z_thresholds, x_thresholds, bitgen, start, stop):
+    """Write the records of pulses ``[start, stop)``: pulse ``start + k``
+    reads output ``k`` of ``bitgen`` as its uniform.  Each chunk compares
+    its uniforms with the Z thresholds, then rewrites its X pulses from the
+    same uniforms with the X thresholds.  Beyond the records it allocates
+    its two chunk buffers and its X pulses' indices."""
+    draw = np.random.Generator(bitgen).random
+    uniforms = np.empty(min(CHUNK, stop - start))
+    flags = np.empty(uniforms.size, dtype=np.bool_)
+    for lo in range(start, stop, CHUNK):
+        m = min(CHUNK, stop - lo)
+        u = draw(m, out=uniforms[:m])
+        block = records[lo : lo + m]
+        np.greater_equal(u, z_thresholds[0], out=block.view(np.bool_))
+        for c in z_thresholds[1:]:
+            block += np.greater_equal(u, c, out=flags[:m]).view(np.uint8)
+        a, b = np.searchsorted(x_sorted, (lo, lo + m))
+        x = x_sorted[a:b] - lo
+        block[x] = X_RECORD + np.searchsorted(x_thresholds, u[x], side="right")
+
+
 def run_session(
     n: int,
     source: SourceConfig,
@@ -133,7 +176,6 @@ def run_session(
     det: DetectorConfig,
     basis_plan: np.ndarray,
     rng: np.random.Generator,
-    block_size: int = BLOCK_SIZE,
 ) -> np.ndarray:
     """Simulate the ``n`` pulses of one session; returns its click records.
 
@@ -143,36 +185,53 @@ def run_session(
     :mod:`siqrng.fileio`).  ``basis_plan`` is the int array of the pulse
     indices measured in the X basis, each in ``[0, n)``, in any order.
 
-    The X bits of the plan are set in the records first, and each block
-    finds its X pulses in the plan, sorted once.  Pulses are then
-    simulated in blocks of ``block_size``: each block draws one uniform per
-    pulse for detector 0, then one per pulse for detector 1, and a detector
-    clicks when its uniform is below the click probability of the pulse's
-    basis.  The block size therefore decides which uniforms go to which
-    detector and is part of the stream's definition: a given rng seed and
-    block size reproduce the stream exactly.  Memory beyond the one record
-    byte per pulse is bounded by the block.
+    Pulse ``i`` reads output ``i`` of ``rng`` as one uniform ``u`` and has
+    the pattern ``[u >= c1] + [u >= c2] + [u >= c3]`` on the
+    :func:`pattern_thresholds` of its basis: the product law of the two
+    detectors, which are independent given the basis, exact up to double
+    rounding.  The pulses are drawn in chunks of :data:`CHUNK`.  When each
+    half holds a chunk, the caller draws pulses ``[0, n // 2)`` and one
+    helper thread draws ``[n // 2, n)`` on a copy of ``rng``'s bit generator
+    moved on by ``advance(n // 2)``; the thread is joined, and its exception
+    re-raised, before the call returns.  Since every pulse reads its own
+    output, neither the chunk size nor the split changes a byte: the
+    records are those of one serial draw of ``n`` uniforms, and ``rng`` is
+    left ``n`` outputs on, as by that draw.  ``rng``'s bit generator must
+    be a PCG64, as ``np.random.default_rng`` makes, whose ``advance(k)``
+    moves exactly ``k`` outputs on.
     """
-    records = np.zeros(n, dtype=np.uint8)
     x_sorted = np.sort(basis_plan)
-    if x_sorted.size:
-        if x_sorted[0] < 0 or x_sorted[-1] >= n:
-            raise ValueError("basis plan positions out of range")
-        records[x_sorted] = X_RECORD
+    if x_sorted.size and (x_sorted[0] < 0 or x_sorted[-1] >= n):
+        raise ValueError("basis plan positions out of range")
+    records = np.empty(n, dtype=np.uint8)
+    span = partial(_simulate_span, records, x_sorted,
+                   pattern_thresholds(*click_probabilities(source, channel, det, Basis.Z)),
+                   pattern_thresholds(*click_probabilities(source, channel, det, Basis.X)))
+    bitgen = rng.bit_generator
+    half = n // 2
+    if half < CHUNK:
+        span(bitgen, 0, n)
+        return records
 
-    pz = click_probabilities(source, channel, det, Basis.Z)
-    px = click_probabilities(source, channel, det, Basis.X)
+    # a copy of the caller's state, not a fresh seed, which would read OS entropy
+    upper = type(bitgen)(0)
+    upper.state = bitgen.state
+    upper.advance(half)
+    failures = []
 
-    uniforms = np.empty(min(block_size, n))
-    clicks = np.empty(uniforms.size, dtype=np.bool_)
-    for start in range(0, n, block_size):
-        block = records[start : start + block_size]
-        m = block.size
-        lo, hi = np.searchsorted(x_sorted, (start, start + m))
-        x = x_sorted[lo:hi] - start  # the block's X pulses
-        for detector in (0, 1):
-            u = rng.random(m, out=uniforms[:m])
-            click = np.less(u, pz[detector], out=clicks[:m])
-            click[x] = u[x] < px[detector]
-            block |= click.view(np.uint8) << detector
+    def simulate_upper_half():
+        try:
+            span(upper, half, n)
+        except BaseException as exc:
+            failures.append(exc)
+
+    helper = threading.Thread(target=simulate_upper_half)
+    helper.start()
+    try:
+        span(bitgen, 0, half)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[0]
+    bitgen.advance(n - half)
     return records

@@ -20,16 +20,18 @@ the same master seed, so both routes write the same bytes.
 Basis choice is *active* by default: positions are planned by exact seed
 dilution before the session.  The *passive* mode is a biased-splitter
 stand-in: each pulse goes to X independently with probability
-``planned_x_count / total_pulses``.  It draws the X count from the
-binomial law and then a uniform subset of that size, which is the same
-law as one Bernoulli draw per pulse, from the splitter stream; it
-consumes no plan seed.  Neither mode reads the physics stream, so the
-plan is a function of the config and the master seed alone: a run
-computes it once and hands it to every session, sweep points included.
+``planned_x_count / total_pulses``.  It draws the gaps between X pulses
+from the geometric law, which is the same law as one Bernoulli draw per
+pulse, from the splitter stream; it consumes no plan seed, and its
+memory is in proportion to the X count.  Neither mode reads the physics
+stream, so the plan is a function of the config and the master seed
+alone: a run computes it once and hands it to every session, sweep
+points included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -86,17 +88,26 @@ def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> tuple[np.nda
     """X-basis positions for one session, per the configured choice mode,
     and the plan-seed bits they cost: ``(positions, seed_bits)``.
 
-    Active: exact seed dilution on the basis seed.  Passive: a binomial X
-    count, then a uniform subset of that size, from the splitter stream;
-    no plan seed is consumed.
+    Active: exact seed dilution on the basis seed.  Passive: each pulse is
+    X with probability ``N_x / N``, independently: the gaps between X
+    pulses are geometric, drawn from the splitter stream in chunks of
+    ``N_x + 8·sqrt(N_x) + 64`` (almost always one) until a position passes
+    ``N``; no plan seed is consumed.
     """
     n = config.params.total_pulses
     n_x = config.params.planned_x_count
     if config.basis_choice == "active":
         positions = plan_basis_positions(n, n_x, streams.basis)
         return positions, streams.basis.bits_consumed
-    count = streams.splitter.binomial(n, n_x / n)
-    return np.sort(streams.splitter.choice(n, count, replace=False, shuffle=False)), 0
+    chunk = n_x + int(8 * math.sqrt(n_x)) + 64
+    parts, last = [], -1
+    while last < n:
+        positions = streams.splitter.geometric(n_x / n, chunk)
+        np.cumsum(positions, out=positions)
+        positions += last
+        last = int(positions[-1])
+        parts.append(positions[: np.searchsorted(positions, n)])
+    return np.concatenate(parts), 0
 
 
 def simulate_clicks(

@@ -65,6 +65,8 @@ BLOCK_FREQUENCY_LEN = 128
 MIN_TEST_BITS = 128
 # shortest input the battery takes: every partition holds MIN_TEST_BITS
 BATTERY_MIN_BITS = N_PARTITIONS * MIN_TEST_BITS
+# 64-bit words per chunk of the lag counts: 256 KiB per buffer stays in cache
+AUTOCORRELATION_CHUNK_WORDS = 1 << 15
 
 
 # relative size of a term or factor at which the series and continued
@@ -214,15 +216,25 @@ def autocorrelation(block: BitBlock, max_lag: int) -> np.ndarray:
     # zero words past the end stand in for the bits shifted in from beyond n
     words = np.zeros(n_words + max_lag // 64 + 1, dtype="<u8")
     words.view(np.uint8)[: data.size] = data
-    x = words[:n_words]
+    # c_j summed chunk by chunk, every lag's shifted words in three reused buffers
+    counts = [0] * max_lag
+    chunk = min(AUTOCORRELATION_CHUNK_WORDS, n_words)
+    shifted = np.empty(chunk, dtype="<u8")
+    carried = np.empty(chunk, dtype="<u8")
+    popcounts = np.empty(chunk, dtype=np.uint8)
+    for start in range(0, n_words, chunk):
+        m = min(chunk, n_words - start)
+        x, pairs = words[start : start + m], shifted[:m]
+        for j in range(1, max_lag + 1):
+            q, r = divmod(j, 64)
+            np.right_shift(words[start + q : start + q + m], r, out=pairs)
+            if r:
+                np.left_shift(words[start + q + 1 : start + q + 1 + m], 64 - r, out=carried[:m])
+                np.bitwise_or(pairs, carried[:m], out=pairs)
+            np.bitwise_and(pairs, x, out=pairs)
+            counts[j - 1] += int(np.bitwise_count(pairs, out=popcounts[:m]).sum(dtype=np.int64))
     out = np.empty(max_lag, dtype=np.float64)
-    for j in range(1, max_lag + 1):
-        q, r = divmod(j, 64)
-        shifted = words[q : q + n_words] >> r
-        if r:
-            shifted |= words[q + 1 : q + 1 + n_words] << (64 - r)
-        shifted &= x
-        c = int(np.bitwise_count(shifted).sum(dtype=np.int64))
+    for j, c in enumerate(counts, 1):
         outside = 2 * ones - first[j - 1] - last[j - 1]  # A_j + B_j
         out[j - 1] = (n * n * c - n * ones * outside + (n - j) * ones * ones) / scale
     return out

@@ -24,8 +24,11 @@ import numpy as np
 
 from .bits import BitBlock
 from .fileio import record_field
-from .photonic_sim import BLOCK_SIZE, X_RECORD, Pattern
+from .photonic_sim import X_RECORD, Pattern
 from .seeds import SeedSource
+
+# records per tally block; it bounds the tally's transient memory and changes no count or bit
+BLOCK_SIZE = 1 << 21
 
 # windows a basis plan reads before it gives up; each accepts with probability > 1/2
 PLAN_MAX_ATTEMPTS = 1000

@@ -224,23 +224,22 @@ def click_records(basis, pattern) -> np.ndarray:
     return pattern.astype(np.uint8) | (basis.astype(np.uint8) << 2)
 
 
-def where_run_session(n, source, channel, det, basis_plan, rng, block_size) -> np.ndarray:
-    """The simulator over full-length basis and pattern arrays.
-
-    Each block compares its two uniform draws against per-pulse click
-    probabilities chosen by ``np.where`` from the pulse's basis.
-    """
+def where_run_session(n, source, channel, det, basis_plan, rng) -> np.ndarray:
+    """The simulator over full-length arrays: one ``rng.random(n)`` draw,
+    and each pulse's click probabilities, hence its three cumulative
+    pattern thresholds, chosen by ``np.where`` from its basis."""
     basis = np.zeros(n, dtype=np.uint8)
     basis[basis_plan] = Basis.X
+    is_x = basis == Basis.X
     pz = click_probabilities(source, channel, det, Basis.Z)
     px = click_probabilities(source, channel, det, Basis.X)
-    pattern = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        is_x = basis[start:stop] == Basis.X
-        c0 = rng.random(stop - start) < np.where(is_x, px[0], pz[0])
-        c1 = rng.random(stop - start) < np.where(is_x, px[1], pz[1])
-        pattern[start:stop] = c0.astype(np.uint8) | (c1.astype(np.uint8) << 1)
+    p0 = np.where(is_x, px[0], pz[0])
+    p1 = np.where(is_x, px[1], pz[1])
+    u = rng.random(n)
+    none = (1.0 - p0) * (1.0 - p1)
+    d0 = none + p0 * (1.0 - p1)
+    d1 = d0 + (1.0 - p0) * p1
+    pattern = (u >= none).astype(np.uint8) + (u >= d0) + (u >= d1)
     return click_records(basis, pattern)
 
 

@@ -142,14 +142,14 @@ class TestPipeline:
             assert read_bit_file(out / "final.siq") == own.final_bits
 
     @pytest.mark.parametrize("extra, clicks, zbits", [
-        # passive, across one simulation block edge
+        # passive, across one tally block edge, simulated on two threads
         ({"total_pulses": (1 << 21) + 1000, "planned_x_count": 20000,
           "basis_choice": "passive", "master_seed": 5},
-         "71f9645767547baab3c391959f40fea38eedadac440e65c2f76c4d1731143d83",
-         "36f66d218b730d31f566f505e4a97a82315f897de5f6bf3a00f519a4a71dbf94"),
+         "a5c40a95b88814ab513af62fc5493a703d31539f0e0994847c33348ab9f3b5af",
+         "210570aaaaf34b05d61b8642495ec8e327f5f67485f7131d36afb4ddc15f3e05"),
         ({"master_seed": 0xDEADBEEF},
-         "9be9db75f6594ffdf059066cc1bea94d14386c7164a80da4e3da63bd3dbc5d6a",
-         "05f18d9616ea254c2d5d956d47ed4301d54a6c43e8c0ae212cc58df21ffa8d52"),
+         "55d4b1d9355177fd0614eefd8beb63b829d842fa468e1fd1e057117a46af9ab3",
+         "0dfba38104cd256d27abb59b83efe44164c1fb673b975026b82ed7c78e57b6f6"),
     ], ids=["passive", "active"])
     def test_click_and_zbit_files_are_unchanged(self, extra, clicks, zbits, tmp_path):
         # the simulator and the tally fix every later artifact, so the bytes
@@ -175,19 +175,19 @@ class TestPipeline:
                     float(field)
 
     def test_short_certified_output_skips_battery(self, tmp_path, capsys):
-        # 9478 certified bits: too few for 100 battery partitions of 128 bits
+        # 9888 certified bits: too few for 100 battery partitions of 128 bits
         doc = {**HONEST_DOC, "total_pulses": 60_000, "planned_x_count": 3000,
                "master_seed": 11, "basis_choice": "passive"}
         config = tmp_path / "short.json"
         config.write_text(json.dumps(doc))
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
-        assert len(read_bit_file(out / "final.siq")) == 9478
+        assert len(read_bit_file(out / "final.siq")) == 9888
         assert not (out / "randtest.json").exists()
         assert "battery skipped" in capsys.readouterr().err
 
         assert main(["test", "--bits", str(out / "final.siq"), "--out", str(out)]) == 1
-        assert ("statistical battery needs >= 12800 bits, got 9478"
+        assert ("statistical battery needs >= 12800 bits, got 9888"
                 in capsys.readouterr().err)
         assert not (out / "randtest.json").exists()
 
@@ -218,8 +218,9 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_records_are_strict_json(self, honest_config, adversarial_config, tmp_path):
-        # an abort's log2_theta is -inf and a lopsided file's runs statistic
-        # is nan; both must be null, since NaN and Infinity are no JSON
+        # an abort without X events has theta = 0, so log2_theta is -inf, and
+        # a lopsided file's runs statistic is nan; both must be null, since
+        # NaN and Infinity are no JSON
         def reject(constant):
             raise ValueError(f"not JSON: {constant}")
 
@@ -233,11 +234,18 @@ class TestPipeline:
                      "--out", str(tmp_path / "honest")]) == 0
         assert main(["pipeline", "--config", str(adversarial_config),
                      "--out", str(tmp_path / "abort")]) == 2
+        no_x = tmp_path / "no_x"
+        no_x.mkdir()
+        (no_x / "tally.json").write_text(json.dumps(
+            {"n": 100, "n_x": 0, "n_z": 100, "x_minus": 0, "x_double": 0,
+             "seed_bits_consumed": 0}))
+        assert main(["estimate", "--tally", str(no_x / "tally.json"),
+                     "--config", str(honest_config), "--out", str(no_x)]) == 2
         records = sorted(tmp_path.glob("*/*.json"))
-        assert {path.parent.name for path in records} == {"test", "honest", "abort"}
+        assert {path.parent.name for path in records} == {"test", "honest", "abort", "no_x"}
         for path in records:
             json.loads(path.read_text(), parse_constant=reject)
-        assert read_json(tmp_path / "abort" / "abort.json")["estimation"]["log2_theta"] is None
+        assert read_json(no_x / "abort.json")["estimation"]["log2_theta"] is None
         runs = read_json(tmp_path / "test" / "randtest.json")["tests"][2]
         assert runs["name"] == "runs" and runs["statistic"] is None
 
@@ -752,3 +760,14 @@ def test_expansion_property_at_protocol_scale(tmp_path):
     assert not result.aborted
     ledger = result.seed_ledger
     assert ledger["output_bits"] > ledger["non_toeplitz_bits"]
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the simulator's helper is a bare threading.Thread: importing
+    # concurrent.futures would add about 6 ms to every cold start
+    code = ("import sys, siqrng.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -148,8 +148,6 @@ TEST_ONLY_PARAMETERS = {
     "cli:main(argv)": "the console script passes none; the tests pass the argument list",
     "extractor:extract_session(block_size)":
         "small blocks test multi-block extraction; goes with the one-hash item",
-    "photonic_sim:run_session(block_size)":
-        "small blocks test the blocked simulation; goes with the simulate-stage item",
 }
 
 

@@ -1,8 +1,11 @@
 """Detection model tests: click statistics against binomial/CLT oracles,
-matched-seed monotonicity, stream determinism, the record byte, and the
-blocked simulate and tally stages against their full-length oracles."""
+matched-seed monotonicity, stream determinism, the record byte, the
+chunked two-thread simulate stage and the blocked tally against their
+full-length oracles."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from siqrng import pipeline
+from siqrng import photonic_sim, pipeline
 from siqrng.config import config_from_dict
 from siqrng.extractor import extract_session
 from siqrng.photonic_sim import (
-    BLOCK_SIZE,
+    CHUNK,
     Basis,
     ChannelConfig,
     DetectorConfig,
@@ -24,11 +27,12 @@ from siqrng.photonic_sim import (
     SourceMode,
     click_probabilities,
     detector_intensities,
+    pattern_thresholds,
     run_session,
 )
 from siqrng.pipeline import choose_basis_plan, derive_streams, simulate_clicks
 from siqrng.seeds import SeedSource
-from siqrng.squash_sample import squash_and_tally
+from siqrng.squash_sample import BLOCK_SIZE, squash_and_tally
 
 from helpers import (
     ClickEvent,
@@ -127,20 +131,34 @@ class TestRunSession:
 
 
 @st.composite
-def _blocked_plans(draw):
-    """(n, block_size, plan): n often a block multiple or one off it, and
-    plan positions often at block edges."""
-    block_size = draw(st.integers(1, 32))
-    tail = draw(st.one_of(st.sampled_from([0, 1, block_size - 1]),
-                          st.integers(0, block_size - 1)))
-    n = block_size * draw(st.integers(0, 6)) + tail
+def _chunked_plans(draw):
+    """(n, chunk, split, plan): n often a chunk multiple or one off it,
+    the split anywhere in [0, n], and plan positions often at chunk edges
+    or at the split."""
+    chunk = draw(st.integers(1, 32))
+    tail = draw(st.one_of(st.sampled_from([0, 1, chunk - 1]), st.integers(0, chunk - 1)))
+    n = chunk * draw(st.integers(0, 6)) + tail
+    split = draw(st.one_of(st.just(n // 2), st.integers(0, n)))
     positions = []
     if n:
-        edges = [p for k in range(n // block_size + 1)
-                 for p in (k * block_size - 1, k * block_size) if 0 <= p < n]
+        edges = [p for k in range(n // chunk + 1)
+                 for p in (k * chunk - 1, k * chunk, split - 1, split) if 0 <= p < n]
         positions = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)),
                                   max_size=n))
-    return n, block_size, np.array(positions, dtype=np.int64)
+    return n, chunk, split, np.array(positions, dtype=np.int64)
+
+
+def _spans(n, source, plan, seed, cuts):
+    """Records of pulses [0, n) simulated span by span, [cuts[k], cuts[k+1])
+    on a copy of the seed's bit generator advanced by cuts[k]."""
+    records = np.empty(n, dtype=np.uint8)
+    thresholds = [pattern_thresholds(*click_probabilities(source, LOSSLESS, PAPER_DET, basis))
+                  for basis in (Basis.Z, Basis.X)]
+    for start, stop in zip(cuts, cuts[1:]):
+        bitgen = np.random.default_rng(seed).bit_generator
+        bitgen.advance(start)
+        photonic_sim._simulate_span(records, np.sort(plan), *thresholds, bitgen, start, stop)
+    return records
 
 
 class TestClickStream:
@@ -176,28 +194,131 @@ class TestClickStream:
 
 
 class TestBlockedSimulation:
-    @given(shape=_blocked_plans(), seed=st.integers(0, 2**32 - 1),
+    """The simulator draws in chunks and, when each half holds a chunk, on
+    two threads; pulse i reads output i of the stream either way, so the
+    records are those of the one-draw full-length oracle."""
+
+    @given(shape=_chunked_plans(), seed=st.integers(0, 2**32 - 1),
            source=st.sampled_from([HONEST, ADVERSARIAL]))
-    @example(shape=(64, 16, np.array([15, 16, 31, 32, 63])), seed=1, source=HONEST)
-    @example(shape=(65, 16, np.array([0, 63, 64])), seed=2, source=ADVERSARIAL)
-    @example(shape=(63, 16, np.array([15, 16, 47, 48, 62])), seed=3, source=HONEST)
+    @example(shape=(64, 16, 32, np.array([15, 16, 31, 32, 63])), seed=1, source=HONEST)
+    @example(shape=(65, 16, 32, np.array([0, 31, 32, 63, 64])), seed=2, source=ADVERSARIAL)
+    @example(shape=(63, 16, 17, np.array([15, 16, 47, 48, 62])), seed=3, source=HONEST)
+    @example(shape=(33, 16, 0, np.array([0, 15, 16, 32])), seed=4, source=HONEST)
     @settings(max_examples=150, deadline=None)
     def test_equals_full_length_oracle(self, shape, seed, source):
-        n, block_size, plan = shape
-        fast = run_session(n, source, LOSSLESS, PAPER_DET, plan,
-                           np.random.default_rng(seed), block_size)
+        # the serial single-span draw, a split at any pulse, and run_session
+        # (on two threads when each half holds a chunk) write the same bytes
+        n, chunk, split, plan = shape
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(photonic_sim, "CHUNK", chunk)
+            fast = run_session(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(seed))
+            serial = _spans(n, source, plan, seed, [0, n])
+            halves = _spans(n, source, plan, seed, [0, split, n])
         slow = where_run_session(n, source, LOSSLESS, PAPER_DET, plan,
-                                 np.random.default_rng(seed), block_size)
+                                 np.random.default_rng(seed))
         assert np.array_equal(fast, slow)
+        assert np.array_equal(serial, slow)
+        assert np.array_equal(halves, slow)
 
-    @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1])
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+                                   2 * CHUNK + 1, 3 * CHUNK + 5, 32 * CHUNK - 1, 32 * CHUNK,
+                                   32 * CHUNK + 1])
     def test_simulation_at_the_block_edge(self, n):
-        plan = [0, BLOCK_SIZE - 2, BLOCK_SIZE - 1, BLOCK_SIZE, n - 1]
-        plan = np.array(sorted({p for p in plan if p < n}))
-        fast = run_session(n, HONEST, LOSSLESS, PAPER_DET, plan, np.random.default_rng(n))
-        slow = where_run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
-                                 np.random.default_rng(n), BLOCK_SIZE)
-        assert np.array_equal(fast, slow)
+        # plans at the first chunk edges, at the split n // 2 and at both ends
+        plan = [0, n // 2 - 1, n // 2, n - 1] + [p for k in range(1, 4)
+                                                 for p in (k * CHUNK - 1, k * CHUNK)]
+        plan = np.array(sorted({p for p in plan if 0 <= p < n}), dtype=np.int64)
+        for source in (HONEST, ADVERSARIAL):
+            fast = run_session(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(n))
+            slow = where_run_session(n, source, LOSSLESS, PAPER_DET, plan,
+                                     np.random.default_rng(n))
+            assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("n", [3400, 2 * CHUNK - 1, 2 * CHUNK, 3 * CHUNK + 5])
+    def test_generator_ends_n_outputs_on(self, n):
+        rng = np.random.default_rng(n)
+        expected = np.random.PCG64(0)
+        expected.state = rng.bit_generator.state
+        expected.advance(n)
+        run_session(n, HONEST, LOSSLESS, PAPER_DET, np.arange(0, n, 5), rng)
+        assert rng.bit_generator.state == expected.state
+
+    @pytest.mark.parametrize("n, threads", [(3400, 0), (2 * CHUNK - 1, 0), (2 * CHUNK, 1),
+                                            (3 * CHUNK + 5, 1)])
+    def test_helper_thread_is_joined(self, n, threads, monkeypatch):
+        # adversarial_batch's 3,400-pulse sessions start no thread; a
+        # session with a chunk per half starts one and joins it
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(photonic_sim.threading, "Thread", CountedThread)
+        before = threading.active_count()
+        run_session(n, HONEST, LOSSLESS, PAPER_DET, NO_X, np.random.default_rng(1))
+        assert threading.active_count() == before
+        assert len(started) == threads and not any(t.is_alive() for t in started)
+
+    def test_concurrent_sessions_under_fast_switching(self, monkeypatch):
+        # four sessions at once, each with its helper (8 threads on fewer
+        # cores), switching every microsecond: the halves write disjoint
+        # slices, so every session still equals its oracle
+        monkeypatch.setattr(photonic_sim, "CHUNK", 16)
+        n, plan = 4099, np.arange(0, 4099, 3)
+        results = {}
+
+        def session(seed):
+            results[seed] = run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
+                                        np.random.default_rng(seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=session, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and sorted(results) == [0, 1, 2, 3]
+        for seed, records in results.items():
+            expected = where_run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
+                                         np.random.default_rng(seed))
+            assert np.array_equal(records, expected)
+
+    def test_helper_failure_is_raised_in_the_caller(self, monkeypatch):
+        simulate_span = photonic_sim._simulate_span
+
+        def failing_upper_half(records, x_sorted, tz, tx, bitgen, start, stop):
+            if start > 0:
+                raise MemoryError("upper half")
+            simulate_span(records, x_sorted, tz, tx, bitgen, start, stop)
+
+        monkeypatch.setattr(photonic_sim, "_simulate_span", failing_upper_half)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="upper half"):
+            run_session(2 * CHUNK, HONEST, LOSSLESS, PAPER_DET, NO_X, np.random.default_rng(1))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("source", [HONEST, ADVERSARIAL], ids=["honest", "adversarial"])
+    def test_pattern_frequencies_have_the_product_law(self, source):
+        # per basis, each pattern's frequency is within 5 sigma of the product
+        # of the two detectors' marginal probabilities
+        n = 1 << 20
+        plan = np.arange(0, n, 2)
+        pattern = run_session(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(5))
+        for basis in (Basis.Z, Basis.X):
+            p0, p1 = click_probabilities(source, LOSSLESS, PAPER_DET, basis)
+            probs = {Pattern.NONE: (1 - p0) * (1 - p1), Pattern.D0: p0 * (1 - p1),
+                     Pattern.D1: (1 - p0) * p1, Pattern.DOUBLE: p0 * p1}
+            of_basis = pattern[pattern >> 2 == basis] & 3
+            for code, prob in probs.items():
+                freq = np.count_nonzero(of_basis == code) / of_basis.size
+                sigma = math.sqrt(prob * (1 - prob) / of_basis.size)
+                assert abs(freq - prob) <= 5 * sigma, (basis, code, freq, prob)
 
     @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
                                    BLOCK_SIZE + 4096])
@@ -302,6 +423,21 @@ class TestChooseBasisPlan:
         pairs = (chosen[:, :-1] & chosen[:, 1:]).mean(axis=0)
         q = p * p
         assert np.all(np.abs(pairs - q) <= 5 * math.sqrt(q * (1 - q) / seeds)), pairs
+
+    def test_passive_plan_memory_grows_with_its_x_count(self):
+        # geometric gaps, one chunk of about N*p int64 and the positions'
+        # copy; a partial shuffle of all N pulses takes 2.75 times the bound
+        config = config_from_dict({"total_pulses": 4 * 10**6, "planned_x_count": 4 * 10**5,
+                                   "basis_choice": "passive", "master_seed": 424242})
+        streams = derive_streams(config.master_seed)
+        tracemalloc.start()
+        try:
+            positions, _ = choose_basis_plan(config, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert positions.size > 0.99 * config.params.planned_x_count
+        assert peak <= 4 * 8 * positions.size, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("mode", ["active", "passive"])
     def test_plan_reads_no_other_stream(self, mode):

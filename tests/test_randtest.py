@@ -96,6 +96,15 @@ class TestAutocorrelation:
         got = autocorrelation(_block(x), max_lag).tolist()
         assert got == [float(r) for r in exact_autocorrelation(x, max_lag)]
 
+    @pytest.mark.parametrize("n", [191, 192, 193, 383, 384, 385, 575, 576, 577, 1000])
+    def test_chunked_counts_equal_exact_estimator(self, n, monkeypatch):
+        # chunks of 3 words (192 bits): the lag counts are summed across
+        # chunk edges, and lags past 64 read the next words of the next chunk
+        monkeypatch.setattr(randtest, "AUTOCORRELATION_CHUNK_WORDS", 3)
+        x = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        got = autocorrelation(_block(x), 100).tolist()
+        assert got == [float(r) for r in exact_autocorrelation(x, 100)]
+
     @pytest.mark.parametrize("n", [192, 200, 257, 320])
     def test_single_pairs_across_word_boundaries(self, n):
         # ones at 0, 63, 64, 65 and 128: every pair distance from 1 to 128
