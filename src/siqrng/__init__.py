@@ -42,16 +42,7 @@ from .pipeline import (
     run_protocol_session,
     run_sweep,
 )
-from .randtest import (
-    TestReport,
-    autocorrelation,
-    block_frequency_test,
-    cusum_test,
-    longest_run_test,
-    monobit_test,
-    run_battery,
-    runs_test,
-)
+from .randtest import TestReport, autocorrelation, run_battery
 from .seeds import SeedExhaustedError, SeedSource
 from .squash_sample import (
     SessionTally,

@@ -7,33 +7,46 @@ when its P value is at least 0.01; a battery additionally reports, per
 test, the proportion of equal-length sub-sequences passing (the deployment
 threshold is 96%).
 
-Input types: :func:`run_battery` and :func:`autocorrelation` take a
+Both :func:`run_battery` and :func:`autocorrelation` take a
 :class:`~siqrng.bits.BitBlock`, the form in which the pipeline and the
-``test`` subcommand hold their bits, and the battery passes its block
-straight to ``autocorrelation``.  The five tests take a 1-d array of 0/1
-values, the form in which the battery cuts its partitions;
-``longest_run_test`` and ``cusum_test`` pack theirs first.
+``test`` subcommand hold their bits, and neither unpacks it: every
+statistic is an integer count taken from the packed bits (LSB first) and
+turned into a float by the test's own expression.
 
-The costly statistics run on the packed bits (LSB first, as in
-:class:`~siqrng.bits.BitBlock`) with integer arithmetic only:
-
+* The battery realigns its input once.  Partition i of the N_PARTITIONS
+  starts at bit i*L, L = n // N_PARTITIONS, which is seldom byte-aligned,
+  so row i of one ``(N_PARTITIONS, W)`` uint64 array holds partition i
+  from its bit 0, with zeros past L: one shift per row.  Every test then
+  runs on all rows at once.  Monobit counts the ones of each row, block
+  frequency those of each 128-bit block (two words), and runs the ones of
+  ``x ^ (x >> 1)`` over the first L - 1 positions.  Longest run ANDs the
+  blocks of every row with themselves shifted, raising the run length each
+  set bit stands for until the last category boundary, and counts the
+  blocks that still hold a set bit.  Cusum reads each byte's highest and
+  lowest walk prefix from one 256-entry table and places the bytes on the
+  walk by the running popcounts of their words.
+* The full sequence is the partitions followed by the n - N_PARTITIONS*L
+  bits past the last one, so its monobit, runs and cusum statistics follow
+  exactly from the partition sums: the ones add up; the transitions add
+  up, with the pairs across the partition edges and within the last bits;
+  and the walk's extremes are the partitions' extremes, each raised by the
+  walk before its partition, then the last bits' walk.  Block frequency
+  and longest run count blocks from bit 0 of the sequence, which the
+  partition edges cut, so they take one pass of their own.
+* A constant sequence (a stuck source) gets its five records, all failing,
+  and a curve of NaN, since its autocorrelation is undefined.
 * ``autocorrelation`` views the bytes as little-endian uint64 words and
-  counts ``c_j = popcount(x & (x >> j))``, the number of ones ``j`` apart.
-  With ``s`` ones in ``n`` bits and ``A_j``/``B_j`` the ones outside the
-  last/first ``j`` bits, the divide-by-n estimator (full-block mean, biased
-  variance) is exactly::
+  counts ``c_j = popcount(x & (x >> j))``, the number of ones ``j`` apart;
+  lags j, j + 64, ... read one copy of the words shifted by j % 64 bits,
+  a word apart.  With ``s`` ones in ``n`` bits and ``A_j``/``B_j`` the
+  ones outside the last/first ``j`` bits, the divide-by-n estimator
+  (full-block mean, biased variance) is exactly::
 
       R(j) = (n^2 c_j - n s (A_j + B_j) + (n - j) s^2) / (n (n s - s^2))
 
   evaluated in Python integers with one correctly rounded division per lag.
   No float sum is formed, so the curve is a function of the bits alone and
   does not depend on the BLAS library or its thread count.
-* ``cusum_test`` walks byte by byte: three 256-entry tables give each
-  byte's walk end and its highest and lowest prefix, and a cumulative sum
-  of the walk ends places them on the walk.
-* ``longest_run_test`` ANDs each packed block with itself shifted by one
-  bit, once per run length up to the last category boundary (at most 16
-  passes), and counts the blocks that still hold a set bit.
 
 The P values need three special functions, all computed here in double
 precision without scipy: ``erfc`` is :func:`math.erfc`, :func:`ndtr` is
@@ -67,6 +80,9 @@ MIN_TEST_BITS = 128
 BATTERY_MIN_BITS = N_PARTITIONS * MIN_TEST_BITS
 # 64-bit words per chunk of the lag counts: 256 KiB per buffer stays in cache
 AUTOCORRELATION_CHUNK_WORDS = 1 << 15
+# bytes per byte-table gather of the cusum: its index copy, 8 bytes an
+# index, stays at 256 KiB
+GATHER_CHUNK_BYTES = 1 << 15
 
 
 # relative size of a term or factor at which the series and continued
@@ -173,13 +189,6 @@ class InsufficientLengthError(ValueError):
     """Raised when a bit sequence is too short for a test."""
 
 
-def _as01(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d bit sequence")
-    return arr
-
-
 def _require(n: int, minimum: int, test: str):
     if n < minimum:
         raise InsufficientLengthError(f"{test} needs >= {minimum} bits, got {n}")
@@ -213,154 +222,40 @@ def autocorrelation(block: BitBlock, max_lag: int) -> np.ndarray:
     last = np.cumsum(tail[::-1][:max_lag]).tolist()
 
     n_words = -(-data.size // 8)
+    spread = max_lag // 64  # words past a chunk that a lag reads
     # zero words past the end stand in for the bits shifted in from beyond n
-    words = np.zeros(n_words + max_lag // 64 + 1, dtype="<u8")
+    words = np.zeros(n_words + spread + 1, dtype="<u8")
     words.view(np.uint8)[: data.size] = data
-    # c_j summed chunk by chunk, every lag's shifted words in three reused buffers
+    # c_j summed chunk by chunk.  Lags j, j + 64, ... read the words shifted
+    # by the same j % 64 bits, one word apart, so one shifted copy per bit
+    # offset serves them all; the copy and the pairs share two buffers
     counts = [0] * max_lag
     chunk = min(AUTOCORRELATION_CHUNK_WORDS, n_words)
-    shifted = np.empty(chunk, dtype="<u8")
-    carried = np.empty(chunk, dtype="<u8")
+    shifted = np.empty(chunk + spread, dtype="<u8")
+    scratch = np.empty(chunk + spread, dtype="<u8")
     popcounts = np.empty(chunk, dtype=np.uint8)
     for start in range(0, n_words, chunk):
         m = min(chunk, n_words - start)
-        x, pairs = words[start : start + m], shifted[:m]
-        for j in range(1, max_lag + 1):
-            q, r = divmod(j, 64)
-            np.right_shift(words[start + q : start + q + m], r, out=pairs)
+        x = words[start : start + m]
+        for r in range(min(64, max_lag + 1)):
+            lags = range(r or 64, max_lag + 1, 64)
+            if not lags:
+                continue
+            span = m + lags[-1] // 64
             if r:
-                np.left_shift(words[start + q + 1 : start + q + 1 + m], 64 - r, out=carried[:m])
-                np.bitwise_or(pairs, carried[:m], out=pairs)
-            np.bitwise_and(pairs, x, out=pairs)
-            counts[j - 1] += int(np.bitwise_count(pairs, out=popcounts[:m]).sum(dtype=np.int64))
+                copy = np.right_shift(words[start : start + span], r, out=shifted[:span])
+                np.left_shift(words[start + 1 : start + 1 + span], 64 - r, out=scratch[:span])
+                np.bitwise_or(copy, scratch[:span], out=copy)
+            else:
+                copy = words[start : start + span]
+            for j in lags:
+                pairs = np.bitwise_and(copy[j // 64 : j // 64 + m], x, out=scratch[:m])
+                counts[j - 1] += int(np.bitwise_count(pairs, out=popcounts[:m]).sum(dtype=np.int64))
     out = np.empty(max_lag, dtype=np.float64)
     for j, c in enumerate(counts, 1):
         outside = 2 * ones - first[j - 1] - last[j - 1]  # A_j + B_j
         out[j - 1] = (n * n * c - n * ones * outside + (n - j) * ones * ones) / scale
     return out
-
-
-def monobit_test(bits) -> tuple[float, float]:
-    """Frequency test: overall balance of ones and zeros."""
-    x = _as01(bits)
-    _require(x.size, 100, "monobit test")
-    s = 2.0 * int(np.count_nonzero(x)) - x.size
-    statistic = abs(s) / math.sqrt(x.size)
-    return statistic, float(erfc(statistic / math.sqrt(2.0)))
-
-
-def block_frequency_test(bits) -> tuple[float, float]:
-    """Proportion of ones within blocks of BLOCK_FREQUENCY_LEN bits."""
-    x = _as01(bits)
-    _require(x.size, max(100, BLOCK_FREQUENCY_LEN), "block frequency test")
-    n_blocks = x.size // BLOCK_FREQUENCY_LEN
-    pi = x[: n_blocks * BLOCK_FREQUENCY_LEN].reshape(n_blocks, BLOCK_FREQUENCY_LEN).mean(axis=1)
-    chi2 = 4.0 * BLOCK_FREQUENCY_LEN * float(np.sum((pi - 0.5) ** 2))
-    return chi2, float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
-
-
-def runs_test(bits) -> tuple[float, float]:
-    """Total number of maximal same-bit runs.
-
-    Returns p = 0.0 without evaluating the run statistic when the ones
-    fraction is already outside the 2/sqrt(n) frequency band.
-    """
-    x = _as01(bits)
-    _require(x.size, 100, "runs test")
-    n = x.size
-    pi = float(np.count_nonzero(x)) / n
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return float("nan"), 0.0
-    v = 1 + int(np.count_nonzero(np.diff(x)))
-    num = abs(v - 2.0 * n * pi * (1.0 - pi))
-    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return float(v), float(erfc(num / den))
-
-
-# (minimum n, block length M, category boundaries, category probabilities)
-_LONGEST_RUN_REGIMES = (
-    (128, 8, (1, 2, 3, 4), (0.2148, 0.3672, 0.2305, 0.1875)),
-    (6272, 128, (4, 5, 6, 7, 8, 9), (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
-    (750000, 10**4, (10, 11, 12, 13, 14, 15, 16),
-     (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
-)
-
-
-def longest_run_test(bits) -> tuple[float, float]:
-    """Distribution of the longest run of ones over fixed-length blocks."""
-    x = _as01(bits)
-    n = x.size
-    _require(n, MIN_TEST_BITS, "longest run test")
-    data = np.packbits(x, bitorder="little")
-    regime = next(r for r in reversed(_LONGEST_RUN_REGIMES) if n >= r[0])
-    _, m, bounds, pi = regime
-    n_blocks = n // m
-    # every block length is a whole number of bytes; bit i of a row of
-    # `run` is set while bits i .. i+k-1 of that block are all ones
-    run = data[: n_blocks * m // 8].reshape(n_blocks, m // 8)
-    at_least = [n_blocks]  # at_least[k]: blocks holding a run of >= k ones
-    for k in range(1, bounds[-1] + 1):
-        if k > 1:
-            shifted = run >> 1
-            shifted[:, :-1] |= run[:, 1:] << 7
-            run = run & shifted
-        at_least.append(int(np.count_nonzero(run.any(axis=1))))
-    counts = np.zeros(len(bounds), dtype=np.int64)
-    counts[0] = n_blocks - at_least[bounds[0] + 1]
-    for i in range(1, len(bounds) - 1):
-        counts[i] = at_least[bounds[i]] - at_least[bounds[i] + 1]
-    counts[-1] = at_least[bounds[-1]]
-    expected = n_blocks * np.asarray(pi)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
-
-
-def _byte_walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk end, highest and lowest prefix of the +/-1 walk over each byte."""
-    steps = 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1  # LSB first
-    prefix = np.cumsum(steps, axis=1)
-    return prefix[:, -1], prefix.max(axis=1), prefix.min(axis=1)
-
-
-_BYTE_END, _BYTE_HIGH, _BYTE_LOW = _byte_walk_tables()
-
-
-def cusum_test(bits) -> tuple[float, float]:
-    """Maximum excursion of the +/-1 partial-sum walk (forward mode)."""
-    x = _as01(bits)
-    n = x.size
-    _require(n, 100, "cumulative sums test")
-    data = np.packbits(x, bitorder="little")
-    whole = data[: n // 8]
-    after = np.cumsum(_BYTE_END[whole])  # walk after each whole byte
-    before = after - _BYTE_END[whole]
-    high = int(np.max(before + _BYTE_HIGH[whole]))
-    low = int(np.min(before + _BYTE_LOW[whole]))
-    if n % 8:
-        # the partial last byte: only its first n % 8 steps are on the walk
-        tail = np.unpackbits(data[-1:], count=n % 8, bitorder="little")
-        walk = int(after[-1]) + np.cumsum(2 * tail.astype(np.int64) - 1)
-        high = max(high, int(walk.max()))
-        low = min(low, int(walk.min()))
-    z = max(high, -low)  # >= 1: the first step already moves the walk
-    sqrt_n = math.sqrt(n)
-    k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
-    k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
-    p = (
-        1.0
-        - float(np.sum(ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)))
-        + float(np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)))
-    )
-    return float(z), float(min(max(p, 0.0), 1.0))
-
-
-ALL_TESTS = {
-    "monobit": monobit_test,
-    "block_frequency": block_frequency_test,
-    "runs": runs_test,
-    "longest_run": longest_run_test,
-    "cusum": cusum_test,
-}
 
 
 @dataclass
@@ -407,35 +302,293 @@ class TestReport:
         }
 
 
+# (minimum n, block length M, category boundaries, category probabilities)
+_LONGEST_RUN_REGIMES = (
+    (128, 8, (1, 2, 3, 4), (0.2148, 0.3672, 0.2305, 0.1875)),
+    (6272, 128, (4, 5, 6, 7, 8, 9), (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)),
+    (750000, 10**4, (10, 11, 12, 13, 14, 15, 16),
+     (0.0882, 0.2092, 0.2483, 0.1933, 0.1208, 0.0675, 0.0727)),
+)
+
+
+def _byte_walk_table() -> np.ndarray:
+    """The highest prefix plus 1 (bits 0-3) and the lowest prefix plus 8
+    (bits 4-7) of the +/-1 walk over each byte, both in 0..9."""
+    steps = 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1  # LSB first
+    prefix = np.cumsum(steps, axis=1)
+    return ((prefix.max(axis=1) + 1) | (prefix.min(axis=1) + 8) << 4).astype(np.uint8)
+
+
+_BYTE_EXTREMES = _byte_walk_table()
+
+
+def _monobit(ones: int, n: int) -> tuple[float, float]:
+    """Frequency test: overall balance of ones and zeros."""
+    s = 2.0 * ones - n
+    statistic = abs(s) / math.sqrt(n)
+    return statistic, float(erfc(statistic / math.sqrt(2.0)))
+
+
+def _block_frequency(block_ones: np.ndarray) -> tuple[float, float]:
+    """Proportion of ones within blocks of BLOCK_FREQUENCY_LEN bits, from the
+    ones of each block."""
+    pi = block_ones / BLOCK_FREQUENCY_LEN
+    chi2 = 4.0 * BLOCK_FREQUENCY_LEN * float(np.sum((pi - 0.5) ** 2))
+    return chi2, float(gammaincc(block_ones.size / 2.0, chi2 / 2.0))
+
+
+def _runs(ones: int, transitions: int, n: int) -> tuple[float, float]:
+    """Total number of maximal same-bit runs, one more than the transitions.
+
+    Returns p = 0.0 without evaluating the run statistic when the ones
+    fraction is already outside the 2/sqrt(n) frequency band.
+    """
+    pi = float(ones) / n
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+        return float("nan"), 0.0
+    v = 1 + transitions
+    num = abs(v - 2.0 * n * pi * (1.0 - pi))
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    return float(v), float(erfc(num / den))
+
+
+def _longest_run(counts: np.ndarray, n_blocks: int, regime) -> tuple[float, float]:
+    """Distribution of the longest run of ones over n_blocks blocks, from the
+    blocks in each category."""
+    _, _, bounds, pi = regime
+    expected = n_blocks * np.asarray(pi)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
+
+
+def _cusum(excursions: list[int], n: int) -> list[tuple[float, float]]:
+    """Maximum excursion z of the +/-1 partial-sum walk (forward mode), for
+    each z of a walk of n steps."""
+    sqrt_n = math.sqrt(n)
+    k1 = [np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
+          for z in excursions]
+    k2 = [np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
+          for z in excursions]
+
+    def terms(ks, a, b):
+        """ndtr((4k + a) z / sqrt(n)) - ndtr((4k + b) z / sqrt(n)), every
+        z's k laid end to end for one ndtr call, then split by z."""
+        k, z = np.concatenate(ks), np.repeat(excursions, [r.size for r in ks])
+        term = ndtr((4 * k + a) * z / sqrt_n) - ndtr((4 * k + b) * z / sqrt_n)
+        return np.split(term, np.cumsum([r.size for r in ks])[:-1])
+
+    results = []
+    for z, t1, t2 in zip(excursions, terms(k1, 1, -1), terms(k2, 3, 1)):
+        p = 1.0 - float(np.sum(t1)) + float(np.sum(t2))
+        results.append((float(z), float(min(max(p, 0.0), 1.0))))
+    return results
+
+
+def _partition_rows(words: np.ndarray, length: int) -> np.ndarray:
+    """Row i holds bits i*length .. (i+1)*length - 1 of ``words`` from its
+    bit 0, LSB first, and zeros past ``length``: one shift per row."""
+    width = -(-length // 64)
+    rows = np.empty((N_PARTITIONS, width), dtype="<u8")
+    carry = np.empty(width, dtype="<u8")
+    for i, row in enumerate(rows):
+        q, r = divmod(i * length, 64)
+        np.right_shift(words[q : q + width], r, out=row)
+        if r:
+            np.left_shift(words[q + 1 : q + width + 1], 64 - r, out=carry)
+            row |= carry
+    if length % 64:
+        rows[:, -1] &= np.uint64((1 << length % 64) - 1)
+    return rows
+
+
+def _block_ones(popcounts: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Ones in each of the first n_blocks blocks of BLOCK_FREQUENCY_LEN = 128
+    bits, two words each, from the popcounts of the words (last axis)."""
+    return popcounts[..., 0 : 2 * n_blocks : 2] + popcounts[..., 1 : 2 * n_blocks : 2]
+
+
+def _longest_run_counts(rows: np.ndarray, length: int, regime) -> np.ndarray:
+    """Blocks per longest-run category, one row of counts per row of bits.
+
+    The blocks are the ``length // M`` whole M-bit blocks from bit 0 of each
+    row, padded with zeros to whole words (one byte at M = 8) and laid out
+    word by word: slab c holds word c of every block.  Bit i of ``run``
+    stays set while bits i .. i+k-1 of its block are all ones, and ANDing
+    ``run`` with itself shifted by s <= k raises k by s: doubling steps
+    reach the first category boundary that counts, single steps the others.
+    """
+    _, m, bounds, _ = regime
+    n_rows, n_blocks, nbytes = len(rows), length // m, m // 8
+    width = 1 if nbytes == 1 else -(-nbytes // 8) * 8
+    blocks = np.zeros((n_rows, n_blocks, width), dtype=np.uint8)
+    blocks[..., :nbytes] = rows.view(np.uint8)[:, : n_blocks * nbytes].reshape(
+        n_rows, n_blocks, nbytes)
+    run = np.ascontiguousarray((blocks if width == 1 else blocks.view("<u8")).transpose(2, 0, 1))
+    del blocks
+    bits = 8 * run.itemsize
+    shifted, carry = np.empty_like(run), np.empty_like(run[1:])
+    first = bounds[0] + 1
+    at_least = {}  # at_least[k]: blocks of each row holding a run of >= k ones
+    k = 1
+    while k < bounds[-1]:
+        s = min(k, first - k) if k < first else 1
+        np.right_shift(run, s, out=shifted)
+        if len(run) > 1:
+            np.left_shift(run[1:], bits - s, out=carry)
+            shifted[:-1] |= carry
+        run &= shifted
+        k += s
+        if k >= first:
+            # OR the words of each block, halves at a time; the halves of
+            # an odd count share the middle word
+            folded = run
+            while len(folded) > 1:
+                half = (len(folded) + 1) // 2
+                folded = folded[:half] | folded[-half:]
+            at_least[k] = np.count_nonzero(folded[0], axis=-1)
+    counts = np.empty((n_rows, len(bounds)), dtype=np.int64)
+    counts[:, 0] = n_blocks - at_least[first]
+    for i in range(1, len(bounds) - 1):
+        counts[:, i] = at_least[bounds[i]] - at_least[bounds[i] + 1]
+    counts[:, -1] = at_least[bounds[-1]]
+    return counts
+
+
+def _walk_extremes(rows: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Highest and lowest point of the +/-1 walk over each row's first
+    ``length`` bits (``length`` > 64).
+
+    The words before a row's last are taken eight bytes at a time.  Byte k
+    of a word starts 2 P_k - 8 k above the word's start, P_k the ones in
+    bytes 0 .. k-1: multiplying the word of byte popcounts by 0x0101..01
+    gives their running sums.  One gather from the byte table gives each
+    byte's highest and lowest prefix, nibble-coded; with 64 added, every
+    byte's value lies in 0..129, so uint8 arithmetic holds it exactly, and a
+    word's extreme is its extreme byte.  The last word, whose bits past
+    ``length`` are zero, is walked bit by bit.
+    """
+    n_rows, full = len(rows), (length - 1) // 64  # words before the last
+    row_bytes = rows[:, :full].view(np.uint8)
+    offsets = np.zeros((n_rows, full), dtype="<u8")
+    np.bitwise_count(row_bytes, out=offsets.view(np.uint8))
+    running = offsets * np.uint64(0x0101010101010101)
+    word_ones = (running >> np.uint64(56)).astype(np.int32)
+    np.subtract(running, offsets, out=offsets)
+    del running
+    offsets <<= np.uint64(1)
+    offsets += np.uint64(int.from_bytes(bytes(range(64, 0, -8)), "little"))
+    # the walk before each word
+    starts = 2 * (np.cumsum(word_ones, axis=1, dtype=np.int32) - word_ones) - 64 * np.arange(
+        full, dtype=np.int32)
+    lanes = np.empty_like(row_bytes)
+    group = max(1, GATHER_CHUNK_BYTES // row_bytes.shape[1])  # rows per gather
+    for g in range(0, n_rows, group):
+        np.take(_BYTE_EXTREMES, row_bytes[g : g + group], out=lanes[g : g + group], mode="wrap")
+
+    def extreme(nibbles, pick):
+        nibbles += offsets.view(np.uint8)
+        by_word = nibbles.reshape(n_rows, full, 8)
+        out = pick(by_word[..., 0], by_word[..., 1])
+        for k in range(2, 8):
+            pick(out, by_word[..., k], out=out)
+        return pick.reduce(starts + out, axis=1)
+
+    # a byte's highest prefix is 1 below its low nibble, its lowest 8 below its high one
+    high = extreme(lanes & np.uint8(15), np.maximum) - 65
+    low = extreme(np.right_shift(lanes, np.uint8(4), out=lanes), np.minimum) - 72
+    del lanes, offsets, starts
+    before_last = 2 * word_ones.sum(axis=1, dtype=np.int64) - 64 * full
+    steps = np.unpackbits(rows[:, full : full + 1].view(np.uint8), axis=1,
+                          count=length - 64 * full, bitorder="little")
+    walk = before_last[:, None] + np.cumsum(2 * steps.astype(np.int64) - 1, axis=1)
+    return np.maximum(high, walk.max(axis=1)), np.minimum(low, walk.min(axis=1))
+
+
+def _regime(n: int):
+    return next(r for r in reversed(_LONGEST_RUN_REGIMES) if n >= r[0])
+
+
+def _battery_records(block: BitBlock) -> list[TestRecord]:
+    """The five records: each test on the full sequence, and its proportion
+    of passing partitions."""
+    data, n = block.data, block.length
+    length = n // N_PARTITIONS
+    # one zero word past the end for the carry of the last row's shift
+    words = np.zeros(-(-data.size // 8) + 1, dtype="<u8")
+    words.view(np.uint8)[: data.size] = data
+    rows = _partition_rows(words, length)
+    full_block_ones = _block_ones(np.bitwise_count(words), n // BLOCK_FREQUENCY_LEN)
+    del words
+
+    popcounts = np.bitwise_count(rows)
+    ones = popcounts.sum(axis=1, dtype=np.int64)
+    block_ones = _block_ones(popcounts, length // BLOCK_FREQUENCY_LEN)
+    first_bits = (rows[:, 0] & 1).astype(np.int64)
+    last_bits = ((rows[:, (length - 1) // 64] >> (length - 1) % 64) & 1).astype(np.int64)
+    # bit k of `pairs` is bit k of its row xor bit k + 1; bit length - 1 is
+    # paired with the zero past the row, so it counts its own value
+    pairs = rows >> 1
+    pairs[:, :-1] |= rows[:, 1:] << 63
+    pairs ^= rows
+    transitions = np.bitwise_count(pairs).sum(axis=1, dtype=np.int64) - last_bits
+    del pairs
+    regime = _regime(length)
+    run_counts = _longest_run_counts(rows, length, regime)
+    high, low = _walk_extremes(rows, length)
+    del rows
+
+    # the full sequence: the partitions, then the bits past the last one
+    start = N_PARTITIONS * length
+    rest = np.unpackbits(data[start // 8 :], bitorder="little")[start % 8 : start % 8 + n - start]
+    ones_full = int(ones.sum()) + int(np.count_nonzero(rest))
+    transitions_full = (
+        int(transitions.sum()) + int(np.count_nonzero(last_bits[:-1] != first_bits[1:]))
+        + int(np.count_nonzero(np.diff(np.concatenate([last_bits[-1:], rest])))))
+    ends = 2 * ones - length  # each partition's walk end
+    before = np.cumsum(ends) - ends
+    high_full, low_full = int(np.max(before + high)), int(np.min(before + low))
+    if rest.size:
+        walk = int(ends.sum()) + np.cumsum(2 * rest.astype(np.int64) - 1)
+        high_full, low_full = max(high_full, int(walk.max())), min(low_full, int(walk.min()))
+    full_regime = _regime(n)
+    full_counts = _longest_run_counts(data[None, :], n, full_regime)[0]
+
+    results = {
+        "monobit": (_monobit(ones_full, n), [_monobit(k, length) for k in ones.tolist()]),
+        "block_frequency": (_block_frequency(full_block_ones),
+                            [_block_frequency(row) for row in block_ones]),
+        "runs": (_runs(ones_full, transitions_full, n),
+                 [_runs(k, t, length) for k, t in zip(ones.tolist(), transitions.tolist())]),
+        "longest_run": (_longest_run(full_counts, n // full_regime[1], full_regime),
+                        [_longest_run(row, length // regime[1], regime) for row in run_counts]),
+        "cusum": (_cusum([max(high_full, -low_full)], n)[0],
+                  _cusum(np.maximum(high, -low).tolist(), length)),
+    }
+    records = []
+    for name, ((statistic, p_value), partitions) in results.items():
+        passing = sum(p >= P_VALUE_THRESHOLD for _, p in partitions)
+        records.append(TestRecord(name=name, statistic=statistic, p_value=p_value,
+                                  passed=p_value >= P_VALUE_THRESHOLD,
+                                  proportion_pass=passing / N_PARTITIONS))
+    return records
+
+
 def run_battery(block: BitBlock) -> TestReport:
     """Run every implemented test on the full sequence and on N_PARTITIONS
-    equal partitions.
+    equal partitions, and the autocorrelation curve on the full sequence.
+
+    A constant sequence gets its five (failing) records and a curve of NaN.
 
     Raises
     ------
     InsufficientLengthError
         If fewer than BATTERY_MIN_BITS bits are supplied.
     """
-    x = block.to01()
-    _require(x.size, BATTERY_MIN_BITS, "statistical battery")
-    part_len = x.size // N_PARTITIONS
-    report = TestReport()
-    for name, test in ALL_TESTS.items():
-        statistic, p_value = test(x)
-        passing = 0
-        for i in range(N_PARTITIONS):
-            _, sub_p = test(x[i * part_len : (i + 1) * part_len])
-            passing += sub_p >= P_VALUE_THRESHOLD
-        proportion = passing / N_PARTITIONS
-        report.records.append(
-            TestRecord(
-                name=name,
-                statistic=statistic,
-                p_value=p_value,
-                passed=p_value >= P_VALUE_THRESHOLD,
-                proportion_pass=proportion,
-            )
-        )
+    _require(block.length, BATTERY_MIN_BITS, "statistical battery")
+    report = TestReport(records=_battery_records(block))
     report.proportion_pass = min(r.proportion_pass for r in report.records)
-    report.autocorrelation = autocorrelation(block, MAX_LAG)
+    try:
+        report.autocorrelation = autocorrelation(block, MAX_LAG)
+    except DegenerateSequenceError:
+        report.autocorrelation = np.full(MAX_LAG, np.nan)
     return report

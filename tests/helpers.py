@@ -9,7 +9,10 @@ as a second unranker, exact rationals and float64 dot products for the
 lag autocorrelation, and an int64 walk and a column-by-column scan for
 the cusum and longest-run tests.  Those two take their P values from the
 package's own ``ndtr`` and ``gammaincc``, so they check the packed
-kernels and not one special-function library against another.  The
+kernels and not one special-function library against another.  The five
+battery tests are also kept as functions of one 0/1 array each, and
+``oracle_battery`` runs them on the full sequence and on every partition
+cut from the unpacked bits.  The
 simulator, the passive basis draw and the tally are also kept in their
 full-length form: per-pulse probability arrays, one draw of N uniforms,
 and whole-stream masks; and the tally once more per event, squashing one
@@ -32,7 +35,23 @@ from mpmath import mp, mpf
 import siqrng
 from siqrng.bits import BitBlock
 from siqrng.photonic_sim import Basis, Pattern, click_probabilities
-from siqrng.randtest import _LONGEST_RUN_REGIMES, gammaincc, ndtr
+from siqrng.randtest import (
+    _LONGEST_RUN_REGIMES,
+    BATTERY_MIN_BITS,
+    BLOCK_FREQUENCY_LEN,
+    MAX_LAG,
+    MIN_TEST_BITS,
+    N_PARTITIONS,
+    P_VALUE_THRESHOLD,
+    DegenerateSequenceError,
+    TestRecord,
+    TestReport,
+    _require,
+    autocorrelation,
+    erfc,
+    gammaincc,
+    ndtr,
+)
 from siqrng.squash_sample import SessionTally
 
 mp.dps = 50
@@ -206,6 +225,152 @@ def column_longest_run_test(x01: np.ndarray) -> tuple[float, float]:
     expected = n_blocks * np.asarray(pi)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
+
+
+def _byte_walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk end, highest and lowest prefix of the +/-1 walk over each byte."""
+    steps = 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1  # LSB first
+    prefix = np.cumsum(steps, axis=1)
+    return prefix[:, -1], prefix.max(axis=1), prefix.min(axis=1)
+
+
+_BYTE_END, _BYTE_HIGH, _BYTE_LOW = _byte_walk_tables()
+
+
+def _as01(bits) -> np.ndarray:
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1-d bit sequence")
+    return arr
+
+
+def monobit_test(bits) -> tuple[float, float]:
+    """Frequency test: overall balance of ones and zeros."""
+    x = _as01(bits)
+    _require(x.size, 100, "monobit test")
+    s = 2.0 * int(np.count_nonzero(x)) - x.size
+    statistic = abs(s) / math.sqrt(x.size)
+    return statistic, float(erfc(statistic / math.sqrt(2.0)))
+
+
+def block_frequency_test(bits) -> tuple[float, float]:
+    """Proportion of ones within blocks of BLOCK_FREQUENCY_LEN bits."""
+    x = _as01(bits)
+    _require(x.size, max(100, BLOCK_FREQUENCY_LEN), "block frequency test")
+    n_blocks = x.size // BLOCK_FREQUENCY_LEN
+    pi = x[: n_blocks * BLOCK_FREQUENCY_LEN].reshape(n_blocks, BLOCK_FREQUENCY_LEN).mean(axis=1)
+    chi2 = 4.0 * BLOCK_FREQUENCY_LEN * float(np.sum((pi - 0.5) ** 2))
+    return chi2, float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+
+
+def runs_test(bits) -> tuple[float, float]:
+    """Total number of maximal same-bit runs.
+
+    Returns p = 0.0 without evaluating the run statistic when the ones
+    fraction is already outside the 2/sqrt(n) frequency band.
+    """
+    x = _as01(bits)
+    _require(x.size, 100, "runs test")
+    n = x.size
+    pi = float(np.count_nonzero(x)) / n
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+        return float("nan"), 0.0
+    v = 1 + int(np.count_nonzero(np.diff(x)))
+    num = abs(v - 2.0 * n * pi * (1.0 - pi))
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    return float(v), float(erfc(num / den))
+
+
+def longest_run_test(bits) -> tuple[float, float]:
+    """Distribution of the longest run of ones over fixed-length blocks."""
+    x = _as01(bits)
+    n = x.size
+    _require(n, MIN_TEST_BITS, "longest run test")
+    data = np.packbits(x, bitorder="little")
+    regime = next(r for r in reversed(_LONGEST_RUN_REGIMES) if n >= r[0])
+    _, m, bounds, pi = regime
+    n_blocks = n // m
+    # every block length is a whole number of bytes; bit i of a row of
+    # `run` is set while bits i .. i+k-1 of that block are all ones
+    run = data[: n_blocks * m // 8].reshape(n_blocks, m // 8)
+    at_least = [n_blocks]  # at_least[k]: blocks holding a run of >= k ones
+    for k in range(1, bounds[-1] + 1):
+        if k > 1:
+            shifted = run >> 1
+            shifted[:, :-1] |= run[:, 1:] << 7
+            run = run & shifted
+        at_least.append(int(np.count_nonzero(run.any(axis=1))))
+    counts = np.zeros(len(bounds), dtype=np.int64)
+    counts[0] = n_blocks - at_least[bounds[0] + 1]
+    for i in range(1, len(bounds) - 1):
+        counts[i] = at_least[bounds[i]] - at_least[bounds[i] + 1]
+    counts[-1] = at_least[bounds[-1]]
+    expected = n_blocks * np.asarray(pi)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return chi2, float(gammaincc((len(bounds) - 1) / 2.0, chi2 / 2.0))
+
+
+def cusum_test(bits) -> tuple[float, float]:
+    """Maximum excursion of the +/-1 partial-sum walk (forward mode)."""
+    x = _as01(bits)
+    n = x.size
+    _require(n, 100, "cumulative sums test")
+    data = np.packbits(x, bitorder="little")
+    whole = data[: n // 8]
+    after = np.cumsum(_BYTE_END[whole])  # walk after each whole byte
+    before = after - _BYTE_END[whole]
+    high = int(np.max(before + _BYTE_HIGH[whole]))
+    low = int(np.min(before + _BYTE_LOW[whole]))
+    if n % 8:
+        # the partial last byte: only its first n % 8 steps are on the walk
+        tail = np.unpackbits(data[-1:], count=n % 8, bitorder="little")
+        walk = int(after[-1]) + np.cumsum(2 * tail.astype(np.int64) - 1)
+        high = max(high, int(walk.max()))
+        low = min(low, int(walk.min()))
+    z = max(high, -low)  # >= 1: the first step already moves the walk
+    sqrt_n = math.sqrt(n)
+    k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
+    k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
+    p = (
+        1.0
+        - float(np.sum(ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n)))
+        + float(np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n)))
+    )
+    return float(z), float(min(max(p, 0.0), 1.0))
+
+
+ALL_TESTS = {
+    "monobit": monobit_test,
+    "block_frequency": block_frequency_test,
+    "runs": runs_test,
+    "longest_run": longest_run_test,
+    "cusum": cusum_test,
+}
+
+
+def oracle_battery(block: BitBlock) -> TestReport:
+    """The battery over one byte per bit: every test on the full sequence
+    and on each of the N_PARTITIONS partitions cut from the 0/1 array."""
+    x = block.to01()
+    _require(x.size, BATTERY_MIN_BITS, "statistical battery")
+    part_len = x.size // N_PARTITIONS
+    report = TestReport()
+    for name, test in ALL_TESTS.items():
+        statistic, p_value = test(x)
+        passing = 0
+        for i in range(N_PARTITIONS):
+            _, sub_p = test(x[i * part_len : (i + 1) * part_len])
+            passing += sub_p >= P_VALUE_THRESHOLD
+        report.records.append(TestRecord(
+            name=name, statistic=statistic, p_value=p_value,
+            passed=p_value >= P_VALUE_THRESHOLD, proportion_pass=passing / N_PARTITIONS,
+        ))
+    report.proportion_pass = min(r.proportion_pass for r in report.records)
+    try:
+        report.autocorrelation = autocorrelation(block, MAX_LAG)
+    except DegenerateSequenceError:
+        report.autocorrelation = np.full(MAX_LAG, np.nan)
+    return report
 
 
 def click_records(basis, pattern) -> np.ndarray:

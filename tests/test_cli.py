@@ -161,6 +161,20 @@ class TestPipeline:
         assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ("clicks.siqc", "zbits.siq")] == [clicks, zbits]
 
+    def test_battery_files_are_unchanged(self, tmp_path):
+        # the battery's report and the raw-vs-final curve at the passive
+        # config above, pinned while the battery ran on one byte per bit
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**HONEST_DOC, "total_pulses": (1 << 21) + 1000,
+                                      "planned_x_count": 20000, "basis_choice": "passive",
+                                      "master_seed": 5}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        assert [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("randtest.json", "autocorrelation.csv")] == [
+            "1a4fc3b46c52bddc052fa49ab79792165eadc6101374e6a11881d48185b27d44",
+            "e17329eaefafcfa31e74628f552d45ac182823b699734a0b3c9140d2195b5b70"]
+
     def test_csv_artifacts_hold_numbers(self, honest_config, tmp_path):
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(honest_config), "--out", str(out),
@@ -277,6 +291,43 @@ class TestStagedSubcommands:
         assert main(["test", "--bits", str(out / "final.siq"), "--out", str(out)]) == 0
         report = read_json(out / "randtest.json")
         assert report["all_passed"] is True
+
+    def test_test_step_report_is_unchanged(self, honest_config, tmp_path):
+        # randtest.json of the chain above, pinned while the battery ran on
+        # one byte per bit
+        out = tmp_path / "stages"
+        steps = [
+            ["simulate", "--config", str(honest_config)],
+            ["tally", "--clicks", str(out / "clicks.siqc"), "--seed", "0000000000000002"],
+            ["estimate", "--tally", str(out / "tally.json"), "--config", str(honest_config)],
+            ["extract", "--zbits", str(out / "zbits.siq"), "--estimation",
+             str(out / "estimation.json"), "--te", "100", "--seed", "0000000000000003"],
+            ["test", "--bits", str(out / "final.siq")],
+        ]
+        for step in steps:
+            assert main([*step, "--out", str(out)]) == 0, step[0]
+        assert hashlib.sha256((out / "randtest.json").read_bytes()).hexdigest() == (
+            "59f948ca27abf6bce0bcc03b55fc515c5155a55d69209291abea02dc076aba83")
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_constant_file_gets_a_failing_report(self, value, tmp_path, capsys):
+        # a stuck source is what the battery is there to report: every
+        # test fails, and the undefined autocorrelation is written as null
+        from siqrng.bits import BitBlock
+        from siqrng.fileio import write_bit_file
+
+        bits = tmp_path / "stuck.siq"
+        write_bit_file(bits, BitBlock.from01(np.full(20_000, value, dtype=np.uint8)))
+        out = tmp_path / "test"
+        assert main(["test", "--bits", str(bits), "--out", str(out)]) == 1
+        assert "error" not in capsys.readouterr().err
+        report = read_json(out / "randtest.json")
+        assert [r["name"] for r in report["tests"]] == [
+            "monobit", "block_frequency", "runs", "longest_run", "cusum"]
+        for record in report["tests"]:
+            assert record["pass"] is False and record["proportion_pass"] == 0.0, record
+        assert report["all_passed"] is False
+        assert report["autocorrelation"] == [None] * 100
 
     def test_estimate_abort_exit_code(self, adversarial_config, honest_config, tmp_path):
         out = tmp_path / "stages"

@@ -484,7 +484,7 @@ class TestExtractSession:
         # stay uncorrelated (strong-extractor reuse contract), checked via the
         # monobit statistic of the concatenated output.  Each block's first K
         # bits are zero, so its output is T x[K:], the part the seed makes
-        from siqrng.randtest import monobit_test
+        from helpers import monobit_test
 
         k_out, width, blocks = 2048, 4096, 40
         raw01 = np.zeros((blocks, k_out + width), dtype=np.uint8)

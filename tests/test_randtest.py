@@ -6,16 +6,23 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
 from helpers import (
+    block_frequency_test,
     child_env,
     column_longest_run_test,
+    cusum_test,
     dot_autocorrelation,
     exact_autocorrelation,
+    longest_run_test,
+    monobit_test,
+    oracle_battery,
+    runs_test,
     walk_cusum_test,
     zero_bits,
 )
@@ -32,15 +39,10 @@ from siqrng.randtest import (
     DegenerateSequenceError,
     InsufficientLengthError,
     autocorrelation,
-    block_frequency_test,
-    cusum_test,
     erfc,
     gammaincc,
-    longest_run_test,
-    monobit_test,
     ndtr,
     run_battery,
-    runs_test,
 )
 from siqrng.seeds import SeedSource
 
@@ -104,6 +106,15 @@ class TestAutocorrelation:
         x = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
         got = autocorrelation(_block(x), 100).tolist()
         assert got == [float(r) for r in exact_autocorrelation(x, 100)]
+
+    @pytest.mark.parametrize("n", [577, 1000])
+    def test_chunked_counts_past_two_words_equal_exact_estimator(self, n, monkeypatch):
+        # lags 128..130 read each shifted copy two words on, across the
+        # edge of a 3-word chunk
+        monkeypatch.setattr(randtest, "AUTOCORRELATION_CHUNK_WORDS", 3)
+        x = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        got = autocorrelation(_block(x), 130).tolist()
+        assert got == [float(r) for r in exact_autocorrelation(x, 130)]
 
     @pytest.mark.parametrize("n", [192, 200, 257, 320])
     def test_single_pairs_across_word_boundaries(self, n):
@@ -313,6 +324,19 @@ class TestBattery:
         for got, want in zip(doc["tests"], reference, strict=True):
             assert got["p_value"] == pytest.approx(want["p_value"], rel=1e-12, abs=0)
 
+    def test_traced_peak_is_at_most_one_byte_per_bit(self):
+        # the battery's temporaries reach the session's peak RSS: they
+        # stay below what unpacking the bits (one byte per bit) would take
+        n = 2**21
+        block = BitBlock(np.random.default_rng(21).integers(0, 256, n // 8, dtype=np.uint8), n)
+        tracemalloc.start()
+        try:
+            run_battery(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n, f"{peak / n:.2f} bytes per tested bit"
+
     def test_rejects_input_below_partition_minimum(self, rng):
         assert BATTERY_MIN_BITS == 128 * 100
         with pytest.raises(InsufficientLengthError, match="statistical battery"):
@@ -332,6 +356,68 @@ class TestBattery:
             "monobit", "block_frequency", "runs", "longest_run", "cusum"
         }
         assert len(doc["autocorrelation"]) == 100
+
+
+# lengths of interest: the battery minimum, the active_sweep output, and
+# both sides of the partition-length (6,271/6,272) and full-length
+# (749,999/750,000) regime edges of the longest-run test
+BATTERY_EDGE_LENGTHS = [BATTERY_MIN_BITS, BATTERY_MIN_BITS + 7, 182_265, 627_100, 627_199,
+                        627_200, 749_999, 750_000, 750_803]
+
+
+def _battery_input(n: int, kind: str, seed: int) -> BitBlock:
+    """n bits, balanced, biased (p = 0.53) or clumped.  Clumped bits are
+    balanced bits with runs of 1..20 ones laid across block edges of the
+    8-, 128- and 10^4-bit blocks, counted from bit 0 and from each
+    partition start, and across the partition edges themselves."""
+    rng = np.random.default_rng(seed)
+    x = (rng.random(n) < (0.53 if kind == "biased" else 0.5)).astype(np.uint8)
+    if kind == "clumped":
+        starts = np.arange(101) * (n // 100)
+        edges = [starts]
+        for m in (8, 128, 10**4):
+            # some block edges of every partition, and of the whole sequence
+            step = m * max(1, n // 100 // m // 6)
+            edges.append((starts[:, None] + np.arange(0, n // 100, step)).ravel())
+            edges.append(np.arange(0, n, m * max(1, n // m // 50)))
+        for edge in np.concatenate(edges).tolist():
+            length = int(rng.integers(1, 21))
+            start = max(edge - int(rng.integers(0, length + 1)), 0)
+            x[start : start + length] = 1
+    return BitBlock.from01(x)
+
+
+class TestPackedBatteryMatchesOracle:
+    """run_battery on realigned words against the battery over one byte per
+    bit, serialized: every statistic, P value and proportion is equal."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from(BATTERY_EDGE_LENGTHS),
+                    st.integers(BATTERY_MIN_BITS, 800_000)),
+        kind=st.sampled_from(["balanced", "biased", "clumped"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=BATTERY_MIN_BITS, kind="clumped", seed=1)
+    @example(n=182_265, kind="clumped", seed=2)  # M = 8 partitions, M = 128 full
+    @example(n=627_199, kind="clumped", seed=3)
+    @example(n=627_200, kind="clumped", seed=4)
+    @example(n=749_999, kind="clumped", seed=5)
+    @example(n=750_000, kind="clumped", seed=6)
+    @example(n=750_803, kind="biased", seed=7)
+    def test_report_equals_oracle(self, n, kind, seed):
+        block = _battery_input(n, kind, seed)
+        got, want = run_battery(block).to_dict(), oracle_battery(block).to_dict()
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("n", BATTERY_EDGE_LENGTHS)
+    def test_constant_input_equals_oracle(self, n):
+        # a stuck source gets its five records; its curve is undefined
+        for block in (zero_bits(n), BitBlock.from01(np.ones(n, dtype=np.uint8))):
+            report = run_battery(block)
+            assert json.dumps(report.to_dict()) == json.dumps(oracle_battery(block).to_dict())
+            assert not any(r.passed for r in report.records)
+            assert np.isnan(report.autocorrelation).all() and report.autocorrelation.size == 100
 
 
 def _extract_half(raw01, rng_seed=17) -> BitBlock:
