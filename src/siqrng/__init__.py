@@ -43,7 +43,6 @@ from .pipeline import (
     run_sweep,
 )
 from .randtest import TestReport, autocorrelation, run_battery
-from .seeds import SeedExhaustedError, SeedSource
 from .squash_sample import (
     SessionTally,
     plan_basis_positions,

@@ -87,7 +87,10 @@ def _parse_sweep(text: str) -> dict:
     key, _, values = text.partition("=")
     if not values:
         raise ConfigError(f"--sweep expects KEY=v1,v2,..., got {text!r}")
-    return {"key": key, "values": [float(v) for v in values.split(",")]}
+    try:
+        return {"key": key, "values": [float(v) for v in values.split(",")]}
+    except ValueError as exc:  # names the item: could not convert string to float: 'abc'
+        raise ConfigError(f"--sweep {text!r}: {exc}") from None
 
 
 def _load_config(args) -> RunConfig:

@@ -36,7 +36,7 @@ alias-free as above.  ``c < 2^(2r)``, which must stay at or below ``2^50``
 Long inputs are split into balanced sub-blocks (default around 2**20 raw
 bits) extracted independently; each block contributes its own 2**(-t_e)
 failure term via a union bound.  One Toeplitz seed, sized for the largest
-block, is consumed per session and reused across its blocks: the hash is a
+block, is one draw per session, reused across its blocks: the hash is a
 strong extractor, so outputs remain independent of the seed.  Its spectrum
 is computed once, and the pairs share one set of FFT scratch arrays.  A
 block's band reads only seed indices below its own ``m - 1``, and the
@@ -54,7 +54,6 @@ import numpy as np
 from .bits import BitBlock
 from .entropy_math import ProtocolAbortError, SecurityReport, composed_security, final_length
 from .estimation import ESTIMATE_ABORT_REASON, EstimationResult
-from .seeds import SeedSource
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 # FFT round-off guard; a session of 2**20-bit blocks, hashed in packed
@@ -189,7 +188,7 @@ def extract_session(
     z_bits: BitBlock,
     est: EstimationResult,
     t_e: int,
-    seed_source: SeedSource,
+    rng: np.random.Generator,
     block_size: int = DEFAULT_BLOCK_SIZE,
     efficiency_ratio: float = 1.0,
 ) -> tuple[BitBlock, SecurityReport, dict]:
@@ -201,15 +200,14 @@ def extract_session(
     deviation of any packed pair of blocks.  Each block's length comes from
     :func:`~siqrng.entropy_math.final_length` at the efficiency ratio.  The
     blocks are hashed two per transform pair, one transform pair for every
-    two blocks with K < m and one transform for the seed.
+    two blocks with K < m and one transform for the seed.  The seed is one
+    ``rng.integers(0, 2, toeplitz_seed_bits, dtype=np.uint8)`` draw.
 
     Raises
     ------
     ProtocolAbortError
         If the session aborted, is empty, its scaled error rate reaches 1/2,
         or a block yields no output; no seed is drawn then.
-    SeedExhaustedError
-        If the seed source cannot supply the Toeplitz seed.
     """
     if est.abort:
         raise ProtocolAbortError(ESTIMATE_ABORT_REASON)
@@ -226,7 +224,7 @@ def extract_session(
     # a block's (I | T) hash takes m - 1 seed bits, none when T is empty (K = m)
     seed_length = max(m - 1 if k < m else 0 for m, k in shapes)
     final01, max_deviation = _dual_hash_blocks(
-        z_bits.to01(), shapes, seed_source.take_bits(seed_length))
+        z_bits.to01(), shapes, rng.integers(0, 2, seed_length, dtype=np.uint8))
     final = BitBlock.from01(final01)
 
     report = composed_security(est.eps_theta, t_e, extraction_blocks=len(shapes))

@@ -1,18 +1,23 @@
 """End-to-end orchestration: simulate, squash and tally, estimate, extract,
 and sweep.
 
-Every random stream of a run is derived from the 64-bit master seed:
-child 0 drives the physics (detector clicks), child 1 the active
-basis-plan seed, child 2 the double-click assignment seed, child 3 the
-Toeplitz seed and child 4 the passive splitter.  Identical config plus
-master seed therefore reproduces every artifact byte for byte.
+Every random stream of a run is a ``numpy.random.Generator`` that
+:func:`derive_streams` builds from one child of the 64-bit master seed,
+and each stage that draws randomness draws from one stream:
 
-Each stage is one function that takes its stream from
-:func:`derive_streams`: :func:`choose_basis_plan`, :func:`simulate_clicks`,
-:func:`~siqrng.squash_sample.squash_and_tally`,
-:func:`~siqrng.estimation.estimate_session` and
-:func:`~siqrng.extractor.extract_session`.  :func:`run_protocol_session`
-chains them on one set of streams and, given an output directory, writes
+    choose_basis_plan, active         basis (child 1)
+    choose_basis_plan, passive        splitter (child 4)
+    simulate_clicks                   physics (child 0)
+    squash_sample.squash_and_tally    double_click (child 2)
+    extractor.extract_session         toeplitz (child 3)
+
+Identical config plus master seed therefore reproduces every artifact byte
+for byte.  The active plan, the tally and the extraction each return the
+seed bits they drew, and the seed ledger is the sum of those counts.
+
+:func:`run_protocol_session` chains the stages, with
+:func:`~siqrng.estimation.estimate_session` between the tally and the
+extraction, on one set of streams and, given an output directory, writes
 each stage's record as the stage ends.  The CLI's staged subcommands call
 the same functions and the same record writers on streams derived from
 the same master seed, so both routes write the same bytes.
@@ -44,16 +49,15 @@ from .entropy_math import ProtocolAbortError, ProtocolParams, SecurityReport, co
 from .estimation import EstimationResult, estimate_session
 from .extractor import extract_session
 from .photonic_sim import run_session
-from .seeds import SeedSource
 from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
 
 
 @dataclass
 class RandomStreams:
     physics: np.random.Generator
-    basis: SeedSource
-    double_click: SeedSource
-    toeplitz: SeedSource
+    basis: np.random.Generator
+    double_click: np.random.Generator
+    toeplitz: np.random.Generator
     splitter: np.random.Generator
 
 
@@ -62,9 +66,9 @@ def derive_streams(master_seed: int) -> RandomStreams:
     children = np.random.SeedSequence(master_seed).spawn(5)
     return RandomStreams(
         physics=np.random.default_rng(children[0]),
-        basis=SeedSource.from_rng(np.random.default_rng(children[1])),
-        double_click=SeedSource.from_rng(np.random.default_rng(children[2])),
-        toeplitz=SeedSource.from_rng(np.random.default_rng(children[3])),
+        basis=np.random.default_rng(children[1]),
+        double_click=np.random.default_rng(children[2]),
+        toeplitz=np.random.default_rng(children[3]),
         splitter=np.random.default_rng(children[4]),
     )
 
@@ -97,8 +101,7 @@ def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> tuple[np.nda
     n = config.params.total_pulses
     n_x = config.params.planned_x_count
     if config.basis_choice == "active":
-        positions = plan_basis_positions(n, n_x, streams.basis)
-        return positions, streams.basis.bits_consumed
+        return plan_basis_positions(n, n_x, streams.basis)
     chunk = n_x + int(8 * math.sqrt(n_x)) + 64
     parts, last = [], -1
     while last < n:

@@ -6,13 +6,15 @@ and double clicks are kept — assigned a uniformly random bit in the
 generation (Z) basis, or retained as a distinct category in the check (X)
 basis where they later count as half an error.  Silently dropping double
 clicks would blind the protocol to strong multiphoton pulses, so the
-random assignment consumes auditable seed bits.
+random assignment takes seed bits, one per Z double click, all drawn in
+one call and counted by the tally as ``seed_bits_consumed``.
 
 Basis choice dilutes a short uniform seed into a uniform choice of
 ``N_x`` out of ``N`` positions via exact combinadic (lexicographic
 combination) unranking over big integers; rejection resampling on
 ``ceil(log2 C(N, N_x))``-bit windows preserves exact uniformity when
-``C(N, N_x)`` is not a power of two.
+``C(N, N_x)`` is not a power of two.  Each window is one draw, read first
+bit most significant, and the plan returns the bits its windows drew.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from .bits import BitBlock
 from .fileio import record_field
 from .photonic_sim import X_RECORD, Pattern
-from .seeds import SeedSource
 
 # records per tally block; it bounds the tally's transient memory and changes no count or bit
 BLOCK_SIZE = 1 << 21
@@ -42,7 +43,7 @@ class SessionTally:
     ``x_double`` are the "-" single clicks and the double clicks among the
     X-basis events; ``z_bits`` is the raw Z-basis bitstream in pulse order,
     or None for a tally read from its record, which holds only the counts;
-    ``seed_bits_consumed`` counts the bits drawn for Z double clicks.
+    ``seed_bits_consumed`` counts the bits :func:`squash_and_tally` drew.
     """
 
     n: int = 0
@@ -77,12 +78,12 @@ class SessionTally:
         return cls(**{key: record_field(doc, key, int) for key in cls._COUNTS})
 
 
-def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
+def squash_and_tally(records: np.ndarray, rng: np.random.Generator) -> SessionTally:
     """Vectorized squash + tally of a session's click records.
 
     Equivalent to squashing every event in pulse order and folding the
     outcomes one by one (``tests/helpers.py`` keeps that fold as an
-    oracle); Z double clicks consume seed bits in pulse order.
+    oracle); Z double clicks take one ``rng`` draw's bits in pulse order.
     The records are walked in blocks of :data:`BLOCK_SIZE` pulses, and the
     per-block Z selections are dropped once concatenated, so the transient
     memory beyond the records stays within ``2 * n_z + 3 * BLOCK_SIZE``
@@ -103,9 +104,9 @@ def squash_and_tally(records: np.ndarray, seed: SeedSource) -> SessionTally:
     doubles = z_bits01 == 2
     n_doubles = int(np.count_nonzero(doubles))
     if n_doubles:
-        # one call: the seed's bounded draw is buffered, so splitting it
-        # per block would change the assigned bits
-        z_bits01[doubles] = seed.take_bits(n_doubles)
+        # one call: the generator's bounded draw is buffered, so splitting
+        # it per block would change the assigned bits
+        z_bits01[doubles] = rng.integers(0, 2, n_doubles, dtype=np.uint8)
 
     _, x_plus, x_minus, x_double = (int(c) for c in x_counts[X_RECORD:])
     n_x = x_plus + x_minus + x_double
@@ -219,24 +220,28 @@ def seed_length_required(choices: int) -> int:
     return (choices - 1).bit_length()
 
 
-def plan_basis_positions(n: int, k: int, seed: SeedSource) -> np.ndarray:
-    """Choose k of n positions uniformly, consuming seed bits.
+def plan_basis_positions(n: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Choose k of n positions uniformly: ``(positions, seed_bits)``.
 
-    Reads ``ceil(log2 C(n, k))``-bit windows from ``seed`` and rejects
-    window values >= C(n, k); each window accepts with probability > 1/2,
-    so the expected consumption is below two windows.  C(n, k) is
-    evaluated once per plan.  Returns the sorted chosen positions.
+    Reads ``width = ceil(log2 C(n, k))``-bit windows, each one
+    ``rng.integers(0, 2, width, dtype=np.uint8)`` draw read with the first
+    bit drawn as the most significant, and rejects window values >= C(n, k);
+    each window accepts with probability > 1/2, so the expected consumption
+    is below two windows.  C(n, k) is evaluated once per plan.  Returns the
+    sorted positions and ``seed_bits``, ``width`` per window read.
     """
     if k > n:
         raise ValueError(f"cannot choose {k} of {n} positions")
     total = math.comb(n, k)
     width = seed_length_required(total)
     if width == 0:
-        return np.arange(k, dtype=np.int64)  # single possibility (k == 0 or k == n)
-    for _ in range(PLAN_MAX_ATTEMPTS):
-        value = seed.take(width)
+        return np.arange(k, dtype=np.int64), 0  # single possibility (k == 0 or k == n)
+    for attempt in range(1, PLAN_MAX_ATTEMPTS + 1):
+        window = np.packbits(rng.integers(0, 2, width, dtype=np.uint8))
+        value = int.from_bytes(window.tobytes(), "big") >> (-width % 8)
         if value < total:
-            return np.asarray(unrank_combination(value, n, k, total), dtype=np.int64)
+            positions = unrank_combination(value, n, k, total)
+            return np.asarray(positions, dtype=np.int64), attempt * width
     raise RuntimeError(
         f"no window value below C({n},{k}) after {PLAN_MAX_ATTEMPTS} attempts; "
         "seed stream is not plausibly uniform"

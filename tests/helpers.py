@@ -18,8 +18,8 @@ full-length form: per-pulse probability arrays, one draw of N uniforms,
 and whole-stream masks; and the tally once more per event, squashing one
 click event at a time.
 Also click records built from basis and pattern arrays, an all-zero bit
-block, and the environment for tests that run the package in a fresh
-interpreter.
+block, a seed stream of given bits, and the environment for tests that
+run the package in a fresh interpreter.
 """
 
 import enum
@@ -408,7 +408,7 @@ def where_run_session(n, source, channel, det, basis_plan, rng) -> np.ndarray:
     return click_records(basis, pattern)
 
 
-def mask_squash_and_tally(records: np.ndarray, seed) -> SessionTally:
+def mask_squash_and_tally(records: np.ndarray, rng) -> SessionTally:
     """Squash and tally through whole-stream basis and pattern masks."""
     basis, pattern = records >> 2, records & 3
     is_x = basis == Basis.X
@@ -422,7 +422,7 @@ def mask_squash_and_tally(records: np.ndarray, seed) -> SessionTally:
     doubles = z_patterns == Pattern.DOUBLE
     n_doubles = int(np.count_nonzero(doubles))
     if n_doubles:
-        z_bits01[doubles] = seed.take_bits(n_doubles)
+        z_bits01[doubles] = rng.integers(0, 2, n_doubles, dtype=np.uint8)
     return SessionTally(
         n=n_x + z_patterns.size,
         n_x=n_x,
@@ -448,9 +448,31 @@ def click_events(records: np.ndarray):
         yield ClickEvent(i, Basis(int(basis[i])), Pattern(int(pattern[i])))
 
 
-def take_bit(seed) -> int:
-    """One bit from a seed source."""
-    return int(seed.take_bits(1)[0])
+def take_bit(rng) -> int:
+    """One bit from a seed stream, in a draw of its own."""
+    return int(rng.integers(0, 2, 1, dtype=np.uint8)[0])
+
+
+class FixedBits:
+    """A seed stream of given bits in place of a Generator: its
+    ``integers(0, 2, size, dtype=np.uint8)`` hands out the next ``size``
+    bits, raises :class:`FixedBits.Exhausted` once they run out, and
+    counts the bits handed out in ``drawn``."""
+
+    class Exhausted(Exception):
+        pass
+
+    def __init__(self, bits):
+        self.bits = np.asarray(bits, dtype=np.uint8)
+        self.drawn = 0
+
+    def integers(self, low, high, size, dtype):
+        if (low, high, dtype) != (0, 2, np.uint8):
+            raise ValueError("FixedBits hands out uint8 bits only")
+        if self.drawn + size > self.bits.size:
+            raise FixedBits.Exhausted(f"{size} bits asked, {self.bits.size - self.drawn} left")
+        self.drawn += size
+        return self.bits[self.drawn - size : self.drawn].copy()
 
 
 class OutcomeKind(enum.Enum):
@@ -469,10 +491,10 @@ class SquashedOutcome:
             raise ValueError("bit_value must be present exactly when kind is BIT")
 
 
-def squash(event: ClickEvent, seed) -> SquashedOutcome:
+def squash(event: ClickEvent, rng) -> SquashedOutcome:
     """Classify one click event under the squashing rules.
 
-    Z-basis double clicks consume one bit from ``seed``; X-basis double
+    Z-basis double clicks draw one bit from ``rng``; X-basis double
     clicks stay unassigned (they are discarded after error accounting).
     """
     if event.pattern == Pattern.NONE:
@@ -482,7 +504,7 @@ def squash(event: ClickEvent, seed) -> SquashedOutcome:
     if event.pattern == Pattern.D1:
         return SquashedOutcome(OutcomeKind.BIT, 1)
     if event.basis == Basis.Z:
-        return SquashedOutcome(OutcomeKind.BIT, take_bit(seed))
+        return SquashedOutcome(OutcomeKind.BIT, take_bit(rng))
     return SquashedOutcome(OutcomeKind.DOUBLE)
 
 

@@ -21,7 +21,6 @@ from siqrng.estimation import EstimationResult, plan_x_count, solve_deviation
 from siqrng.extractor import _dual_hash_blocks, extract_session
 from siqrng.pipeline import curve_csv, run_protocol_session, run_sweep
 from siqrng.randtest import autocorrelation, run_battery
-from siqrng.seeds import SeedSource
 from siqrng.squash_sample import unrank_combination
 
 from helpers import mp_binary_entropy, naive_dual_toeplitz, zero_bits
@@ -79,8 +78,7 @@ def test_criterion_02_extraction_ratio_consistency():
     )
     assert abs(e_star - 0.033) < 0.001
     est = EstimationResult(e_bx=e_star, theta=0.0, log2_eps_theta=-100.0, abort=False)
-    final, _, _ = extract_session(zero_bits(115_000), est, 100,
-                                  SeedSource.from_rng(np.random.default_rng(2)))
+    final, _, _ = extract_session(zero_bits(115_000), est, 100, np.random.default_rng(2))
     assert len(final) / 115_000 == pytest.approx(0.7913, abs=0.01)
     _pass(2, "91/115 extraction ratio reproduced at e ~= 0.033 within 0.01")
 
@@ -215,7 +213,7 @@ def test_criterion_11_statistical_quality(big_honest_session):
     biased_raw = (rng.random(n) < p).astype(np.uint8)
     est = EstimationResult(e_bx=0.1, theta=0.0, log2_eps_theta=-60.0, abort=False)
     extracted, _, _ = extract_session(
-        BitBlock.from01(biased_raw), est, 20, SeedSource.from_rng(rng)
+        BitBlock.from01(biased_raw), est, 20, rng
     )
     max_abs_raw, max_abs_final = (
         float(np.max(np.abs(autocorrelation(block, 100))))

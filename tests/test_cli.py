@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from siqrng.cli import main
 from siqrng.config import config_from_dict, load_config
 from siqrng.fileio import read_bit_file, read_click_file, read_json
+from siqrng.squash_sample import seed_length_required
 
 HONEST_DOC = {
     "total_pulses": 600_000,
@@ -65,14 +66,19 @@ class TestPipeline:
         assert not (out / "abort.json").exists()
 
     def test_reruns_are_byte_identical(self, honest_config, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert main(["pipeline", "--config", str(honest_config), "--out", str(out)]) == 0
-            outs.append(out)
-        for name in ("clicks.siqc", "zbits.siq", "final.siq", "tally.json",
-                     "estimation.json", "security.json", "seed_ledger.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        # one active session, and an active sweep, whose sessions one process repeats
+        sweep_config = tmp_path / "sweep.json"
+        sweep_config.write_text(json.dumps({**HONEST_DOC, "total_pulses": 200_000,
+                                            "sweep": {"key": "loss_db", "values": [0, 5, 10]}}))
+        for config in (honest_config, sweep_config):
+            outs = [tmp_path / config.stem / name for name in ("a", "b")]
+            for out in outs:
+                assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+            written = sorted(p.name for p in outs[0].iterdir())
+            assert written == sorted(p.name for p in outs[1].iterdir())
+            assert "final.siq" in written and ("sweep.csv" in written) == (config == sweep_config)
+            for name in written:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_seed_changes_output(self, honest_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -95,6 +101,41 @@ class TestPipeline:
         security = read_json(out / "security.json")
         assert ledger["toeplitz_seed_bits"] == security["toeplitz_seed_bits"]
         assert ledger["output_bits"] == len(read_bit_file(out / "final.siq"))
+
+    @pytest.mark.parametrize("mode", ["active", "passive"])
+    def test_seed_ledger_matches_what_the_streams_gave(self, mode, monkeypatch):
+        # replaying the ledger's counts on fresh streams, in each stage's own
+        # call pattern, leaves every seed stream where the session left it
+        import siqrng.pipeline as pipeline
+
+        # at this master seed the active plan rejects its first window
+        config = config_from_dict({**HONEST_DOC, "total_pulses": 300_000, "planned_x_count": 3000,
+                                   "basis_choice": mode, "master_seed": 0xDEADBEF5})
+        real_derive = pipeline.derive_streams
+        kept = []
+
+        def keeping_derive(master_seed):
+            kept.append(real_derive(master_seed))
+            return kept[-1]
+
+        monkeypatch.setattr(pipeline, "derive_streams", keeping_derive)
+        ledger = pipeline.run_protocol_session(config).seed_ledger
+        [session] = kept
+        assert ledger["toeplitz_seed_bits"] > 0 and ledger["double_click_bits"] > 0
+
+        replay = real_derive(config.master_seed)
+        n, n_x = config.params.total_pulses, config.params.planned_x_count
+        width = seed_length_required(math.comb(n, n_x))
+        windows, rest = divmod(ledger["basis_plan_bits"], width)
+        assert (windows, rest) == ((2, 0) if mode == "active" else (0, 0))
+        for _ in range(windows):
+            replay.basis.integers(0, 2, width, dtype=np.uint8)
+        replay.double_click.integers(0, 2, ledger["double_click_bits"], dtype=np.uint8)
+        replay.toeplitz.integers(0, 2, ledger["toeplitz_seed_bits"], dtype=np.uint8)
+        replay.physics.bit_generator.advance(n)
+        for name in ("physics", "basis", "double_click", "toeplitz"):
+            assert (getattr(replay, name).bit_generator.state
+                    == getattr(session, name).bit_generator.state), name
 
     def test_security_reports_fft_rounding_margin(self, honest_config, tmp_path):
         out = tmp_path / "run"
@@ -749,6 +790,14 @@ class TestErrorHandling:
 
     def test_usage_error_is_exit_1(self):
         assert main(["estimate"]) == 1
+
+    @pytest.mark.parametrize("values, item", [("1,,2", ""), ("abc", "abc")])
+    def test_sweep_value_not_a_number_is_exit_1(self, honest_config, tmp_path, capsys,
+                                                values, item):
+        assert main(["sweep", "--config", str(honest_config), "--out", str(tmp_path / "run"),
+                     "--sweep", f"loss_db={values}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --sweep 'loss_db={values}': could not convert string to float: {item!r}\n")
 
     def test_extraction_block_size_is_an_unknown_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -15,9 +15,8 @@ from siqrng.bits import BitBlock
 from siqrng.entropy_math import ProtocolAbortError, final_length
 from siqrng.estimation import ESTIMATE_ABORT_REASON, EstimationResult
 from siqrng.extractor import _balanced_blocks, _dual_hash_blocks, _smooth_length, extract_session
-from siqrng.seeds import SeedSource
 
-from helpers import mp_binary_entropy, naive_dual_toeplitz, naive_toeplitz, zero_bits
+from helpers import FixedBits, mp_binary_entropy, naive_dual_toeplitz, naive_toeplitz, zero_bits
 
 
 def _est(e_bx=0.02, theta=0.0, log2_eps=-100.0, abort=False):
@@ -26,8 +25,7 @@ def _est(e_bx=0.02, theta=0.0, log2_eps=-100.0, abort=False):
 
 def _extract(n_z, est, t_e):
     """``extract_session`` of ``n_z`` zero bits at a fixed seed."""
-    return extract_session(zero_bits(n_z), est, t_e,
-                           SeedSource.from_rng(np.random.default_rng(1)))
+    return extract_session(zero_bits(n_z), est, t_e, np.random.default_rng(1))
 
 
 @pytest.fixture
@@ -86,18 +84,18 @@ class TestMakePlan:
     def test_abort_boundary(self, e, r, n_z, t_e):
         # every abort raises before it draws a Toeplitz seed bit; otherwise K
         # is the exact floor(r n_z (1 - H(e/r))) - t_e, and a K <= 0 aborts
-        seed = SeedSource.from_rng(np.random.default_rng(0))
         scaled = mpf(e) / mpf(r)
         exact = (int(mp.floor(mpf(r) * n_z * (1 - mp_binary_entropy(scaled)))) - t_e
                  if scaled < 0.5 else 0)
         if exact > 0:
-            final, _, summary = extract_session(zero_bits(n_z), _est(e_bx=e), t_e, seed,
-                                                efficiency_ratio=r)
+            final, _, summary = extract_session(zero_bits(n_z), _est(e_bx=e), t_e,
+                                                np.random.default_rng(0), efficiency_ratio=r)
             assert len(final) == summary["K"] == exact
         else:
+            seed = FixedBits([])
             with pytest.raises(ProtocolAbortError):
                 extract_session(zero_bits(n_z), _est(e_bx=e), t_e, seed, efficiency_ratio=r)
-            assert seed.bits_consumed == 0
+            assert seed.drawn == 0
 
     def test_extraction_ratio_matches_deployment_figures(self):
         # invert 1 - H(e) = 91/115 with mpmath; e ~= 0.0329, ratio ~= 0.791
@@ -296,18 +294,17 @@ class TestDualToeplitz:
     def test_full_length_output_is_the_input_and_draws_no_seed(self, rng):
         # e = 0 and t_e = 0 give K = n_z: T is empty, and an empty seed suffices
         raw = BitBlock.from01(rng.integers(0, 2, 2500, dtype=np.uint8))
-        seed = SeedSource.from_bits(zero_bits(0))
+        seed = FixedBits([])
         final, _, summary = extract_session(raw, _est(e_bx=0.0), 0, seed)
         assert final == raw
-        assert summary["toeplitz_seed_bits"] == seed.bits_consumed == 0
+        assert summary["toeplitz_seed_bits"] == seed.drawn == 0
         assert summary["fft_max_deviation"] == 0.0
 
     def test_transforms_have_the_block_seed_length(self, rng, transform_lengths):
         # the seed has max_block - 1 bits: one transform for it, two per pair
         # of hashed blocks, all at the circular length of that seed
         raw = BitBlock.from01(rng.integers(0, 2, 10_000, dtype=np.uint8))
-        _, _, summary = extract_session(raw, _est(), 20, SeedSource.from_rng(rng),
-                                        block_size=3000)
+        _, _, summary = extract_session(raw, _est(), 20, rng, block_size=3000)
         blocks = summary["block_sizes"]
         assert blocks == [2500] * 4
         assert summary["toeplitz_seed_bits"] == max(blocks) - 1
@@ -413,7 +410,7 @@ class TestExtractSession:
     def test_reference_security_report(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 5000))
         final, report, summary = extract_session(
-            raw, _est(e_bx=0.02, log2_eps=-100.0), 100, SeedSource.from_rng(rng)
+            raw, _est(e_bx=0.02, log2_eps=-100.0), 100, rng
         )
         # single block: eps_f = 2^-100 + 2^-100, eps_t = 2 * 2^-50
         assert summary["n_blocks"] == 1
@@ -422,20 +419,19 @@ class TestExtractSession:
 
     def test_empty_session_rejected(self, rng):
         with pytest.raises(ProtocolAbortError, match="no raw bits"):
-            extract_session(zero_bits(0), _est(), 100, SeedSource.from_rng(rng))
+            extract_session(zero_bits(0), _est(), 100, rng)
 
-    def test_aborted_session_rejected(self, rng):
-        seed = SeedSource.from_rng(rng)
+    def test_aborted_session_rejected(self):
+        seed = FixedBits([])
         with pytest.raises(ProtocolAbortError) as raised:
             extract_session(zero_bits(100), _est(abort=True), 10, seed)
         assert str(raised.value) == ESTIMATE_ABORT_REASON
-        assert seed.bits_consumed == 0
+        assert seed.drawn == 0
 
     def test_deterministic_given_seed_stream(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 3000))
         outs = [
-            extract_session(raw, _est(), 50,
-                            SeedSource.from_rng(np.random.default_rng(5)))[0]
+            extract_session(raw, _est(), 50, np.random.default_rng(5))[0]
             for _ in range(2)
         ]
         assert outs[0] == outs[1]
@@ -443,8 +439,7 @@ class TestExtractSession:
     def test_blocks_are_balanced_and_accounted(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 10_000))
         final, report, summary = extract_session(
-            raw, _est(e_bx=0.05, log2_eps=-80.0), 20,
-            SeedSource.from_rng(rng), block_size=3000,
+            raw, _est(e_bx=0.05, log2_eps=-80.0), 20, rng, block_size=3000,
         )
         assert summary["n_blocks"] == 4
         assert sum(summary["block_sizes"]) == 10_000
@@ -458,10 +453,10 @@ class TestExtractSession:
         raw = BitBlock.from01(raw01)
         est = _est(e_bx=0.05, log2_eps=-60.0)
         final, _, summary = extract_session(
-            raw, est, 20, SeedSource.from_rng(np.random.default_rng(3)), block_size=1000,
+            raw, est, 20, np.random.default_rng(3), block_size=1000,
         )
-        seed_bits = SeedSource.from_rng(np.random.default_rng(3)).take_bits(
-            summary["toeplitz_seed_bits"]
+        seed_bits = np.random.default_rng(3).integers(
+            0, 2, summary["toeplitz_seed_bits"], dtype=np.uint8
         )
         assert seed_bits.size == 999
         pieces = []
@@ -473,9 +468,9 @@ class TestExtractSession:
     def test_mismatch_ratio_shortens_output(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 5000))
         est = _est(e_bx=0.05, log2_eps=-80.0)
-        matched, _, _ = extract_session(raw, est, 50, SeedSource.from_rng(rng))
+        matched, _, _ = extract_session(raw, est, 50, rng)
         shorter, _, _ = extract_session(
-            raw, est, 50, SeedSource.from_rng(rng), efficiency_ratio=0.9
+            raw, est, 50, rng, efficiency_ratio=0.9
         )
         assert len(shorter) < len(matched)
 
@@ -511,12 +506,12 @@ class TestExtractSession:
         block_size = math.ceil(n_z / n_blocks)
         final, _, summary = extract_session(
             BitBlock.from01(raw01), est, t_e,
-            SeedSource.from_rng(np.random.default_rng(seed)), block_size=block_size,
+            np.random.default_rng(seed), block_size=block_size,
         )
         sizes = summary["block_sizes"]
         assert sum(sizes) == n_z and max(sizes) - min(sizes) <= 1
         ks = [final_length(m, est.e_pz_bound, t_e) for m in sizes]
-        seed_bits = SeedSource.from_rng(np.random.default_rng(seed)).take_bits(max(sizes) - 1)
+        seed_bits = np.random.default_rng(seed).integers(0, 2, max(sizes) - 1, dtype=np.uint8)
         assert summary["toeplitz_seed_bits"] == seed_bits.size
         pieces, start = [], 0
         for m, k in zip(sizes, ks):
@@ -534,8 +529,7 @@ class TestExtractSession:
             np.random.default_rng(20261018).integers(0, 2, 3_000_002, dtype=np.uint8)
         )
         final, _, summary = extract_session(
-            raw, _est(e_bx=0.02, log2_eps=-100.0), 100,
-            SeedSource.from_rng(np.random.default_rng(7)),
+            raw, _est(e_bx=0.02, log2_eps=-100.0), 100, np.random.default_rng(7)
         )
         assert summary["block_sizes"] == [1_000_001, 1_000_001, 1_000_000]
         assert summary["toeplitz_seed_bits"] == 1_000_000

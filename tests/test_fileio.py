@@ -1,4 +1,4 @@
-"""Bit blocks, seed streams, and the on-disk binary formats."""
+"""Bit blocks and the on-disk binary formats."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from siqrng.fileio import (
     write_bit_file,
     write_click_file,
 )
-from siqrng.seeds import SeedExhaustedError, SeedSource
 
-from helpers import click_records, take_bit
+from helpers import click_records
 
 
 class TestBitBlock:
@@ -42,33 +41,6 @@ class TestBitBlock:
     def test_non_bit_values_rejected(self):
         with pytest.raises(ValueError):
             BitBlock.from01([0, 2, 1])
-
-
-class TestSeedSource:
-    def test_finite_stream_consumption(self):
-        seed = SeedSource.from_bits(BitBlock.from01([1, 0, 1, 1, 0]))
-        assert seed.take(3) == 0b101
-        assert take_bit(seed) == 1
-        assert seed.bits_consumed == 4
-        with pytest.raises(SeedExhaustedError):
-            seed.take(2)
-
-    def test_msb_first_integer_assembly(self):
-        seed = SeedSource.from_bits(BitBlock.from01([1, 1, 1, 1, 0, 0, 1, 1, 0]))
-        assert seed.take(9) == 0b111100110
-
-    def test_rng_backed_stream_counts(self, rng):
-        seed = SeedSource.from_rng(rng)
-        seed.take_bits(1000)
-        seed.take(64)
-        assert seed.bits_consumed == 1064
-
-    def test_rng_backed_stream_is_deterministic(self):
-        takes = []
-        for _ in range(2):
-            seed = SeedSource.from_rng(np.random.default_rng(5))
-            takes.append([seed.take(31) for _ in range(10)])
-        assert takes[0] == takes[1]
 
 
 # header lengths short of the 13 header bytes, each with a valid magic

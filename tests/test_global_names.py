@@ -93,7 +93,6 @@ def test_guard_flags_a_missing_import(tmp_path):
 TEST_ONLY_ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
     "plan_x_count": "the paper's check-count planner (acceptance criterion 10)",
-    "SeedSource.from_bits": "a seed of exact bits for tests that fix every seed bit",
 }
 
 

@@ -44,7 +44,6 @@ from siqrng.randtest import (
     ndtr,
     run_battery,
 )
-from siqrng.seeds import SeedSource
 
 
 def _alternating(n):
@@ -423,7 +422,7 @@ class TestPackedBatteryMatchesOracle:
 def _extract_half(raw01, rng_seed=17) -> BitBlock:
     est = EstimationResult(e_bx=0.1, theta=0.0, log2_eps_theta=-60.0, abort=False)
     final, _, _ = extract_session(
-        _block(raw01), est, 20, SeedSource.from_rng(np.random.default_rng(rng_seed))
+        _block(raw01), est, 20, np.random.default_rng(rng_seed)
     )
     return final
 

@@ -12,10 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siqrng.bits import BitBlock
 from siqrng.photonic_sim import Basis, Pattern
 from siqrng.pipeline import derive_streams
-from siqrng.seeds import SeedExhaustedError, SeedSource
 from siqrng.squash_sample import (
     PLAN_MAX_ATTEMPTS,
     SessionTally,
@@ -27,6 +25,7 @@ from siqrng.squash_sample import (
 
 from helpers import (
     ClickEvent,
+    FixedBits,
     OutcomeKind,
     SquashedOutcome,
     click_events,
@@ -39,35 +38,27 @@ from helpers import (
 )
 
 
-def _seed_from01(bits):
-    return SeedSource.from_bits(BitBlock.from01(list(bits)))
-
-
 class TestSquash:
     def test_none_is_vacuum(self):
-        out = squash(ClickEvent(0, Basis.Z, Pattern.NONE), _seed_from01([]))
+        out = squash(ClickEvent(0, Basis.Z, Pattern.NONE), FixedBits([]))
         assert out.kind is OutcomeKind.VACUUM
 
     @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
     def test_single_clicks_map_directly(self, basis):
-        assert squash(ClickEvent(0, basis, Pattern.D0), _seed_from01([])).bit_value == 0
-        assert squash(ClickEvent(0, basis, Pattern.D1), _seed_from01([])).bit_value == 1
+        assert squash(ClickEvent(0, basis, Pattern.D0), FixedBits([])).bit_value == 0
+        assert squash(ClickEvent(0, basis, Pattern.D1), FixedBits([])).bit_value == 1
 
     def test_z_double_consumes_one_seed_bit(self):
-        seed = _seed_from01([1, 0])
+        seed = FixedBits([1, 0])
         out = squash(ClickEvent(0, Basis.Z, Pattern.DOUBLE), seed)
         assert out.kind is OutcomeKind.BIT and out.bit_value == 1
-        assert seed.bits_consumed == 1
+        assert seed.drawn == 1
 
     def test_x_double_keeps_no_bit(self):
-        seed = _seed_from01([1])
+        seed = FixedBits([1])
         out = squash(ClickEvent(0, Basis.X, Pattern.DOUBLE), seed)
         assert out.kind is OutcomeKind.DOUBLE and out.bit_value is None
-        assert seed.bits_consumed == 0
-
-    def test_seed_exhaustion(self):
-        with pytest.raises(SeedExhaustedError):
-            squash(ClickEvent(0, Basis.Z, Pattern.DOUBLE), _seed_from01([]))
+        assert seed.drawn == 0
 
 
 class TestTally:
@@ -96,9 +87,9 @@ class TestTally:
             (Basis.Z, Pattern.DOUBLE), (Basis.X, Pattern.NONE), (Basis.Z, Pattern.D0),
             (Basis.X, Pattern.D1),
         ]
-        seed = _seed_from01([1])
+        seed = FixedBits([1])
         outcomes = [(b, squash(ClickEvent(i, b, p), seed)) for i, (b, p) in enumerate(patterns)]
-        tally = tally_session(outcomes, seed_bits_consumed=seed.bits_consumed)
+        tally = tally_session(outcomes, seed_bits_consumed=seed.drawn)
         assert tally.x_double == 2
         assert tally.x_minus == 2
         assert tally.n_x == 5 and tally.n_z == 3
@@ -112,11 +103,11 @@ class TestTally:
         records = click_records(basis, pattern)
 
         seed_bits = rng.integers(0, 2, n).astype(np.uint8)
-        fast = squash_and_tally(records, _seed_from01(seed_bits))
+        fast = squash_and_tally(records, FixedBits(seed_bits))
 
-        seed = _seed_from01(seed_bits)
+        seed = FixedBits(seed_bits)
         outcomes = [(event.basis, squash(event, seed)) for event in click_events(records)]
-        slow = tally_session(outcomes, seed_bits_consumed=seed.bits_consumed)
+        slow = tally_session(outcomes, seed_bits_consumed=seed.drawn)
 
         assert fast.to_dict() == slow.to_dict()
         assert fast.z_bits == slow.z_bits
@@ -126,9 +117,9 @@ class TestTally:
             n = 2000
             records = rng.integers(0, 8, n).astype(np.uint8)
             z_doubles = int(np.count_nonzero(records == Pattern.DOUBLE))  # Z basis bit clear
-            seed = SeedSource.from_rng(rng)
+            seed = FixedBits(rng.integers(0, 2, n, dtype=np.uint8))
             tally = squash_and_tally(records, seed)
-            assert tally.seed_bits_consumed == z_doubles == seed.bits_consumed
+            assert tally.seed_bits_consumed == z_doubles == seed.drawn
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -249,15 +240,28 @@ class TestSeedLengthRequired:
         assert 2 ** (seed_length_required(total) - 1) < total <= 2 ** seed_length_required(total)
 
 
+@st.composite
+def _plan_seeds(draw):
+    """(n, k, bits) with n <= 40 and room for a few windows; three bits in
+    four are 1, so windows at or above C(n, k) are often rejected before
+    one is accepted, and the bits sometimes run out first."""
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(0, n))
+    size = draw(st.integers(0, 4 * seed_length_required(math.comb(n, k)) + 3))
+    bit = st.integers(0, 3).map(lambda b: min(b, 1))
+    return n, k, draw(st.lists(bit, min_size=size, max_size=size))
+
+
 class TestPlanBasisPositions:
     def test_empty_choice(self):
-        seed = _seed_from01([])
-        assert plan_basis_positions(9, 0, seed).size == 0
-        assert seed.bits_consumed == 0
+        seed = FixedBits([])
+        positions, seed_bits = plan_basis_positions(9, 0, seed)
+        assert positions.size == 0
+        assert seed_bits == seed.drawn == 0
 
     def test_full_choice(self):
-        seed = _seed_from01([])
-        assert plan_basis_positions(5, 5, seed).tolist() == [0, 1, 2, 3, 4]
+        positions, seed_bits = plan_basis_positions(5, 5, FixedBits([]))
+        assert positions.tolist() == [0, 1, 2, 3, 4] and seed_bits == 0
 
     def test_rejection_resampling_is_exactly_uniform(self):
         # C(6, 2) = 15 < 16 = 2^4: windows of 4 bits, value 15 rejected.
@@ -268,9 +272,9 @@ class TestPlanBasisPositions:
         for value in range(256):
             bits = [(value >> (7 - i)) & 1 for i in range(8)]
             try:
-                positions = tuple(plan_basis_positions(6, 2, _seed_from01(bits)).tolist())
-                counts[positions] += 1
-            except SeedExhaustedError:
+                positions, _ = plan_basis_positions(6, 2, FixedBits(bits))
+                counts[tuple(positions.tolist())] += 1
+            except FixedBits.Exhausted:
                 exhausted += 1
         assert len(counts) == 15
         assert set(counts.values()) == {17}  # 15 * 17 + 1 exhausted = 256
@@ -278,32 +282,57 @@ class TestPlanBasisPositions:
 
     def test_consumption_is_counted_per_window(self):
         # first window = 15 (rejected), second window = 3 -> subset index 3
-        seed = _seed_from01([1, 1, 1, 1, 0, 0, 1, 1])
-        positions = plan_basis_positions(6, 2, seed)
-        assert seed.bits_consumed == 8
+        seed = FixedBits([1, 1, 1, 1, 0, 0, 1, 1])
+        positions, seed_bits = plan_basis_positions(6, 2, seed)
+        assert seed_bits == seed.drawn == 8
         assert positions.tolist() == unrank_combination(3, 6, 2, 15)
+
+    @settings(max_examples=200, deadline=None)
+    @example((6, 2, [1, 1, 1, 1, 0, 0, 1, 1]))  # width 4: 15 rejected, then 3
+    @example((6, 2, [1, 1, 1, 1, 0, 0, 1]))     # 15 rejected, and the bits run out
+    @example((20, 10, [1] * 18 + [0] * 17 + [1]))  # width 18: 2^18 - 1 rejected, then 1
+    @example((40, 20, [1] * 38 + [0, 1] * 19))  # width 38
+    @given(_plan_seeds())
+    def test_plan_reads_the_first_window_below_the_count(self, case):
+        # oracle: each window read in plain Python, first bit most significant
+        n, k, bits = case
+        total = math.comb(n, k)
+        width = seed_length_required(total)
+        seed = FixedBits(bits)
+        if width == 0:
+            positions, seed_bits = plan_basis_positions(n, k, seed)
+            assert positions.tolist() == list(range(k)) and seed_bits == seed.drawn == 0
+            return
+        values = [int("".join(map(str, bits[i : i + width])), 2)
+                  for i in range(0, len(bits) - width + 1, width)]
+        accepted = [i for i, value in enumerate(values) if value < total]
+        if not accepted:
+            with pytest.raises(FixedBits.Exhausted):
+                plan_basis_positions(n, k, seed)
+            return
+        positions, seed_bits = plan_basis_positions(n, k, seed)
+        first = accepted[0]
+        assert positions.tolist() == unrank_combination(values[first], n, k, total)
+        assert seed_bits == (first + 1) * width == seed.drawn
 
     def test_paper_scale_plan_is_unchanged(self):
         # the plan fixes every active-mode artifact, so its bytes and its
         # seed cost at a fixed master seed are pinned
-        seed = derive_streams(20260810).basis
-        plan = plan_basis_positions(10**6, 3700, seed)
+        plan, seed_bits = plan_basis_positions(10**6, 3700, derive_streams(20260810).basis)
         assert plan.dtype == np.int64
         assert hashlib.sha256(plan.astype("<i8").tobytes()).hexdigest() == (
             "08946ac49ff682dc22a959871158f7a53f5d5239475cb2f1a0911e8354191c30"
         )
-        assert seed.bits_consumed == 35211
+        assert seed_bits == 35211
 
     def test_exhausted_attempts_raise(self):
         # C(3, 1) = 3: 2-bit windows, and an all-ones window reads 3, always rejected
         with pytest.raises(RuntimeError, match=f"after {PLAN_MAX_ATTEMPTS} attempts"):
-            plan_basis_positions(3, 1, _seed_from01([1] * (2 * PLAN_MAX_ATTEMPTS)))
-        with pytest.raises(SeedExhaustedError):
-            plan_basis_positions(3, 1, _seed_from01([1] * (2 * PLAN_MAX_ATTEMPTS - 1)))
+            plan_basis_positions(3, 1, FixedBits([1] * (2 * PLAN_MAX_ATTEMPTS)))
 
     def test_oversized_choice_rejected(self):
         with pytest.raises(ValueError):
-            plan_basis_positions(4, 5, _seed_from01([0] * 16))
+            plan_basis_positions(4, 5, FixedBits([0] * 16))
 
 
 def _survivors(basis_is_x: np.ndarray, lost_if_x, lost_if_z):
