@@ -1,4 +1,4 @@
-"""Bit blocks and the on-disk binary formats."""
+"""Bit blocks, seed streams and the on-disk binary formats."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from siqrng.fileio import (
     write_bit_file,
     write_click_file,
 )
+from siqrng.pipeline import derive_streams
 
 from helpers import click_records
 
@@ -41,6 +42,22 @@ class TestBitBlock:
     def test_non_bit_values_rejected(self):
         with pytest.raises(ValueError):
             BitBlock.from01([0, 2, 1])
+
+
+class TestSeedSource:
+    """The seed streams are the Generators that derive_streams builds."""
+
+    def test_rng_backed_stream_is_deterministic(self):
+        takes = []
+        for _ in range(2):
+            streams = derive_streams(5)
+            takes.append([
+                streams.basis.integers(0, 1 << 31, 10).tolist(),
+                streams.toeplitz.integers(0, 2, 1000, dtype=np.uint8).tolist(),
+            ])
+        assert takes[0] == takes[1]
+        # the two seed streams are distinct children of the master seed
+        assert takes[0][0] != derive_streams(5).toeplitz.integers(0, 1 << 31, 10).tolist()
 
 
 # header lengths short of the 13 header bytes, each with a valid magic
