@@ -45,6 +45,7 @@ from .pipeline import (
 from .randtest import TestReport, autocorrelation, run_battery
 from .squash_sample import (
     SessionTally,
+    TallyFold,
     plan_basis_positions,
     seed_length_required,
     squash_and_tally,

@@ -62,9 +62,15 @@ class BitBlock:
         if pad and self.data.size and (self.data[-1] >> (8 - pad)):
             raise ValueError("nonzero padding bits in final byte")
 
-    def to01(self) -> np.ndarray:
-        """Unpack to a uint8 array of 0/1 values."""
-        return np.unpackbits(self.data, count=self.length, bitorder="little")
+    def to01(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Unpack bits ``start`` to ``stop`` (default: all) to a uint8 array
+        of 0/1 values; only the bytes that hold them are unpacked."""
+        stop = self.length if stop is None else stop
+        if not 0 <= start <= stop <= self.length:
+            raise ValueError(f"bits {start}..{stop} outside a block of {self.length}")
+        first = start // 8
+        return np.unpackbits(self.data[first : (stop + 7) // 8], count=stop - 8 * first,
+                             bitorder="little")[start - 8 * first :]
 
     def __len__(self) -> int:
         return self.length

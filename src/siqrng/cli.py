@@ -56,7 +56,7 @@ from .pipeline import (
     write_tally,
 )
 from .randtest import BATTERY_MIN_BITS, autocorrelation, run_battery
-from .squash_sample import SessionTally, squash_and_tally
+from .squash_sample import SessionTally, TallyFold, squash_and_tally
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,11 +111,12 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     streams = derive_streams(config.master_seed)
     positions, plan_bits = choose_basis_plan(config, streams)
-    records = simulate_clicks(config, streams, positions)
     out = Path(args.out)
-    fileio.write_click_file(out / "clicks.siqc", records)
+    n = config.params.total_pulses
+    with fileio.ClickFileWriter(out / "clicks.siqc", n) as clicks:
+        simulate_clicks(config, streams, positions, clicks)
     fileio.write_json(out / "simulate.json", {
-        "total_pulses": records.size,
+        "total_pulses": n,
         "planned_x_count": config.params.planned_x_count,
         "basis_choice": config.basis_choice,
         "basis_plan_bits": plan_bits,
@@ -125,8 +126,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tally(args) -> int:
-    records = fileio.read_click_file(args.clicks)
-    tally = squash_and_tally(records, derive_streams(args.seed).double_click)
+    fold = fileio.read_click_file(args.clicks, lambda count: TallyFold(count, None))
+    tally = squash_and_tally(fold, derive_streams(args.seed).double_click)
     write_tally(Path(args.out), tally)
     return EXIT_OK
 

@@ -132,18 +132,19 @@ def _hash_band(
 
 
 def _dual_hash_blocks(
-    raw01: np.ndarray, shapes: list[tuple[int, int]], seed01: np.ndarray
+    raw: BitBlock, shapes: list[tuple[int, int]], seed01: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The (I | T) hash of consecutive blocks of ``raw01``, one per
-    ``(m, K)`` shape, concatenated, and the worst rounding deviation.
+    """The (I | T) hash of consecutive blocks of ``raw``, one per ``(m, K)``
+    shape, concatenated as 0/1 values, and the worst rounding deviation.
 
     ``seed01`` has the longest block's seed length; each block reads its
     own prefix of it through the one shared spectrum.  The blocks with T
     not empty (K < m) are hashed two at a time, in order, each pair in one
     transform pair packed at the radix ``2**shift`` above every block's M; a
-    last odd block is hashed alone.  The seed and every pair share one set
-    of FFT scratch arrays, so that no pair faults in fresh pages for arrays
-    of the FFT length.
+    last odd block is hashed alone.  Each block is unpacked from ``raw``
+    only when it is hashed, so at most a pair of blocks is ever unpacked.
+    The seed and every pair share one set of FFT scratch arrays, so that no
+    pair faults in fresh pages for arrays of the FFT length.
 
     Raises
     ------
@@ -157,14 +158,14 @@ def _dual_hash_blocks(
         raise ValueError(f"blocks with M = {widest} bits pack counts up to "
                          f"2**{2 * shift}, past 2**{_MAX_PACKED_BITS}")
     out = np.empty(sum(k for _, k in shapes), dtype=np.uint8)
-    hashed = []
+    hashed = []  # (first bit, m, head) of each block with T not empty
     start = filled = 0
     for m, k in shapes:
-        block = raw01[start : start + m]
         head = out[filled : filled + k]
-        head[...] = block[:k]
         if k < m:
-            hashed.append((block[k:], head))
+            hashed.append((start, m, head))
+        else:
+            head[...] = raw.to01(start, start + m)
         start += m
         filled += k
     if not hashed:
@@ -172,8 +173,14 @@ def _dual_hash_blocks(
     length = _smooth_length(seed01.size)
     work = np.empty(length // 2 + 1, dtype=np.complex128), np.empty(length)
     spectrum = np.fft.rfft(_padded(seed01, work[1]))
-    deviations = [_hash_band(hashed[i : i + 2], shift, spectrum, work)
-                  for i in range(0, len(hashed), 2)]
+    deviations = []
+    for i in range(0, len(hashed), 2):
+        pair = []
+        for start, m, head in hashed[i : i + 2]:
+            block = raw.to01(start, start + m)
+            head[...] = block[: head.size]
+            pair.append((block[head.size :], head))
+        deviations.append(_hash_band(pair, shift, spectrum, work))
     return out, max(deviations)
 
 
@@ -224,7 +231,7 @@ def extract_session(
     # a block's (I | T) hash takes m - 1 seed bits, none when T is empty (K = m)
     seed_length = max(m - 1 if k < m else 0 for m, k in shapes)
     final01, max_deviation = _dual_hash_blocks(
-        z_bits.to01(), shapes, rng.integers(0, 2, seed_length, dtype=np.uint8))
+        z_bits, shapes, rng.integers(0, 2, seed_length, dtype=np.uint8))
     final = BitBlock.from01(final01)
 
     report = composed_security(est.eps_theta, t_e, extraction_blocks=len(shapes))

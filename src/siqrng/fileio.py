@@ -10,11 +10,15 @@ Click-record file:
     bit 2 = basis (0 Z, 1 X), upper bits zero.
 
 The record byte is also the in-memory form of a session's clicks (the
-uint8 array :func:`~siqrng.photonic_sim.run_session` returns), so the file
-is written from the records and read back into them without conversion.
-One byte per pulse is deliberately uncompressed: the records can be
-audited with any hex viewer.  All writes go through a temp file + rename
-so partial files are never observed.
+chunks :func:`~siqrng.photonic_sim.run_session` hands to its sink), so
+each chunk is written at its place in the file, and read back, without
+conversion.  A session's records are never held whole: a
+:class:`ClickFileWriter` takes them chunk by chunk, from the two threads
+that simulate them, and :func:`read_click_file` hands them on chunk by
+chunk.  One byte per pulse is deliberately uncompressed: the records can
+be audited with any hex viewer.  All writes go through a temp file +
+rename, the click file's after its last writer is done, so partial files
+are never observed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitBlock
+from .photonic_sim import CHUNK
 
 BIT_MAGIC = b"SIQ1"
 CLICK_MAGIC = b"SIQC"
@@ -91,16 +96,15 @@ def _header(magic: bytes, count: int) -> bytes:
     return magic + bytes([FORMAT_VERSION]) + count.to_bytes(8, "little")
 
 
-def _read_payload(path: Path, magic: bytes) -> tuple[bytes, int]:
-    """The raw file and the count its header declares, header checked."""
-    raw = Path(path).read_bytes()
+def _header_count(path: Path, raw: bytes, magic: bytes) -> int:
+    """The count the header at the start of ``raw`` declares, header checked."""
     if raw[:4] != magic:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
     if len(raw) < _HEADER_BYTES:
         raise FormatError(f"{path}: truncated header of {len(raw)} bytes")
     if raw[4] != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {raw[4]}")
-    return raw, int.from_bytes(raw[5:_HEADER_BYTES], "little")
+    return int.from_bytes(raw[5:_HEADER_BYTES], "little")
 
 
 def write_bit_file(path: Path, block: BitBlock):
@@ -108,7 +112,8 @@ def write_bit_file(path: Path, block: BitBlock):
 
 
 def read_bit_file(path: Path) -> BitBlock:
-    raw, length = _read_payload(path, BIT_MAGIC)
+    raw = Path(path).read_bytes()
+    length = _header_count(path, raw, BIT_MAGIC)
     payload = raw[_HEADER_BYTES:]
     if len(payload) != (length + 7) // 8:
         raise FormatError(
@@ -117,18 +122,96 @@ def read_bit_file(path: Path) -> BitBlock:
     return BitBlock.from_bytes(payload, length)
 
 
-def write_click_file(path: Path, records: np.ndarray):
-    atomic_write_bytes(path, records, _header(CLICK_MAGIC, records.size))
+class ClickFileWriter:
+    """The click file of a session of ``count`` pulses, written chunk by
+    chunk, in any order, by any number of threads at once.
+
+    Used as a context manager: :meth:`write` puts records at their place in
+    a temp file in the destination directory, and a clean exit renames it
+    onto ``path`` once every record is written.  An exception, raised by a
+    writer or by the block, removes the temp file instead, so neither a
+    partial ``path`` nor the temp file is left behind.
+    """
+
+    def __init__(self, path: Path, count: int):
+        self.path = Path(path)
+        self.count = count
+        self._written = []  # records per write; list.append is atomic
+
+    def __enter__(self) -> "ClickFileWriter":
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fd, self._tmp = tempfile.mkstemp(dir=self.path.parent,
+                                               prefix=self.path.name + ".tmp")
+        try:
+            os.pwrite(self._fd, _header(CLICK_MAGIC, self.count), 0)
+        except BaseException:
+            os.close(self._fd)
+            os.unlink(self._tmp)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            os.close(self._fd)
+            if exc_type is None:
+                if len(self) != self.count:
+                    raise ValueError(f"{self.path}: {len(self)} of {self.count} "
+                                     "pulse records written")
+                os.replace(self._tmp, self.path)
+        finally:
+            if os.path.exists(self._tmp):
+                os.unlink(self._tmp)
+
+    def __len__(self) -> int:
+        """The records written so far."""
+        return sum(self._written)
+
+    def write(self, start: int, records: np.ndarray):
+        """Write the records of pulses ``start, start + 1, ...``; safe to
+        call from several threads at once."""
+        if start < 0 or start + records.size > self.count:
+            raise ValueError(f"{self.path}: records {start}..{start + records.size} "
+                             f"outside the {self.count} pulses")
+        written = os.pwrite(self._fd, records, _HEADER_BYTES + start)
+        if written != records.size:
+            raise OSError(f"{self.path}: short write of {written} of {records.size} bytes")
+        self._written.append(written)
+
+    def span(self, start: int):
+        """The chunk writer of the span starting at pulse ``start``, as
+        :func:`~siqrng.photonic_sim.run_session` asks of its sink: every
+        span's chunks go to their place through :meth:`write`."""
+        return self.write
 
 
-def read_click_file(path: Path) -> np.ndarray:
-    raw, count = _read_payload(path, CLICK_MAGIC)
-    records = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER_BYTES)
-    if records.size != count:
-        raise FormatError(f"{path}: {records.size} pulse records, header says {count}")
-    if records.size and int(records.max()) > _MAX_RECORD:
-        raise FormatError(f"{path}: pulse record with nonzero reserved bits")
-    return records
+def read_click_file(path: Path, make_sink):
+    """Hand the records of the click file ``path`` to a sink, chunk by chunk.
+
+    ``make_sink(count)`` builds the sink from the pulse count the header
+    declares; ``sink.span(0)`` then takes chunks ``(lo, records)`` of up to
+    :data:`~siqrng.photonic_sim.CHUNK` records in pulse order, each read into
+    one reused buffer, so a sink keeps a copy of what it needs.  Returns the
+    sink.  The header and the payload length are checked before the first
+    chunk, the reserved bits of each chunk before it is handed on; every
+    :class:`FormatError` names the file.
+    """
+    with open(path, "rb") as fh:
+        count = _header_count(path, fh.read(_HEADER_BYTES), CLICK_MAGIC)
+        payload = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+        if payload != count:
+            raise FormatError(f"{path}: {payload} pulse records, header says {count}")
+        sink = make_sink(count)
+        add = sink.span(0)
+        buffer = np.empty(min(CHUNK, count), dtype=np.uint8)
+        for lo in range(0, count, CHUNK):
+            records = buffer[: min(CHUNK, count - lo)]
+            if fh.readinto(records) != records.size:
+                raise FormatError(f"{path}: payload ends before pulse {count}")
+            if int(records.max()) > _MAX_RECORD:
+                bad = lo + int(np.argmax(records > _MAX_RECORD))
+                raise FormatError(f"{path}: pulse record {bad} with nonzero reserved bits")
+            add(lo, records)
+    return sink
 
 
 def _finite_or_null(value):

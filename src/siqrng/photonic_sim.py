@@ -29,7 +29,9 @@ reads output i of the physics stream.  :func:`run_session` draws the
 lower half of a session on the calling thread and the upper half on one
 helper thread, from a copy of the generator moved on by
 ``advance(n // 2)``; since no pulse reads another's output, the records
-are those of one serial draw, whatever the split or the chunk size.
+are those of one serial draw, whatever the split or the chunk size.  Each
+half hands its records to the caller's sink one chunk at a time, while
+the chunk is in cache, and keeps no array of a byte per pulse.
 """
 
 from __future__ import annotations
@@ -148,25 +150,28 @@ def pattern_thresholds(p0: float, p1: float) -> np.ndarray:
     return np.array([c1, c2, c3])
 
 
-def _simulate_span(records, x_sorted, z_thresholds, x_thresholds, bitgen, start, stop):
-    """Write the records of pulses ``[start, stop)``: pulse ``start + k``
-    reads output ``k`` of ``bitgen`` as its uniform.  Each chunk compares
-    its uniforms with the Z thresholds, then rewrites its X pulses from the
-    same uniforms with the X thresholds.  Beyond the records it allocates
-    its two chunk buffers and its X pulses' indices."""
+def _simulate_span(sink, x_sorted, z_thresholds, x_thresholds, bitgen, start, stop):
+    """Hand the records of pulses ``[start, stop)`` to ``sink.span(start)``
+    chunk by chunk: pulse ``start + k`` reads output ``k`` of ``bitgen`` as
+    its uniform.  Each chunk compares its uniforms with the Z thresholds,
+    then rewrites its X pulses from the same uniforms with the X thresholds.
+    It allocates its three chunk buffers and its X pulses' indices."""
+    add = sink.span(start)
     draw = np.random.Generator(bitgen).random
     uniforms = np.empty(min(CHUNK, stop - start))
     flags = np.empty(uniforms.size, dtype=np.bool_)
+    records = np.empty(uniforms.size, dtype=np.uint8)
     for lo in range(start, stop, CHUNK):
         m = min(CHUNK, stop - lo)
         u = draw(m, out=uniforms[:m])
-        block = records[lo : lo + m]
+        block = records[:m]
         np.greater_equal(u, z_thresholds[0], out=block.view(np.bool_))
         for c in z_thresholds[1:]:
             block += np.greater_equal(u, c, out=flags[:m]).view(np.uint8)
         a, b = np.searchsorted(x_sorted, (lo, lo + m))
         x = x_sorted[a:b] - lo
         block[x] = X_RECORD + np.searchsorted(x_thresholds, u[x], side="right")
+        add(lo, block)
 
 
 def run_session(
@@ -176,8 +181,10 @@ def run_session(
     det: DetectorConfig,
     basis_plan: np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Simulate the ``n`` pulses of one session; returns its click records.
+    sink,
+):
+    """Simulate the ``n`` pulses of one session, handing their click
+    records to ``sink`` chunk by chunk; returns ``sink``.
 
     The records are one uint8 per pulse: the detector pattern in bits 0-1
     (0 none, 1 d0, 2 d1, 3 double), the basis in bit 2 (0 Z, 1 X), upper
@@ -185,33 +192,41 @@ def run_session(
     :mod:`siqrng.fileio`).  ``basis_plan`` is the int array of the pulse
     indices measured in the X basis, each in ``[0, n)``, in any order.
 
+    The pulses are drawn in spans of consecutive pulses, and each span in
+    chunks of :data:`CHUNK`.  A span starting at pulse ``start`` calls
+    ``sink.span(start)`` once, on the thread that draws it, and hands each
+    of its chunks, in pulse order, to the function that returns:
+    ``add(lo, records)`` with the records of pulses ``lo, lo + 1, ...``.
+    The records live in a buffer the span reuses, so ``add`` copies what it
+    keeps.  A sink (a :class:`~siqrng.squash_sample.TallyFold`, a
+    :class:`~siqrng.fileio.ClickFileWriter`) keeps each span's state apart.
+
     Pulse ``i`` reads output ``i`` of ``rng`` as one uniform ``u`` and has
     the pattern ``[u >= c1] + [u >= c2] + [u >= c3]`` on the
     :func:`pattern_thresholds` of its basis: the product law of the two
     detectors, which are independent given the basis, exact up to double
-    rounding.  The pulses are drawn in chunks of :data:`CHUNK`.  When each
-    half holds a chunk, the caller draws pulses ``[0, n // 2)`` and one
-    helper thread draws ``[n // 2, n)`` on a copy of ``rng``'s bit generator
-    moved on by ``advance(n // 2)``; the thread is joined, and its exception
-    re-raised, before the call returns.  Since every pulse reads its own
-    output, neither the chunk size nor the split changes a byte: the
-    records are those of one serial draw of ``n`` uniforms, and ``rng`` is
-    left ``n`` outputs on, as by that draw.  ``rng``'s bit generator must
-    be a PCG64, as ``np.random.default_rng`` makes, whose ``advance(k)``
-    moves exactly ``k`` outputs on.
+    rounding.  When each half holds a chunk, the caller draws the span of
+    pulses ``[0, n // 2)`` and one helper thread the span ``[n // 2, n)``,
+    on a copy of ``rng``'s bit generator moved on by ``advance(n // 2)``;
+    otherwise the caller draws one span ``[0, n)``.  The thread is joined,
+    and its exception re-raised, before the call returns.  Since every
+    pulse reads its own output, neither the chunk size nor the split
+    changes a byte: the records are those of one serial draw of ``n``
+    uniforms, and ``rng`` is left ``n`` outputs on, as by that draw.
+    ``rng``'s bit generator must be a PCG64, as ``np.random.default_rng``
+    makes, whose ``advance(k)`` moves exactly ``k`` outputs on.
     """
     x_sorted = np.sort(basis_plan)
     if x_sorted.size and (x_sorted[0] < 0 or x_sorted[-1] >= n):
         raise ValueError("basis plan positions out of range")
-    records = np.empty(n, dtype=np.uint8)
-    span = partial(_simulate_span, records, x_sorted,
+    span = partial(_simulate_span, sink, x_sorted,
                    pattern_thresholds(*click_probabilities(source, channel, det, Basis.Z)),
                    pattern_thresholds(*click_probabilities(source, channel, det, Basis.X)))
     bitgen = rng.bit_generator
     half = n // 2
     if half < CHUNK:
         span(bitgen, 0, n)
-        return records
+        return sink
 
     # a copy of the caller's state, not a fresh seed, which would read OS entropy
     upper = type(bitgen)(0)
@@ -234,4 +249,4 @@ def run_session(
     if failures:
         raise failures[0]
     bitgen.advance(n - half)
-    return records
+    return sink

@@ -49,7 +49,7 @@ from .entropy_math import ProtocolAbortError, ProtocolParams, SecurityReport, co
 from .estimation import EstimationResult, estimate_session
 from .extractor import extract_session
 from .photonic_sim import run_session
-from .squash_sample import SessionTally, plan_basis_positions, squash_and_tally
+from .squash_sample import SessionTally, TallyFold, plan_basis_positions, squash_and_tally
 
 
 @dataclass
@@ -113,14 +113,14 @@ def choose_basis_plan(config: RunConfig, streams: RandomStreams) -> tuple[np.nda
     return np.concatenate(parts), 0
 
 
-def simulate_clicks(
-    config: RunConfig, streams: RandomStreams, positions: np.ndarray
-) -> np.ndarray:
-    """Simulate stage: the click records of a session whose X-basis
-    pulses are ``positions``, drawn from the physics stream."""
+def simulate_clicks(config: RunConfig, streams: RandomStreams, positions: np.ndarray, sink):
+    """Simulate stage: hand the click records of a session whose X-basis
+    pulses are ``positions``, drawn from the physics stream, to ``sink``
+    chunk by chunk (see :func:`~siqrng.photonic_sim.run_session`); returns
+    ``sink``."""
     return run_session(
         config.params.total_pulses, config.source, config.channel, config.detector,
-        positions, streams.physics,
+        positions, streams.physics, sink,
     )
 
 
@@ -158,16 +158,20 @@ def run_protocol_session(
     ``clicks.siqc``; ``zbits.siq`` and ``tally.json``; ``estimation.json``;
     then ``seed_ledger.json`` and ``final.siq`` with ``security.json``, or
     ``abort.json`` when the session certifies nothing.  The click records
-    are dropped once the tally has read them, so extraction starts from
-    the packed Z bits alone.
+    never exist whole: the simulating threads fold each chunk into the
+    tally, and write it to ``clicks.siqc``, while it is in cache, so
+    extraction starts from the packed Z bits alone.
     """
     streams = derive_streams(config.master_seed)
     positions, basis_plan_bits = plan if plan is not None else choose_basis_plan(config, streams)
-    records = simulate_clicks(config, streams, positions)
-    if out is not None:
-        fileio.write_click_file(out / "clicks.siqc", records)
-    tally = squash_and_tally(records, streams.double_click)
-    del records
+    n = config.params.total_pulses
+    if out is None:
+        fold = simulate_clicks(config, streams, positions, TallyFold(n, None))
+    else:
+        with fileio.ClickFileWriter(out / "clicks.siqc", n) as clicks:
+            fold = simulate_clicks(config, streams, positions, TallyFold(n, clicks))
+    tally = squash_and_tally(fold, streams.double_click)
+    del fold
     if out is not None:
         write_tally(out, tally)
     estimation = estimate_session(tally, config.params)

@@ -26,10 +26,7 @@ import numpy as np
 
 from .bits import BitBlock
 from .fileio import record_field
-from .photonic_sim import X_RECORD, Pattern
-
-# records per tally block; it bounds the tally's transient memory and changes no count or bit
-BLOCK_SIZE = 1 << 21
+from .photonic_sim import CHUNK, X_RECORD, Pattern
 
 # windows a basis plan reads before it gives up; each accepts with probability > 1/2
 PLAN_MAX_ATTEMPTS = 1000
@@ -78,46 +75,115 @@ class SessionTally:
         return cls(**{key: record_field(doc, key, int) for key in cls._COUNTS})
 
 
-def squash_and_tally(records: np.ndarray, rng: np.random.Generator) -> SessionTally:
-    """Vectorized squash + tally of a session's click records.
+class _SpanTally:
+    """The tally of one span of consecutive pulses, folded chunk by chunk:
+    its X pattern counts, its Z double clicks, and its Z codes, written to
+    the session's code buffer from the span's own first pulse on."""
+
+    def __init__(self, z_codes: np.ndarray, start: int, write):
+        self.z_codes = z_codes
+        self.start = self.stop = start  # its Z codes are z_codes[start:stop]
+        self.write = write
+        self.pulses = 0
+        self.x_counts = np.zeros(X_RECORD + len(Pattern), dtype=np.int64)
+        self.doubles = 0
+        self.shifted = self.flags = np.empty(0, dtype=np.uint8)
+
+    def add(self, lo: int, records: np.ndarray):
+        if self.write is not None:
+            self.write(lo, records)
+        m = records.size
+        if self.shifted.size < m:
+            self.shifted = np.empty(m, dtype=np.uint8)
+            self.flags = np.empty(m, dtype=np.bool_)
+        # D0 -> 0, D1 -> 1, a Z double click -> 2; X records and Z vacua are 3 and up
+        shifted = np.subtract(records, np.uint8(1), out=self.shifted[:m])
+        z = np.less(shifted, 3, out=self.flags[:m])
+        codes = self.z_codes[self.stop : self.stop + int(np.count_nonzero(z))]
+        np.compress(z, shifted, out=codes)
+        self.stop += codes.size
+        self.doubles += int(np.count_nonzero(np.equal(codes, 2, out=self.flags[: codes.size])))
+        x = records[np.greater_equal(records, X_RECORD, out=self.flags[:m])]
+        if x.size:
+            self.x_counts += np.bincount(x, minlength=self.x_counts.size)
+        self.pulses += m
+
+
+class TallyFold:
+    """Squash and tally as a fold over a session's click records, taken
+    chunk by chunk by the sink protocol of
+    :func:`~siqrng.photonic_sim.run_session`: each span of consecutive
+    pulses folds its chunks through its own :meth:`span`, from any thread.
+
+    The Z codes go to one buffer of ``n`` bytes, each span's from its own
+    first pulse on; pages no span writes cost no resident memory.  When
+    ``clicks``, a :class:`~siqrng.fileio.ClickFileWriter`, is not None,
+    each chunk is also written to the click file before it is folded.
+    :func:`squash_and_tally` finishes the fold.
+    """
+
+    def __init__(self, n: int, clicks):
+        self.z_codes = np.empty(n, dtype=np.uint8)
+        self.clicks = clicks
+        self.spans = []  # list.append is atomic, so spans may open on any thread
+
+    def __len__(self) -> int:
+        """The records folded so far."""
+        return sum(span.pulses for span in self.spans)
+
+    def span(self, start: int):
+        """The chunk folder ``add(lo, records)`` of the span whose first
+        pulse is ``start``; it takes the span's chunks in pulse order."""
+        write = None if self.clicks is None else self.clicks.span(start)
+        span = _SpanTally(self.z_codes, start, write)
+        self.spans.append(span)
+        return span.add
+
+
+def squash_and_tally(fold: TallyFold, rng: np.random.Generator) -> SessionTally:
+    """Finish a :class:`TallyFold`: the session's tally.
 
     Equivalent to squashing every event in pulse order and folding the
     outcomes one by one (``tests/helpers.py`` keeps that fold as an
-    oracle); Z double clicks take one ``rng`` draw's bits in pulse order.
-    The records are walked in blocks of :data:`BLOCK_SIZE` pulses, and the
-    per-block Z selections are dropped once concatenated, so the transient
-    memory beyond the records stays within ``2 * n_z + 3 * BLOCK_SIZE``
-    bytes: two bytes per Z record (the selections and their concatenation,
-    then the concatenation and the boolean mask of its double clicks), plus
-    a block's two comparison arrays and its selection.
+    oracle).  The spans' Z codes are moved down behind one another in pulse
+    order, in the fold's own buffer.  Z double clicks then take one
+    ``rng`` draw's bits in pulse order, scattered by index block by block,
+    each block of :data:`~siqrng.photonic_sim.CHUNK` codes (a multiple of
+    8) packed into whole bytes as it is done; the memory beyond the fold's
+    buffer is the packed bits, the drawn bits and one block's transients.
     """
+    z_codes = fold.z_codes
     x_counts = np.zeros(X_RECORD + len(Pattern), dtype=np.int64)
-    z_blocks = []
-    for start in range(0, records.size, BLOCK_SIZE):
-        block = records[start : start + BLOCK_SIZE]
-        x_counts += np.bincount(block[block >= X_RECORD], minlength=x_counts.size)
-        # Z single and double clicks are the records 1..3
-        z_blocks.append(np.compress((block - np.uint8(1)) < 3, block))
-    z_bits01 = np.concatenate(z_blocks) if z_blocks else np.zeros(0, dtype=np.uint8)
-    del z_blocks
-    z_bits01 -= 1  # D0 -> bit 0, D1 -> bit 1, and 2 marks a double click
-    doubles = z_bits01 == 2
-    n_doubles = int(np.count_nonzero(doubles))
-    if n_doubles:
-        # one call: the generator's bounded draw is buffered, so splitting
-        # it per block would change the assigned bits
-        z_bits01[doubles] = rng.integers(0, 2, n_doubles, dtype=np.uint8)
+    n_z = doubles = 0
+    for span in sorted(fold.spans, key=lambda span: span.start):
+        if span.start > n_z:
+            # a move down: numpy copies a 1-d slice forward where the two overlap
+            z_codes[n_z : n_z + span.stop - span.start] = z_codes[span.start : span.stop]
+        n_z += span.stop - span.start
+        x_counts += span.x_counts
+        doubles += span.doubles
+    # one call: the generator's bounded draw is buffered, so splitting it
+    # per block would change the assigned bits
+    bits = rng.integers(0, 2, doubles, dtype=np.uint8) if doubles else np.zeros(0, np.uint8)
+    packed = np.empty((n_z + 7) // 8, dtype=np.uint8)
+    taken = 0
+    for start in range(0, n_z, CHUNK):
+        block = z_codes[start : min(start + CHUNK, n_z)]
+        at = np.flatnonzero(block == 2)
+        block[at] = bits[taken : taken + at.size]
+        taken += at.size
+        packed[start // 8 : (start + block.size + 7) // 8] = np.packbits(block, bitorder="little")
 
     _, x_plus, x_minus, x_double = (int(c) for c in x_counts[X_RECORD:])
     n_x = x_plus + x_minus + x_double
     return SessionTally(
-        n=n_x + z_bits01.size,
+        n=n_x + n_z,
         n_x=n_x,
-        n_z=int(z_bits01.size),
+        n_z=n_z,
         x_minus=x_minus,
         x_double=x_double,
-        z_bits=BitBlock.from01(z_bits01),
-        seed_bits_consumed=n_doubles,
+        z_bits=BitBlock(packed, n_z),
+        seed_bits_consumed=doubles,
     )
 
 

@@ -17,9 +17,11 @@ simulator, the passive basis draw and the tally are also kept in their
 full-length form: per-pulse probability arrays, one draw of N uniforms,
 and whole-stream masks; and the tally once more per event, squashing one
 click event at a time.
-Also click records built from basis and pattern arrays, an all-zero bit
-block, a seed stream of given bits, and the environment for tests that
-run the package in a fresh interpreter.
+Also click records built from basis and pattern arrays, a sink that
+keeps a session's whole record array (which the package never builds)
+and the simulator, click-file and tally routes through it, an all-zero
+bit block, a seed stream of given bits, and the environment for tests
+that run the package in a fresh interpreter.
 """
 
 import enum
@@ -34,7 +36,8 @@ from mpmath import mp, mpf
 
 import siqrng
 from siqrng.bits import BitBlock
-from siqrng.photonic_sim import Basis, Pattern, click_probabilities
+from siqrng.fileio import ClickFileWriter, read_click_file
+from siqrng.photonic_sim import CHUNK, Basis, Pattern, click_probabilities, run_session
 from siqrng.randtest import (
     _LONGEST_RUN_REGIMES,
     BATTERY_MIN_BITS,
@@ -52,7 +55,7 @@ from siqrng.randtest import (
     gammaincc,
     ndtr,
 )
-from siqrng.squash_sample import SessionTally
+from siqrng.squash_sample import SessionTally, TallyFold, squash_and_tally
 
 mp.dps = 50
 
@@ -387,6 +390,56 @@ def click_records(basis, pattern) -> np.ndarray:
     if not np.isin(pattern, tuple(Pattern)).all():
         raise ValueError("pattern values must be in 0..3")
     return pattern.astype(np.uint8) | (basis.astype(np.uint8) << 2)
+
+
+class RecordsSink:
+    """A sink of :func:`~siqrng.photonic_sim.run_session` and
+    :func:`~siqrng.fileio.read_click_file` that keeps every record: the
+    session's record array, one byte per pulse.  A pulse no chunk reached
+    keeps the byte 0xFF, which no record has."""
+
+    def __init__(self, n: int):
+        self.records = np.full(n, 0xFF, dtype=np.uint8)
+
+    def span(self, start: int):
+        return self.add
+
+    def add(self, lo: int, records: np.ndarray):
+        self.records[lo : lo + records.size] = records
+
+
+def session_records(n, source, channel, det, basis_plan, rng) -> np.ndarray:
+    """The click records :func:`~siqrng.photonic_sim.run_session` hands on."""
+    sink = RecordsSink(n)
+    assert run_session(n, source, channel, det, basis_plan, rng, sink) is sink
+    return sink.records
+
+
+def write_click_file(path, records: np.ndarray):
+    """A click file holding ``records``, written in one piece."""
+    with ClickFileWriter(path, records.size) as clicks:
+        clicks.write(0, records)
+
+
+def read_click_records(path) -> np.ndarray:
+    """The records of a click file, read back whole."""
+    return read_click_file(path, RecordsSink).records
+
+
+def tally_records(records: np.ndarray, rng) -> SessionTally:
+    """:func:`~siqrng.squash_sample.squash_and_tally` of a record array
+    folded the way the simulator hands it on: in chunks of ``CHUNK``, in
+    two spans split at ``n // 2`` when each half holds a chunk, the upper
+    span folded first."""
+    n = records.size
+    half = n // 2 if n // 2 >= CHUNK else 0
+    fold = TallyFold(n, None)
+    for start, stop in ((half, n), (0, half)) if half else ((0, n),):
+        add = fold.span(start)
+        for lo in range(start, stop, CHUNK):
+            add(lo, records[lo : min(lo + CHUNK, stop)])
+    assert len(fold) == n
+    return squash_and_tally(fold, rng)
 
 
 def where_run_session(n, source, channel, det, basis_plan, rng) -> np.ndarray:

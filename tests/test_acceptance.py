@@ -129,7 +129,7 @@ def test_criterion_06_toeplitz_oracle_equivalence():
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         # the (I | T) seed: n_z - 1 bits, none when T is empty (K = n_z)
         seed01 = rng.integers(0, 2, n_z - 1 if k_out < n_z else 0, dtype=np.uint8)
-        fast, _ = _dual_hash_blocks(raw01, [(n_z, k_out)], seed01)
+        fast, _ = _dual_hash_blocks(BitBlock.from01(raw01), [(n_z, k_out)], seed01)
         assert np.array_equal(fast, naive_dual_toeplitz(raw01, seed01, k_out))
     _pass(6, "fast (I | T) Toeplitz path bit-identical to naive GF(2) multiply, 1000 cases")
 

@@ -10,13 +10,14 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import child_env, zero_bits
+from helpers import child_env, read_click_records, zero_bits
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from siqrng.cli import main
 from siqrng.config import config_from_dict, load_config
-from siqrng.fileio import read_bit_file, read_click_file, read_json
+from siqrng.fileio import read_bit_file, read_json
+from siqrng.photonic_sim import CHUNK
 from siqrng.squash_sample import seed_length_required
 
 HONEST_DOC = {
@@ -309,7 +310,7 @@ class TestStagedSubcommands:
     def test_simulate_tally_estimate_extract_test_chain(self, honest_config, tmp_path):
         out = tmp_path / "stages"
         assert main(["simulate", "--config", str(honest_config), "--out", str(out)]) == 0
-        clicks = read_click_file(out / "clicks.siqc")
+        clicks = read_click_records(out / "clicks.siqc")
         assert len(clicks) == HONEST_DOC["total_pulses"]
 
         assert main(["tally", "--clicks", str(out / "clicks.siqc"), "--out", str(out),
@@ -653,9 +654,9 @@ class TestSweepCommand:
         losses = []
         real_simulate = pipeline.simulate_clicks
 
-        def counting_simulate(config, streams, positions):
+        def counting_simulate(config, streams, positions, sink):
             losses.append(config.channel.loss_db)
-            return real_simulate(config, streams, positions)
+            return real_simulate(config, streams, positions, sink)
 
         monkeypatch.setattr(pipeline, "simulate_clicks", counting_simulate)
         sweep = "loss_db=0,2.5,5,7.5,10,12.5,15,17.5,20,22.5,25,30,35,40"
@@ -811,6 +812,23 @@ class TestErrorHandling:
         path.write_bytes(header)
         assert main(["test", "--bits", str(path), "--out", str(tmp_path)]) == 1
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, payload, bad", [
+        (2 * CHUNK + 5, 2 * CHUNK + 5, 2 * CHUNK + 4),  # in the last partial chunk
+        (2 * CHUNK + 5, 2 * CHUNK + 5, CHUNK + 2),  # just past the span split
+        (2 * CHUNK + 5, 2 * CHUNK + 4, None),  # a payload one byte short
+        (2 * CHUNK + 5, 2 * CHUNK + 6, None),  # and one byte long
+    ], ids=["reserved-bit-last-chunk", "reserved-bit-past-split", "short", "long"])
+    def test_bad_click_file_is_exit_1(self, tmp_path, capsys, count, payload, bad):
+        records = np.zeros(payload, dtype=np.uint8)
+        if bad is not None:
+            records[bad] = 0x08
+        path = tmp_path / "clicks.siqc"
+        path.write_bytes(b"SIQC" + bytes([1]) + count.to_bytes(8, "little") + records.tobytes())
+        out = tmp_path / "out"
+        assert main(["tally", "--clicks", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
 
     def test_bad_seed_is_exit_1(self, tmp_path):
         assert main(["tally", "--clicks", str(tmp_path / "c.siqc"), "--out", str(tmp_path),

@@ -145,7 +145,7 @@ def _plain_hash(raw01: np.ndarray, seed01: np.ndarray, k_out: int) -> np.ndarray
     n-bit ``raw01`` on an (n + K - 1)-bit seed, through the production
     kernel: it is the (I | T) hash of ``[0^K | raw01]`` with m = n + K."""
     padded = np.concatenate([np.zeros(k_out, dtype=np.uint8), raw01])
-    out, _ = _dual_hash_blocks(padded, [(padded.size, k_out)], seed01)
+    out, _ = _dual_hash_blocks(BitBlock.from01(padded), [(padded.size, k_out)], seed01)
     return out
 
 
@@ -232,7 +232,7 @@ def transform_count(hashed: int) -> int:
 def _check_blocks(raw01, shapes, seed01):
     """``_dual_hash_blocks`` block by block against the explicit [I_K | T]
     matrix on each block's own seed prefix, and its rounding margin."""
-    fast, deviation = _dual_hash_blocks(raw01, shapes, seed01)
+    fast, deviation = _dual_hash_blocks(BitBlock.from01(raw01), shapes, seed01)
     start = filled = 0
     for m, k in shapes:
         own_seed = seed01[: m - 1] if k < m else seed01[:0]
@@ -380,26 +380,29 @@ class TestPackedPairs:
         # is allocated, and the check comes before any transform
         raw01 = np.broadcast_to(np.uint8(1), (sum(m for m, _ in shapes),))
         with pytest.raises(ValueError, match=r"2\*\*50"):
-            _dual_hash_blocks(raw01, shapes, np.zeros(0, dtype=np.uint8))
+            _dual_hash_blocks(BitBlock.from01(raw01), shapes, np.zeros(0, dtype=np.uint8))
 
     def test_hash_memory_is_bounded(self):
         # four blocks of 2^18 bits: the peak inside the hash is the output,
-        # the seed spectrum, the product spectrum, the float buffer and two
-        # band arrays of K + 1, the rounded counts and their int64 copy, plus
-        # 64 KiB for array headers and ufunc cast buffers.  A pair's int64
-        # band kept alive into the next pair adds 8 K = 1.6 MB to it
+        # the two blocks of the pair being hashed, unpacked from the packed
+        # input, the seed spectrum, the product spectrum, the float buffer and
+        # two band arrays of K + 1, the rounded counts and their int64 copy,
+        # plus 64 KiB for array headers and ufunc cast buffers.  A pair's int64
+        # band kept alive into the next pair adds 8 K = 1.6 MB to it, and an
+        # input unpacked whole 4 m = 1 MiB
         m, k = 1 << 18, 200_000
         shapes = [(m, k)] * 4
         raw01, _, seed01 = self._random(np.random.default_rng(18), shapes)
+        raw = BitBlock.from01(raw01)
         length = _smooth_length(m - 1)
         transform_buffers = 2 * 16 * (length // 2 + 1) + 8 * length
-        bound = 4 * k + transform_buffers + 2 * 8 * (k + 1) + (64 << 10)
-        assert bound == 10_357_040
+        bound = 4 * k + 2 * m + transform_buffers + 2 * 8 * (k + 1) + (64 << 10)
+        assert bound == 10_881_328
         # numpy keeps the plan of a transform length once it has run one
-        _dual_hash_blocks(raw01, shapes, seed01)
+        _dual_hash_blocks(raw, shapes, seed01)
         tracemalloc.start()
         try:
-            _dual_hash_blocks(raw01, shapes, seed01)
+            _dual_hash_blocks(raw, shapes, seed01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -485,7 +488,8 @@ class TestExtractSession:
         raw01 = np.zeros((blocks, k_out + width), dtype=np.uint8)
         raw01[:, k_out:] = rng.integers(0, 2, (blocks, width))
         seed01 = rng.integers(0, 2, k_out + width - 1, dtype=np.uint8)
-        out, _ = _dual_hash_blocks(raw01.ravel(), [(k_out + width, k_out)] * blocks, seed01)
+        out, _ = _dual_hash_blocks(BitBlock.from01(raw01.ravel()),
+                                   [(k_out + width, k_out)] * blocks, seed01)
         _, p_value = monobit_test(out)
         assert p_value >= 0.01
 

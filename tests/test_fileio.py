@@ -1,19 +1,24 @@
 """Bit blocks, seed streams and the on-disk binary formats."""
 
+import re
+import threading
+
 import numpy as np
 import pytest
 
 from siqrng.bits import BitBlock
 from siqrng.fileio import (
+    ClickFileWriter,
     FormatError,
     read_bit_file,
     read_click_file,
     write_bit_file,
-    write_click_file,
 )
+from siqrng.photonic_sim import CHUNK
 from siqrng.pipeline import derive_streams
+from siqrng.squash_sample import TallyFold, squash_and_tally
 
-from helpers import click_records
+from helpers import click_records, read_click_records, write_click_file
 
 
 class TestBitBlock:
@@ -34,6 +39,12 @@ class TestBitBlock:
         block = BitBlock.from01(bits)
         assert [int(block.data[i // 8] >> (i % 8) & 1) for i in range(77)] == bits.tolist()
         assert np.array_equal(block.to01()[10:40], bits[10:40])
+        # a range unpacks only the bytes that hold it
+        for start, stop in [(10, 40), (0, 77), (8, 16), (3, 3), (77, 77), (70, 77)]:
+            assert np.array_equal(block.to01(start, stop), bits[start:stop])
+        for start, stop in [(-1, 5), (5, 4), (0, 78)]:
+            with pytest.raises(ValueError):
+                block.to01(start, stop)
 
     def test_pad_bits_must_be_zero(self):
         with pytest.raises(ValueError):
@@ -103,13 +114,27 @@ class TestBitFile(object):
 
 class TestClickFile:
     def test_round_trip(self, tmp_path, rng):
-        records = click_records(
-            basis=rng.integers(0, 2, 999).astype(np.uint8),
-            pattern=rng.integers(0, 4, 999).astype(np.uint8),
-        )
-        path = tmp_path / "clicks.siqc"
-        write_click_file(path, records)
-        assert np.array_equal(read_click_file(path), records)
+        # one span, and two spans written chunk by chunk from two threads at
+        # once, each upper chunk first
+        for n in (999, 2 * CHUNK + 5):
+            records = click_records(
+                basis=rng.integers(0, 2, n).astype(np.uint8),
+                pattern=rng.integers(0, 4, n).astype(np.uint8),
+            )
+            path = tmp_path / "clicks.siqc"
+            write_click_file(path, records)
+            assert np.array_equal(read_click_records(path), records)
+
+            def write_span(clicks, start, stop):
+                for lo in reversed(range(start, stop, 1000)):
+                    clicks.write(lo, records[lo : min(lo + 1000, stop)])
+
+            with ClickFileWriter(tmp_path / "spans.siqc", n) as clicks:
+                helper = threading.Thread(target=write_span, args=(clicks, n // 2, n))
+                helper.start()
+                write_span(clicks, 0, n // 2)
+                helper.join()
+            assert (tmp_path / "spans.siqc").read_bytes() == path.read_bytes()
 
     def test_one_byte_per_pulse(self, tmp_path):
         records = click_records(
@@ -128,7 +153,7 @@ class TestClickFile:
         path = tmp_path / "clicks.siqc"
         write_click_file(path, records)
         assert path.read_bytes()[13:] == records.tobytes()
-        back = read_click_file(path)
+        back = read_click_records(path)
         assert back.dtype == np.uint8
         assert np.array_equal(back, records)
 
@@ -136,7 +161,10 @@ class TestClickFile:
         path = tmp_path / "clicks.siqc"
         write_click_file(path, np.zeros(0, np.uint8))
         assert len(path.read_bytes()) == 13
-        assert len(read_click_file(path)) == 0
+        assert len(read_click_records(path)) == 0
+        fold = read_click_file(path, lambda count: TallyFold(count, None))
+        tally = squash_and_tally(fold, derive_streams(0).double_click)
+        assert tally.n == tally.n_z == tally.seed_bits_consumed == len(tally.z_bits) == 0
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "clicks.siqc"
@@ -144,16 +172,45 @@ class TestClickFile:
         for length in TRUNCATED_HEADER_LENGTHS:
             path.write_bytes(full[:length])
             with pytest.raises(FormatError, match="truncated header"):
-                read_click_file(path)
+                read_click_records(path)
 
     def test_reserved_bits_rejected(self, tmp_path):
+        # the first record; the last, in the last partial chunk; and the first
+        # past the split of a two-span session.  Chunks are read in order, so
+        # the records before the bad one are handed on first
+        n = 2 * CHUNK + 5
         path = tmp_path / "clicks.siqc"
-        path.write_bytes(b"SIQC" + bytes([1]) + (1).to_bytes(8, "little") + bytes([0x80]))
-        with pytest.raises(FormatError):
-            read_click_file(path)
+        for count, bad in [(1, 0), (n, n - 1), (n, n // 2)]:
+            records = np.zeros(count, dtype=np.uint8)
+            records[bad] = 0x80
+            path.write_bytes(b"SIQC" + bytes([1]) + count.to_bytes(8, "little")
+                             + records.tobytes())
+            message = f"{path}: pulse record {bad} with nonzero reserved bits"
+            with pytest.raises(FormatError, match=re.escape(message)):
+                read_click_records(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
+        # a payload short of the header's count, one byte short and one long
         path = tmp_path / "clicks.siqc"
-        path.write_bytes(b"SIQC" + bytes([1]) + (5).to_bytes(8, "little") + bytes(3))
-        with pytest.raises(FormatError):
-            read_click_file(path)
+        n = 2 * CHUNK + 5
+        for count, payload in [(5, 3), (n, n - 1), (n, n + 1)]:
+            path.write_bytes(b"SIQC" + bytes([1]) + count.to_bytes(8, "little") + bytes(payload))
+            message = f"{path}: {payload} pulse records, header says {count}"
+            with pytest.raises(FormatError, match=re.escape(message)):
+                read_click_records(path)
+
+    def test_incomplete_or_failed_write_leaves_no_file(self, tmp_path):
+        # a writer that misses a record, or a block that raises, leaves
+        # neither the click file nor its temp file
+        path = tmp_path / "clicks.siqc"
+        with pytest.raises(ValueError, match="9 of 10 pulse records written"):
+            with ClickFileWriter(path, 10) as clicks:
+                clicks.write(1, np.zeros(9, dtype=np.uint8))
+        with pytest.raises(RuntimeError, match="stop"):
+            with ClickFileWriter(path, 10) as clicks:
+                clicks.write(0, np.zeros(10, dtype=np.uint8))
+                raise RuntimeError("stop")
+        with pytest.raises(ValueError, match="outside the 10 pulses"):
+            with ClickFileWriter(path, 10) as clicks:
+                clicks.write(5, np.zeros(6, dtype=np.uint8))
+        assert list(tmp_path.iterdir()) == []

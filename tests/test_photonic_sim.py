@@ -17,6 +17,7 @@ from scipy.stats import chisquare
 from siqrng import photonic_sim, pipeline
 from siqrng.config import config_from_dict
 from siqrng.extractor import extract_session
+from siqrng.fileio import ClickFileWriter, read_click_file
 from siqrng.photonic_sim import (
     CHUNK,
     Basis,
@@ -31,13 +32,16 @@ from siqrng.photonic_sim import (
     run_session,
 )
 from siqrng.pipeline import choose_basis_plan, derive_streams, simulate_clicks
-from siqrng.squash_sample import BLOCK_SIZE, squash_and_tally
+from siqrng.squash_sample import TallyFold, squash_and_tally
 
 from helpers import (
     ClickEvent,
+    RecordsSink,
     click_events,
     click_records,
     mask_squash_and_tally,
+    session_records,
+    tally_records,
     where_run_session,
 )
 
@@ -67,13 +71,13 @@ class TestDetectorIntensities:
 class TestDetectPulse:
     def test_no_photons_no_dark_counts(self, rng):
         dark = SourceConfig(mean_photon_number=0.0)
-        records = run_session(200, dark, LOSSLESS, IDEAL_DET, NO_X, rng)
+        records = session_records(200, dark, LOSSLESS, IDEAL_DET, NO_X, rng)
         assert not (records & 3).any()
 
     def test_dark_count_frequency(self, rng):
         # 1e7 gates at mu=0: each detector clicks with p = 0.002 within 3 sigma
         dark = SourceConfig(mean_photon_number=0.0)
-        records = run_session(10**7, dark, LOSSLESS, PAPER_DET, NO_X, rng)
+        records = session_records(10**7, dark, LOSSLESS, PAPER_DET, NO_X, rng)
         for detector_pattern in (Pattern.D0, Pattern.D1):
             clicked = np.isin(records & 3, (detector_pattern, Pattern.DOUBLE))
             freq = np.mean(clicked)
@@ -83,7 +87,7 @@ class TestDetectPulse:
     def test_aligned_source_never_fires_minus_detector(self, rng):
         # every pulse measured in X
         aligned = SourceConfig(mean_photon_number=2.0, misalignment=0.0)
-        records = run_session(300, aligned, LOSSLESS, IDEAL_DET, np.arange(300), rng)
+        records = session_records(300, aligned, LOSSLESS, IDEAL_DET, np.arange(300), rng)
         assert (records >> 2 == Basis.X).all()
         assert np.isin(records & 3, (Pattern.NONE, Pattern.D0)).all()
 
@@ -96,33 +100,33 @@ class TestDetectPulse:
 
 class TestRunSession:
     def test_empty_session(self, rng):
-        assert len(run_session(0, HONEST, LOSSLESS, PAPER_DET, NO_X, rng)) == 0
+        assert len(session_records(0, HONEST, LOSSLESS, PAPER_DET, NO_X, rng)) == 0
 
     def test_all_loss_channel(self, rng):
         opaque = ChannelConfig(loss_db=400.0)
         quiet = DetectorConfig(efficiency=0.45, dark_count=0.0)
-        records = run_session(2000, HONEST, opaque, quiet, np.array([0, 5, 7]), rng)
+        records = session_records(2000, HONEST, opaque, quiet, np.array([0, 5, 7]), rng)
         assert not (records & 3).any()
 
     def test_basis_plan_is_respected(self, rng):
         for plan in ([3, 5, 8, 13], [0, 19], []):
             plan = np.array(plan, dtype=np.int64)
-            records = run_session(20, HONEST, LOSSLESS, PAPER_DET, plan, rng)
+            records = session_records(20, HONEST, LOSSLESS, PAPER_DET, plan, rng)
             assert np.array_equal(np.flatnonzero(records >> 2 == Basis.X), plan)
         # positions outside [0, n) are the one check on a plan
         for plan in ([-1], [20], [3, 20]):
             with pytest.raises(ValueError, match="out of range"):
-                run_session(20, HONEST, LOSSLESS, PAPER_DET, np.array(plan), rng)
+                session_records(20, HONEST, LOSSLESS, PAPER_DET, np.array(plan), rng)
 
     def test_deterministic_given_seed(self):
-        a = run_session(5000, HONEST, LOSSLESS, PAPER_DET, np.arange(0, 5000, 7),
-                        np.random.default_rng(99))
-        b = run_session(5000, HONEST, LOSSLESS, PAPER_DET, np.arange(0, 5000, 7),
-                        np.random.default_rng(99))
+        a = session_records(5000, HONEST, LOSSLESS, PAPER_DET, np.arange(0, 5000, 7),
+                            np.random.default_rng(99))
+        b = session_records(5000, HONEST, LOSSLESS, PAPER_DET, np.arange(0, 5000, 7),
+                            np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_iteration_yields_click_events(self, rng):
-        records = run_session(10, HONEST, LOSSLESS, PAPER_DET, np.array([2]), rng)
+        records = session_records(10, HONEST, LOSSLESS, PAPER_DET, np.array([2]), rng)
         events = list(click_events(records))
         assert len(events) == 10
         assert all(isinstance(e, ClickEvent) for e in events)
@@ -150,14 +154,14 @@ def _chunked_plans(draw):
 def _spans(n, source, plan, seed, cuts):
     """Records of pulses [0, n) simulated span by span, [cuts[k], cuts[k+1])
     on a copy of the seed's bit generator advanced by cuts[k]."""
-    records = np.empty(n, dtype=np.uint8)
+    sink = RecordsSink(n)
     thresholds = [pattern_thresholds(*click_probabilities(source, LOSSLESS, PAPER_DET, basis))
                   for basis in (Basis.Z, Basis.X)]
     for start, stop in zip(cuts, cuts[1:]):
         bitgen = np.random.default_rng(seed).bit_generator
         bitgen.advance(start)
-        photonic_sim._simulate_span(records, np.sort(plan), *thresholds, bitgen, start, stop)
-    return records
+        photonic_sim._simulate_span(sink, np.sort(plan), *thresholds, bitgen, start, stop)
+    return sink.records
 
 
 class TestClickStream:
@@ -174,8 +178,8 @@ class TestClickStream:
         assert records.dtype == np.uint8
         assert records.tolist() == [3, 4, 6, 1]
         # the simulator sets the basis bit of exactly the planned pulses
-        simulated = run_session(4, HONEST, LOSSLESS, PAPER_DET, np.array([1, 2]),
-                                np.random.default_rng(0))
+        simulated = session_records(4, HONEST, LOSSLESS, PAPER_DET, np.array([1, 2]),
+                                    np.random.default_rng(0))
         assert (simulated >> 2).tolist() == [0, 1, 1, 0]
 
     @pytest.mark.parametrize("basis, pattern", [
@@ -210,7 +214,8 @@ class TestBlockedSimulation:
         n, chunk, split, plan = shape
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(photonic_sim, "CHUNK", chunk)
-            fast = run_session(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(seed))
+            fast = session_records(n, source, LOSSLESS, PAPER_DET, plan,
+                                   np.random.default_rng(seed))
             serial = _spans(n, source, plan, seed, [0, n])
             halves = _spans(n, source, plan, seed, [0, split, n])
         slow = where_run_session(n, source, LOSSLESS, PAPER_DET, plan,
@@ -228,7 +233,7 @@ class TestBlockedSimulation:
                                                  for p in (k * CHUNK - 1, k * CHUNK)]
         plan = np.array(sorted({p for p in plan if 0 <= p < n}), dtype=np.int64)
         for source in (HONEST, ADVERSARIAL):
-            fast = run_session(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(n))
+            fast = session_records(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(n))
             slow = where_run_session(n, source, LOSSLESS, PAPER_DET, plan,
                                      np.random.default_rng(n))
             assert np.array_equal(fast, slow)
@@ -239,7 +244,7 @@ class TestBlockedSimulation:
         expected = np.random.PCG64(0)
         expected.state = rng.bit_generator.state
         expected.advance(n)
-        run_session(n, HONEST, LOSSLESS, PAPER_DET, np.arange(0, n, 5), rng)
+        session_records(n, HONEST, LOSSLESS, PAPER_DET, np.arange(0, n, 5), rng)
         assert rng.bit_generator.state == expected.state
 
     @pytest.mark.parametrize("n, threads", [(3400, 0), (2 * CHUNK - 1, 0), (2 * CHUNK, 1),
@@ -256,21 +261,26 @@ class TestBlockedSimulation:
 
         monkeypatch.setattr(photonic_sim.threading, "Thread", CountedThread)
         before = threading.active_count()
-        run_session(n, HONEST, LOSSLESS, PAPER_DET, NO_X, np.random.default_rng(1))
+        session_records(n, HONEST, LOSSLESS, PAPER_DET, NO_X, np.random.default_rng(1))
         assert threading.active_count() == before
         assert len(started) == threads and not any(t.is_alive() for t in started)
 
-    def test_concurrent_sessions_under_fast_switching(self, monkeypatch):
+    def test_concurrent_sessions_under_fast_switching(self, monkeypatch, tmp_path):
         # four sessions at once, each with its helper (8 threads on fewer
         # cores), switching every microsecond: the halves write disjoint
-        # slices, so every session still equals its oracle
+        # slices, so every session still equals its oracle, and so do the
+        # tally folds and click files two spans share
         monkeypatch.setattr(photonic_sim, "CHUNK", 16)
         n, plan = 4099, np.arange(0, 4099, 3)
-        results = {}
+        results, tallies = {}, {}
 
         def session(seed):
-            results[seed] = run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
-                                        np.random.default_rng(seed))
+            results[seed] = session_records(n, HONEST, LOSSLESS, PAPER_DET, plan,
+                                            np.random.default_rng(seed))
+            with ClickFileWriter(tmp_path / f"{seed}.siqc", n) as clicks:
+                fold = run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
+                                   np.random.default_rng(seed), TallyFold(n, clicks))
+            tallies[seed] = squash_and_tally(fold, np.random.default_rng(seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -282,25 +292,41 @@ class TestBlockedSimulation:
                 t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and sorted(results) == [0, 1, 2, 3]
+        assert not any(t.is_alive() for t in threads) and sorted(tallies) == [0, 1, 2, 3]
         for seed, records in results.items():
             expected = where_run_session(n, HONEST, LOSSLESS, PAPER_DET, plan,
                                          np.random.default_rng(seed))
             assert np.array_equal(records, expected)
+            assert (tmp_path / f"{seed}.siqc").read_bytes()[13:] == expected.tobytes()
+            oracle = mask_squash_and_tally(expected, np.random.default_rng(seed))
+            assert tallies[seed].to_dict() == oracle.to_dict()
+            assert tallies[seed].z_bits == oracle.z_bits
 
-    def test_helper_failure_is_raised_in_the_caller(self, monkeypatch):
+    def test_helper_failure_is_raised_in_the_caller(self, monkeypatch, tmp_path):
+        # the helper fails before its first chunk, or after its last one is
+        # written; either way the caller raises it, and the click file both
+        # spans write to leaves neither itself nor its temp file behind
         simulate_span = photonic_sim._simulate_span
+        for failing in ("before", "after"):
+            def failing_upper_half(sink, x_sorted, tz, tx, bitgen, start, stop):
+                if start > 0 and failing == "before":
+                    raise MemoryError("upper half")
+                simulate_span(sink, x_sorted, tz, tx, bitgen, start, stop)
+                if start > 0:
+                    raise MemoryError("upper half")
 
-        def failing_upper_half(records, x_sorted, tz, tx, bitgen, start, stop):
-            if start > 0:
-                raise MemoryError("upper half")
-            simulate_span(records, x_sorted, tz, tx, bitgen, start, stop)
-
-        monkeypatch.setattr(photonic_sim, "_simulate_span", failing_upper_half)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="upper half"):
-            run_session(2 * CHUNK, HONEST, LOSSLESS, PAPER_DET, NO_X, np.random.default_rng(1))
-        assert threading.active_count() == before
+            monkeypatch.setattr(photonic_sim, "_simulate_span", failing_upper_half)
+            before = threading.active_count()
+            with pytest.raises(MemoryError, match="upper half"):
+                session_records(2 * CHUNK, HONEST, LOSSLESS, PAPER_DET, NO_X,
+                                np.random.default_rng(1))
+            assert threading.active_count() == before
+            with pytest.raises(MemoryError, match="upper half"):
+                with ClickFileWriter(tmp_path / "clicks.siqc", 2 * CHUNK) as clicks:
+                    run_session(2 * CHUNK, HONEST, LOSSLESS, PAPER_DET, NO_X,
+                                np.random.default_rng(1), TallyFold(2 * CHUNK, clicks))
+            assert threading.active_count() == before
+            assert list(tmp_path.iterdir()) == [], failing
 
     @pytest.mark.parametrize("source", [HONEST, ADVERSARIAL], ids=["honest", "adversarial"])
     def test_pattern_frequencies_have_the_product_law(self, source):
@@ -308,7 +334,7 @@ class TestBlockedSimulation:
         # of the two detectors' marginal probabilities
         n = 1 << 20
         plan = np.arange(0, n, 2)
-        pattern = run_session(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(5))
+        pattern = session_records(n, source, LOSSLESS, PAPER_DET, plan, np.random.default_rng(5))
         for basis in (Basis.Z, Basis.X):
             p0, p1 = click_probabilities(source, LOSSLESS, PAPER_DET, basis)
             probs = {Pattern.NONE: (1 - p0) * (1 - p1), Pattern.D0: p0 * (1 - p1),
@@ -319,29 +345,37 @@ class TestBlockedSimulation:
                 sigma = math.sqrt(prob * (1 - prob) / of_basis.size)
                 assert abs(freq - prob) <= 5 * sigma, (basis, code, freq, prob)
 
-    @pytest.mark.parametrize("n", [BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
-                                   BLOCK_SIZE + 4096])
+    @pytest.mark.parametrize("n", [(1 << 21) - 1, 1 << 21, (1 << 21) + 1, (1 << 21) + 4096])
     def test_tally_at_the_block_edge(self, n):
+        # the fold takes 32 chunks and more, in two spans, and its last pass
+        # scatters and packs a dozen blocks of Z codes and more.  Records
+        # 0..7 give a Z click 3 times in 8; Z clicks alone make the upper
+        # span's codes overlap their place in the move down
         rng = np.random.default_rng(n)
-        records = rng.integers(0, 8, n).astype(np.uint8)
-        # a Z double click on each side of the edge
-        records[[p for p in (BLOCK_SIZE - 2, BLOCK_SIZE - 1, BLOCK_SIZE) if p < n]] = Pattern.DOUBLE
-        # an odd number of them before the edge: the seed's bounded draw is
-        # buffered, so a draw split at the edge would assign other bits
-        if np.count_nonzero(records[:BLOCK_SIZE] == Pattern.DOUBLE) % 2 == 0:
-            records[0] = Pattern.D0 if records[0] == Pattern.DOUBLE else Pattern.DOUBLE
-        fast_seed = np.random.default_rng(7)
-        slow_seed = np.random.default_rng(7)
-        fast = squash_and_tally(records, fast_seed)
-        slow = mask_squash_and_tally(records, slow_seed)
-        assert fast.to_dict() == slow.to_dict()
-        assert fast.z_bits == slow.z_bits
-        assert fast_seed.bit_generator.state == slow_seed.bit_generator.state
+        for high in (8, 4):
+            records = rng.integers(1 if high == 4 else 0, high, n).astype(np.uint8)
+            # a Z double click on each side of a chunk edge and of the span split
+            edges = (CHUNK, n // 2)
+            records[[p for edge in edges for p in (edge - 2, edge - 1, edge)]] = Pattern.DOUBLE
+            # an odd number of them before the split: the seed's bounded draw
+            # is buffered, so a draw split there would assign other bits
+            if np.count_nonzero(records[: n // 2] == Pattern.DOUBLE) % 2 == 0:
+                records[0] = Pattern.D0 if records[0] == Pattern.DOUBLE else Pattern.DOUBLE
+            fast_seed = np.random.default_rng(7)
+            slow_seed = np.random.default_rng(7)
+            fast = tally_records(records, fast_seed)
+            slow = mask_squash_and_tally(records, slow_seed)
+            assert fast.to_dict() == slow.to_dict()
+            assert fast.z_bits == slow.z_bits
+            assert fast_seed.bit_generator.state == slow_seed.bit_generator.state
+            assert (fast.n_z > n // 2) == (high == 4)
 
 
 def test_passive_simulate_and_tally_memory_is_bounded():
-    # beyond the one record byte per pulse, the plan, simulate and tally
-    # stages hold only block-sized transients and the selected Z records
+    # no stage holds a byte per pulse.  tracemalloc counts the fold's Z-code
+    # buffer at its n bytes, though only the pages its n_z codes are written
+    # to become resident; the plan, the chunk buffers of both threads and
+    # the packed Z bits together stay within another n_z bytes
     n = 1 << 23
     config = config_from_dict({"total_pulses": n, "planned_x_count": 22000,
                                "basis_choice": "passive", "master_seed": 424242})
@@ -349,35 +383,39 @@ def test_passive_simulate_and_tally_memory_is_bounded():
     try:
         streams = derive_streams(config.master_seed)
         plan, _ = choose_basis_plan(config, streams)
-        records = run_session(config.params.total_pulses, config.source, config.channel,
-                              config.detector, plan, streams.physics)
-        tally = squash_and_tally(records, streams.double_click)
+        fold = simulate_clicks(config, streams, plan, TallyFold(n, None))
+        tally = squash_and_tally(fold, streams.double_click)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert tally.n_z > n // 4
-    assert peak <= 2 * n + 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= n + tally.n_z, f"peak {peak / 2**20:.1f} MiB"
 
 
 PASSIVE_2_24 = {"total_pulses": 1 << 24, "planned_x_count": 22000, "basis_choice": "passive",
                 "master_seed": 424242}
 
 
-def test_tally_transient_memory_is_bounded():
-    # two bytes per Z record and a few blocks beyond the records: the
-    # per-block selections are dropped once concatenated, and the double
-    # clicks are marked by a one-byte mask instead of an int64 index
+def test_tally_transient_memory_is_bounded(tmp_path):
+    # the tally of a click file, as the tally subcommand takes it: the
+    # fold's Z-code buffer (n bytes to tracemalloc, n_z resident), the
+    # packed Z bits and the drawn double-click bits (n_z / 8 each at most),
+    # and chunk-sized transients
     config = config_from_dict(PASSIVE_2_24)
     streams = derive_streams(config.master_seed)
-    records = simulate_clicks(config, streams, choose_basis_plan(config, streams)[0])
+    n = config.params.total_pulses
+    with ClickFileWriter(tmp_path / "clicks.siqc", n) as clicks:
+        simulate_clicks(config, streams, choose_basis_plan(config, streams)[0], clicks)
     tracemalloc.start()
     try:
-        tally = squash_and_tally(records, streams.double_click)
+        fold = read_click_file(tmp_path / "clicks.siqc",
+                               lambda count: TallyFold(count, None))
+        tally = squash_and_tally(fold, streams.double_click)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tally.n_z > records.size // 4
-    assert peak <= 2 * tally.n_z + 3 * BLOCK_SIZE, f"peak {peak / 2**20:.1f} MiB"
+    assert tally.n_z > n // 4
+    assert peak <= n + tally.n_z // 4 + 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_session_extracts_from_the_packed_z_bits_alone(tmp_path, monkeypatch):
@@ -461,7 +499,7 @@ class TestDetectionStatistics:
     def test_honest_z_singles_are_balanced(self, rng):
         # chi-square over >= 1e5 single clicks must not reject at 1e-3
         quiet = DetectorConfig(efficiency=0.45, dark_count=0.0)
-        pattern = run_session(10**6, HONEST, LOSSLESS, quiet, NO_X, rng) & 3
+        pattern = session_records(10**6, HONEST, LOSSLESS, quiet, NO_X, rng) & 3
         d0 = int(np.count_nonzero(pattern == Pattern.D0))
         d1 = int(np.count_nonzero(pattern == Pattern.D1))
         assert d0 + d1 >= 10**5
@@ -470,8 +508,8 @@ class TestDetectionStatistics:
     def test_adversarial_x_singles_are_balanced(self, rng):
         # the 50/50 X split of a fixed-Z source is what triggers the abort
         quiet = DetectorConfig(efficiency=0.45, dark_count=0.0)
-        pattern = run_session(10**6, ADVERSARIAL, LOSSLESS, quiet,
-                              np.arange(10**6), rng) & 3
+        pattern = session_records(10**6, ADVERSARIAL, LOSSLESS, quiet,
+                                  np.arange(10**6), rng) & 3
         d0 = int(np.count_nonzero(pattern == Pattern.D0))
         d1 = int(np.count_nonzero(pattern == Pattern.D1))
         assert d0 + d1 >= 10**5
@@ -480,8 +518,8 @@ class TestDetectionStatistics:
     def test_detection_monotone_in_loss(self):
         rates = []
         for loss in [0, 3, 6, 10, 15, 25, 40]:
-            records = run_session(10**5, HONEST, ChannelConfig(loss_db=loss), PAPER_DET,
-                                  NO_X, np.random.default_rng(7))
+            records = session_records(10**5, HONEST, ChannelConfig(loss_db=loss), PAPER_DET,
+                                      NO_X, np.random.default_rng(7))
             rates.append(np.mean(records & 3 != Pattern.NONE))
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
@@ -489,8 +527,8 @@ class TestDetectionStatistics:
         doubles = []
         for mu in [0.2, 0.5, 1.0, 2.0, 5.0]:
             source = SourceConfig(mean_photon_number=mu, misalignment=0.02)
-            records = run_session(10**5, source, LOSSLESS, PAPER_DET,
-                                  NO_X, np.random.default_rng(11))
+            records = session_records(10**5, source, LOSSLESS, PAPER_DET,
+                                      NO_X, np.random.default_rng(11))
             doubles.append(np.mean(records & 3 == Pattern.DOUBLE))
         assert all(a <= b for a, b in zip(doubles, doubles[1:]))
 

@@ -19,7 +19,6 @@ from siqrng.squash_sample import (
     SessionTally,
     plan_basis_positions,
     seed_length_required,
-    squash_and_tally,
     unrank_combination,
 )
 
@@ -32,6 +31,7 @@ from helpers import (
     click_records,
     rank_combination,
     squash,
+    tally_records,
     tally_session,
     walk_unrank,
     zero_bits,
@@ -103,7 +103,7 @@ class TestTally:
         records = click_records(basis, pattern)
 
         seed_bits = rng.integers(0, 2, n).astype(np.uint8)
-        fast = squash_and_tally(records, FixedBits(seed_bits))
+        fast = tally_records(records, FixedBits(seed_bits))
 
         seed = FixedBits(seed_bits)
         outcomes = [(event.basis, squash(event, seed)) for event in click_events(records)]
@@ -118,7 +118,7 @@ class TestTally:
             records = rng.integers(0, 8, n).astype(np.uint8)
             z_doubles = int(np.count_nonzero(records == Pattern.DOUBLE))  # Z basis bit clear
             seed = FixedBits(rng.integers(0, 2, n, dtype=np.uint8))
-            tally = squash_and_tally(records, seed)
+            tally = tally_records(records, seed)
             assert tally.seed_bits_consumed == z_doubles == seed.drawn
 
     def test_invariant_violation_rejected(self):
