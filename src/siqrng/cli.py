@@ -232,38 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         p.add_argument("--out", type=Path, required=True)
         p.set_defaults(func=func)
-        return p
 
     # None keeps the config's master seed; without a config it is 0
     seed_arg = {"type": hex64, "default": None, "metavar": "HEX64"}
     staged_seed_arg = {**seed_arg, "default": 0}
     config_arg = {"type": Path, "required": True}
+    te_arg = {"type": int}  # extract's default: the recorded t_e
+    eps_arg = {"type": float}
 
-    p = add("simulate", cmd_simulate, config=config_arg)
-    p.add_argument("--seed", **seed_arg)
-
-    p = add("tally", cmd_tally, clicks={"type": Path, "required": True})
-    p.add_argument("--seed", **staged_seed_arg)
-
-    p = add("estimate", cmd_estimate,
-            tally={"type": Path, "required": True}, config=config_arg)
-    p.add_argument("--eps-exponent", dest="eps_exponent", type=float, default=None)
-
-    p = add("extract", cmd_extract,
-            zbits={"type": Path, "required": True},
-            estimation={"type": Path, "required": True})
-    # default: the t_e recorded in the estimation
-    p.add_argument("--te", type=int, default=None)
-    p.add_argument("--seed", **staged_seed_arg)
-
+    add("simulate", cmd_simulate, config=config_arg, seed=seed_arg)
+    add("tally", cmd_tally, clicks={"type": Path, "required": True}, seed=staged_seed_arg)
+    add("estimate", cmd_estimate, tally={"type": Path, "required": True}, config=config_arg,
+        eps_exponent=eps_arg)
+    add("extract", cmd_extract, zbits={"type": Path, "required": True},
+        estimation={"type": Path, "required": True}, te=te_arg, seed=staged_seed_arg)
     add("test", cmd_test, bits={"type": Path, "required": True})
-
     for name, func in (("sweep", cmd_sweep), ("pipeline", cmd_pipeline)):
-        p = add(name, func, config=config_arg)
-        p.add_argument("--seed", **seed_arg)
-        p.add_argument("--sweep", type=str, default=None)
-        p.add_argument("--te", type=int, default=None)
-        p.add_argument("--eps-exponent", dest="eps_exponent", type=float, default=None)
+        add(name, func, config=config_arg, seed=seed_arg, sweep={"type": str},
+            te=te_arg, eps_exponent=eps_arg)
 
     return parser
 

@@ -116,7 +116,8 @@ def _hash_band(
     # one band from the lower start to the higher end holds both blocks' bands
     low = min(x.size for x in signals) - 1
     band = conv[low : max(x.size - 1 + head.size for x, head in pair)]
-    packed = np.rint(band).astype(np.int64)
+    packed = np.empty(band.size, dtype=np.int64)  # rounded into: no float copy of the band
+    np.rint(band, out=packed, casting="unsafe")
     band -= packed
     deviation = float(np.max(np.abs(band, out=band))) if band.size else 0.0
     if deviation >= _ROUNDING_GUARD:

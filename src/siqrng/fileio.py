@@ -32,14 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitBlock
-from .photonic_sim import CHUNK
+from .photonic_sim import CHUNK, X_RECORD, Pattern
 
 BIT_MAGIC = b"SIQ1"
 CLICK_MAGIC = b"SIQC"
 FORMAT_VERSION = 1
 
 _HEADER_BYTES = 13
-_MAX_RECORD = 0b111
+_MAX_RECORD = X_RECORD | Pattern.DOUBLE
 
 
 class FormatError(ValueError):
@@ -239,11 +239,12 @@ def read_json(path: Path) -> dict:
 
 def read_record(path: Path, parse):
     """``parse`` applied to the JSON object in ``path``; any ValueError it
-    raises is reported with the file's name."""
+    raises, and the RecursionError of too deep a nesting, is reported with
+    the file's name."""
     try:
         doc = read_json(path)
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
         return parse(doc)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None

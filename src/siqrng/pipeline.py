@@ -36,6 +36,7 @@ points included.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -165,11 +166,9 @@ def run_protocol_session(
     streams = derive_streams(config.master_seed)
     positions, basis_plan_bits = plan if plan is not None else choose_basis_plan(config, streams)
     n = config.params.total_pulses
-    if out is None:
-        fold = simulate_clicks(config, streams, positions, TallyFold(n, None))
-    else:
-        with fileio.ClickFileWriter(out / "clicks.siqc", n) as clicks:
-            fold = simulate_clicks(config, streams, positions, TallyFold(n, clicks))
+    with (contextlib.nullcontext() if out is None
+          else fileio.ClickFileWriter(out / "clicks.siqc", n)) as clicks:
+        fold = simulate_clicks(config, streams, positions, TallyFold(n, clicks))
     tally = squash_and_tally(fold, streams.double_click)
     del fold
     if out is not None:

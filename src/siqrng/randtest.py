@@ -214,12 +214,8 @@ def autocorrelation(block: BitBlock, max_lag: int) -> np.ndarray:
     if scale == 0:
         raise DegenerateSequenceError("constant sequence has undefined autocorrelation")
     # ones among the first j and among the last j bits, j = 1..max_lag
-    first = np.cumsum(
-        np.unpackbits(data[: (max_lag + 7) // 8], count=max_lag, bitorder="little")
-    ).tolist()
-    tail_byte = (n - max_lag) // 8
-    tail = np.unpackbits(data[tail_byte:], count=n - 8 * tail_byte, bitorder="little")
-    last = np.cumsum(tail[::-1][:max_lag]).tolist()
+    first = np.cumsum(block.to01(0, max_lag)).tolist()
+    last = np.cumsum(block.to01(n - max_lag)[::-1]).tolist()
 
     n_words = -(-data.size // 8)
     spread = max_lag // 64  # words past a chunk that a lag reads
@@ -539,7 +535,7 @@ def _battery_records(block: BitBlock) -> list[TestRecord]:
 
     # the full sequence: the partitions, then the bits past the last one
     start = N_PARTITIONS * length
-    rest = np.unpackbits(data[start // 8 :], bitorder="little")[start % 8 : start % 8 + n - start]
+    rest = block.to01(start)
     ones_full = int(ones.sum()) + int(np.count_nonzero(rest))
     transitions_full = (
         int(transitions.sum()) + int(np.count_nonzero(last_bits[:-1] != first_bits[1:]))

@@ -31,6 +31,9 @@ HONEST_DOC = {
     "master_seed": "00000000deadbeef",
 }
 
+# a JSON array nested deeper than the decoder recurses: a malformed record
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
 
 @pytest.fixture
 def honest_config(tmp_path):
@@ -615,13 +618,19 @@ class TestStagedErrorPaths:
                          "--config", str(passive_config), "--out", str(estimated)])
         return self._extract(estimated)
 
-    def test_record_with_a_wrong_type_is_exit_1(self, estimated, capsys):
+    def test_record_with_a_wrong_type_is_exit_1(self, estimated, passive_config, capsys):
         path = estimated / "estimation.json"
         doc = read_json(path)
         doc["abort"] = "no"
         path.write_text(json.dumps(doc))
         assert self._extract(estimated) == 1
         assert "'abort' must be bool" in capsys.readouterr().err
+        # an array, nested too deep to decode, where the object should be
+        for record in ("tally.json", "estimation.json"):
+            (estimated / record).write_text(DEEP_JSON)
+            assert self._read_back(estimated, passive_config, record) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {estimated / record}: maximum recursion depth"), err
 
     def test_zbits_of_another_session_is_exit_1(self, estimated, capsys):
         from siqrng.fileio import write_bit_file
@@ -740,6 +749,11 @@ class TestErrorHandling:
             assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err, (key, value, err)
+        # an array nested too deep to decode is reported like any malformed file
+        bad.write_text(DEEP_JSON)
+        assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: maximum recursion depth"), err
 
     @pytest.mark.parametrize("section, key, value, argv", [
         *(pytest.param(section, key, value, ["pipeline"], id=f"{section}-{key}-{value}")

@@ -1,5 +1,6 @@
 """Bit blocks, seed streams and the on-disk binary formats."""
 
+import hashlib
 import re
 import threading
 
@@ -69,6 +70,27 @@ class TestSeedSource:
         assert takes[0] == takes[1]
         # the two seed streams are distinct children of the master seed
         assert takes[0][0] != derive_streams(5).toeplitz.integers(0, 1 << 31, 10).tolist()
+
+    # every artifact rests on numpy's Generator algorithms, which NEP 19 lets
+    # numpy change between releases; these two tests name that dependence
+
+    def test_physics_uniforms_are_the_top_53_bits_of_raw_words(self):
+        drawn = derive_streams(20260810).physics
+        raw = derive_streams(20260810).physics.bit_generator
+        for k in (CHUNK - 1, CHUNK, CHUNK + 1):
+            expected = (raw.random_raw(k) >> np.uint64(11)) * 2.0**-53
+            assert np.array_equal(drawn.random(k), expected), k
+
+    def test_seed_bits_are_pinned(self):
+        streams = derive_streams(20260810)
+        digests = {name: hashlib.sha256(getattr(streams, name).integers(
+                       0, 2, CHUNK + 3, dtype=np.uint8).tobytes()).hexdigest()
+                   for name in ("basis", "double_click", "toeplitz")}
+        assert digests == {
+            "basis": "b683d35d680bcd561acb53cbf0b093d276ec68a223ce8e2d4369773ae7bb8864",
+            "double_click": "0601a88fd8c925abdea58b897ededfc0a7dae3a3889db3abedf9f7e1bf0a9c2a",
+            "toeplitz": "de4118d387cac8d30468dd1c8bc3df800881b19f0188a011985af9c3505a8838",
+        }
 
 
 # header lengths short of the 13 header bytes, each with a valid magic

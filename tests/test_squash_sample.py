@@ -120,6 +120,13 @@ class TestTally:
             seed = FixedBits(rng.integers(0, 2, n, dtype=np.uint8))
             tally = tally_records(records, seed)
             assert tally.seed_bits_consumed == z_doubles == seed.drawn
+        # no Z double click: the double-click stream is left as an untouched one
+        records[records == Pattern.DOUBLE] = Pattern.D1
+        untouched = derive_streams(11).double_click.bit_generator.state
+        for session in (records, np.zeros(0, np.uint8)):
+            stream = derive_streams(11).double_click
+            assert tally_records(session, stream).seed_bits_consumed == 0
+            assert stream.bit_generator.state == untouched
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -252,16 +259,29 @@ def _plan_seeds(draw):
     return n, k, draw(st.lists(bit, min_size=size, max_size=size))
 
 
+def _assert_plan_draws_nothing(n, k, expected):
+    """The plan of a single choice from a Generator: ``expected``, no seed
+    bits, and the stream left as an untouched one."""
+    stream = derive_streams(11).basis
+    positions, seed_bits = plan_basis_positions(n, k, stream)
+    assert positions.tolist() == expected and seed_bits == 0
+    assert stream.bit_generator.state == derive_streams(11).basis.bit_generator.state
+
+
 class TestPlanBasisPositions:
     def test_empty_choice(self):
         seed = FixedBits([])
         positions, seed_bits = plan_basis_positions(9, 0, seed)
         assert positions.size == 0
         assert seed_bits == seed.drawn == 0
+        for n in (0, 9, 3400):
+            _assert_plan_draws_nothing(n, 0, [])
 
     def test_full_choice(self):
         positions, seed_bits = plan_basis_positions(5, 5, FixedBits([]))
         assert positions.tolist() == [0, 1, 2, 3, 4] and seed_bits == 0
+        for n in (1, 5, 3400):
+            _assert_plan_draws_nothing(n, n, list(range(n)))
 
     def test_rejection_resampling_is_exactly_uniform(self):
         # C(6, 2) = 15 < 16 = 2^4: windows of 4 bits, value 15 rejected.
