@@ -16,11 +16,15 @@ integer convolution by a *circular* real FFT (``numpy.fft``) of length
 seed length, and reduced mod 2.  The wrap-around adds linear coefficient
 ``c+L`` to coefficient ``c``; the linear product ends at coefficient
 ``m + M - 3`` and every band coefficient ``c >= M-1`` has
-``c+L >= M+m-2``, so no alias reaches the band and it is exact.  For 0/1
-sequences the FFT round-off is bounded far below 1/2 at any block size
-this module accepts; a runtime guard checks the margin, so the result is
-bit-identical to the naive matrix-vector definition.  The worst margin of
-a session is reported as ``fft_max_deviation``.
+``c+L >= M+m-2``, so no alias reaches the band and it is exact.  Each
+band value is rounded to the nearest integer, and a runtime guard
+refuses the band when a value lies 0.25 or more from its nearest
+integer.  That is the distance to the nearest integer, not the round-off
+error: an error past 1/2 rounds to a wrong integer and can still lie
+close to it, so the guard does not prove the result bit-identical to the
+naive matrix-vector definition, and no bound on the error is proved here
+yet (ROADMAP, "FFT error certificate").  The worst distance of a session
+is reported as ``fft_max_deviation``.
 
 Blocks are hashed two at a time by Kronecker substitution (Harvey, J. Symb.
 Comput. 44, 1502 (2009)): one transform pair convolves the seed with
@@ -56,8 +60,10 @@ from .entropy_math import ProtocolAbortError, SecurityReport, composed_security,
 from .estimation import ESTIMATE_ABORT_REASON, EstimationResult
 
 DEFAULT_BLOCK_SIZE = 1 << 20
-# FFT round-off guard; a session of 2**20-bit blocks, hashed in packed
-# pairs, deviates by about 7.6e-6
+# refuses a band value this far or farther from its nearest integer; a
+# session of 2**20-bit blocks, hashed in packed pairs, deviates by about
+# 7.6e-6.  This bounds the distance to the nearest integer, not the FFT
+# error, which no code bounds yet (ROADMAP, "FFT error certificate")
 _ROUNDING_GUARD = 0.25
 # packed counts stay below 2**50, where float64 spacing (at most 1/8) is
 # still below the rounding guard

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from siqrng import squash_sample
 from siqrng.photonic_sim import Basis, Pattern
 from siqrng.pipeline import derive_streams
 from siqrng.squash_sample import (
@@ -162,12 +163,18 @@ class TestUnrankCombination:
         assert tuple(unrank_combination(5, 4, 2, len(ref))) == ref[5] == (2, 3)
         assert tuple(unrank_combination(3, 4, 2, len(ref))) == ref[3] == (1, 2)
 
-    def test_bijection_exhaustive_small(self):
-        for n in range(0, 13):
-            for k in range(0, n + 1):
-                total = math.comb(n, k)
-                subsets = [tuple(unrank_combination(i, n, k, total)) for i in range(total)]
-                assert subsets == list(itertools.combinations(range(n), k))
+    def test_bijection_exhaustive_small(self, monkeypatch):
+        # the walk's constants only tune its speed: walked scaled from any t
+        # and renormalised after every slot or after a few, it unranks the same
+        defaults = squash_sample._SCALED_MIN_BITS, squash_sample._SCALE_BITS
+        for gate, scale in [defaults, (0, 0), (0, 40)]:
+            monkeypatch.setattr(squash_sample, "_SCALED_MIN_BITS", gate)
+            monkeypatch.setattr(squash_sample, "_SCALE_BITS", scale)
+            for n in range(0, 13):
+                for k in range(0, n + 1):
+                    total = math.comb(n, k)
+                    subsets = [tuple(unrank_combination(i, n, k, total)) for i in range(total)]
+                    assert subsets == list(itertools.combinations(range(n), k)), (gate, scale)
 
     def test_round_trip_rank_unrank(self, rng):
         for _ in range(500):
@@ -177,7 +184,7 @@ class TestUnrankCombination:
             i = int(rng.integers(0, total))
             assert rank_combination(unrank_combination(i, n, k, total), n) == i
 
-    def test_stride_paths_agree_with_walk(self, rng):
+    def test_stride_paths_agree_with_walk(self, rng, monkeypatch):
         # shapes straddle the neighbour-step / jump switch at n = 8k and reach
         # the fresh-binomial fallback: far jumps near the last index, and
         # strides of ~n/k that outgrow a short C(m - 1, k) at small k
@@ -196,6 +203,33 @@ class TestUnrankCombination:
         total = math.comb(n, k)
         assert unrank_combination(0, n, k, total) == walk_unrank(0, n, k) == list(range(k))
         assert unrank_combination(total - 1, n, k, total) == list(range(n - k, n))
+        # dense shapes long enough to start scaled: 3400/1700, whose t drops
+        # below the gate partway; 2400/1000; and shapes at m ~ 8k whose
+        # strides outgrow the neighbour steps inside the walk.  Picks: a t
+        # just above the gate, the last index (t = 1 never starts scaled)
+        # and, at 3400/1700, a random subset that ends at n - 1, whose last
+        # slot leaves m = 0
+        stops = []
+        walk, gate = squash_sample._scaled_walk, squash_sample._SCALED_MIN_BITS
+
+        def spy(*args):
+            stops.append(walk(*args))
+            return stops[-1]
+
+        monkeypatch.setattr(squash_sample, "_scaled_walk", spy)
+        for n, k in [(3400, 1700), (2400, 1000), (8000, 1000), (7990, 1000)]:
+            total = math.comb(n, k)
+            picks = [0, total - 1, total // 2, total - 2 ** (gate + 1)]
+            picks += [int(rng.integers(0, 2**62)) * total // 2**62 for _ in range(3)]
+            for i in picks:
+                assert unrank_combination(i, n, k, total) == walk_unrank(i, n, k), (n, k, i)
+        n, k = 3400, 1700
+        total = math.comb(n, k)
+        subset = sorted(rng.choice(n - 1, k - 1, replace=False).tolist()) + [n - 1]
+        assert unrank_combination(rank_combination(subset, n), n, k, total) == subset
+        # the walk stopped on a short t, and on long strides with t still long
+        assert any(t.bit_length() <= gate for _, _, t, _ in stops)
+        assert any(m > 8 * k_rem and t.bit_length() > gate for m, k_rem, t, _ in stops)
 
     @settings(max_examples=60, deadline=None)
     @example((3000, 1500, 0))
@@ -344,6 +378,33 @@ class TestPlanBasisPositions:
             "08946ac49ff682dc22a959871158f7a53f5d5239475cb2f1a0911e8354191c30"
         )
         assert seed_bits == 35211
+
+    def test_dense_plan_is_unchanged(self):
+        # the adversarial sessions' shape, 3400 pulses with 1700 planned X,
+        # which the scaled walk unranks
+        plan, seed_bits = plan_basis_positions(3400, 1700, derive_streams(7_000_000).basis)
+        assert hashlib.sha256(plan.astype("<i8").tobytes()).hexdigest() == (
+            "5ccc18257b3a9be036f71c392bed4e0c290843dd8415a6aa2a3d08a1ba980d76"
+        )
+        assert seed_bits == 3394
+
+    def test_count_is_computed_once_per_shape(self, monkeypatch):
+        # one C(n, k) per shape, with another shape planned in between, and
+        # the cached count plans as the freshly computed one did
+        calls = Counter()
+        comb = math.comb
+
+        def counted(n, k):
+            calls[n, k] += 1
+            return comb(n, k)
+
+        squash_sample._binomial.cache_clear()
+        monkeypatch.setattr(math, "comb", counted)
+        cold = plan_basis_positions(3400, 1700, derive_streams(7).basis)
+        plan_basis_positions(1000, 300, derive_streams(8).basis)
+        memoised = plan_basis_positions(3400, 1700, derive_streams(7).basis)
+        assert calls[3400, 1700] == calls[1000, 300] == 1
+        assert memoised[0].tolist() == cold[0].tolist() and memoised[1] == cold[1]
 
     def test_exhausted_attempts_raise(self):
         # C(3, 1) = 3: 2-bit windows, and an all-ones window reads 3, always rejected
