@@ -37,16 +37,17 @@ alias-free as above.  ``c < 2^(2r)``, which must stay at or below ``2^50``
 ``fft_max_deviation`` is then the worst margin of the packed values, about
 7.6e-6 for blocks of 2**20 bits.  A last odd block is hashed alone.
 
-Long inputs are split into balanced sub-blocks (default around 2**20 raw
-bits) extracted independently; each block contributes its own 2**(-t_e)
-failure term via a union bound.  One Toeplitz seed, sized for the largest
-block, is one draw per session, reused across its blocks: the hash is a
-strong extractor, so outputs remain independent of the seed.  Its spectrum
-is computed once, and the pairs share one set of FFT scratch arrays.  A
-block's band reads only seed indices below its own ``m - 1``, and the
-alias argument holds for any seed no longer than ``L``, so the longest
-block's seed and its spectrum give every block the same bits as its own
-prefix of the seed would.
+Long inputs are split into balanced sub-blocks of at most ``BLOCK_SIZE``
+(2**20) raw bits, extracted independently; each block contributes its own
+2**(-t_e) failure term via a union bound, so ``t_e`` below 1, which
+certifies nothing, is refused before any seed is drawn.  One Toeplitz
+seed, sized for the largest block, is one draw per session, reused across
+its blocks: the hash is a strong extractor, so outputs remain independent
+of the seed.  Its spectrum is computed once, and the pairs share one set
+of FFT scratch arrays.  A block's band reads only seed indices below its
+own ``m - 1``, and the alias argument holds for any seed no longer than
+``L``, so the longest block's seed and its spectrum give every block the
+same bits as its own prefix of the seed would.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ from .bits import BitBlock
 from .entropy_math import ProtocolAbortError, SecurityReport, composed_security, final_length
 from .estimation import ESTIMATE_ABORT_REASON, EstimationResult
 
-DEFAULT_BLOCK_SIZE = 1 << 20
+# raw bits of a block at most; at 2**23 bits and up the FFT error bound
+# passes 1/2 (ROADMAP, "FFT error certificate")
+BLOCK_SIZE = 1 << 20
 # refuses a band value this far or farther from its nearest integer; a
 # session of 2**20-bit blocks, hashed in packed pairs, deviates by about
 # 7.6e-6.  This bounds the distance to the nearest integer, not the FFT
@@ -203,10 +206,10 @@ def extract_session(
     est: EstimationResult,
     t_e: int,
     rng: np.random.Generator,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     efficiency_ratio: float = 1.0,
 ) -> tuple[BitBlock, SecurityReport, dict]:
-    """Extract a whole session, sub-block by sub-block, with the (I | T) hash.
+    """Extract a whole session with the (I | T) hash, in balanced blocks of
+    at most :data:`BLOCK_SIZE` bits.
 
     Returns the concatenated output, the composed security report
     (``eps_f = eps_theta + n_blocks * 2**(-t_e)``), and a summary dict with
@@ -214,29 +217,33 @@ def extract_session(
     deviation of any packed pair of blocks.  Each block's length comes from
     :func:`~siqrng.entropy_math.final_length` at the efficiency ratio.  The
     blocks are hashed two per transform pair, one transform pair for every
-    two blocks with K < m and one transform for the seed.  The seed is one
+    two blocks and one transform for the seed.  The seed is one
     ``rng.integers(0, 2, toeplitz_seed_bits, dtype=np.uint8)`` draw.
 
     Raises
     ------
+    ValueError
+        If ``t_e < 1``.
     ProtocolAbortError
         If the session aborted, is empty, its scaled error rate reaches 1/2,
-        or a block yields no output; no seed is drawn then.
+        or a block yields no output.  Neither error draws a seed.
     """
+    if t_e < 1:
+        raise ValueError(f"t_e must be >= 1, got {t_e}")
     if est.abort:
         raise ProtocolAbortError(ESTIMATE_ABORT_REASON)
     n_z = len(z_bits)
     if n_z == 0:
         raise ProtocolAbortError("no raw bits to extract")
 
-    sizes = _balanced_blocks(n_z, block_size)
+    sizes = _balanced_blocks(n_z, BLOCK_SIZE)
     shapes = [(m, final_length(m, est.e_pz_bound, t_e, efficiency_ratio)) for m in sizes]
     for _, k in shapes:
         if k <= 0:
             raise ProtocolAbortError(f"non-positive output length K={k}")
 
-    # a block's (I | T) hash takes m - 1 seed bits, none when T is empty (K = m)
-    seed_length = max(m - 1 if k < m else 0 for m, k in shapes)
+    # t_e >= 1 leaves every block K < m, and its (I | T) hash m - 1 seed bits
+    seed_length = max(sizes) - 1
     final01, max_deviation = _dual_hash_blocks(
         z_bits, shapes, rng.integers(0, 2, seed_length, dtype=np.uint8))
     final = BitBlock.from01(final01)

@@ -17,7 +17,9 @@ combination) unranking over big integers; rejection resampling on
 bit most significant, and the plan returns the bits its windows drew.
 
 The unranking walks candidate positions with exact binomial steps, each
-a multiplication and a division by a small integer.  On numbers of
+a multiplication and a division by a small integer, forward only: a long
+stride walks from one candidate before a float estimate of its end, or
+from its first candidate when the estimate overshoots.  On numbers of
 thousands of bits the division costs about five multiplications, so while
 the remainder is long a dense shape walks scaled: it keeps the binomial
 and the remainder multiplied by one integer scale, each step becomes
@@ -98,26 +100,19 @@ class _SpanTally:
         self.pulses = 0
         self.x_counts = np.zeros(X_RECORD + len(Pattern), dtype=np.int64)
         self.doubles = 0
-        self.shifted = self.flags = np.empty(0, dtype=np.uint8)
 
     def add(self, lo: int, records: np.ndarray):
         if self.write is not None:
             self.write(lo, records)
-        m = records.size
-        if self.shifted.size < m:
-            self.shifted = np.empty(m, dtype=np.uint8)
-            self.flags = np.empty(m, dtype=np.bool_)
         # D0 -> 0, D1 -> 1, a Z double click -> 2; X records and Z vacua are 3 and up
-        shifted = np.subtract(records, np.uint8(1), out=self.shifted[:m])
-        z = np.less(shifted, 3, out=self.flags[:m])
+        shifted = records - np.uint8(1)
+        z = shifted < 3
         codes = self.z_codes[self.stop : self.stop + int(np.count_nonzero(z))]
         np.compress(z, shifted, out=codes)
         self.stop += codes.size
-        self.doubles += int(np.count_nonzero(np.equal(codes, 2, out=self.flags[: codes.size])))
-        x = records[np.greater_equal(records, X_RECORD, out=self.flags[:m])]
-        if x.size:
-            self.x_counts += np.bincount(x, minlength=self.x_counts.size)
-        self.pulses += m
+        self.doubles += int(np.count_nonzero(codes == 2))
+        self.x_counts += np.bincount(records[records >= X_RECORD], minlength=self.x_counts.size)
+        self.pulses += records.size
 
 
 class TallyFold:
@@ -148,7 +143,7 @@ class TallyFold:
         self.spans = []  # list.append is atomic, so spans may open on any thread
 
     def __len__(self) -> int:
-        """The records folded so far."""
+        """The records folded so far; ``perfbench``'s tracer counts pulses by it."""
         return sum(span.pulses for span in self.spans)
 
     def span(self, start: int):
@@ -225,10 +220,11 @@ def unrank_combination(index: int, n: int, k: int, total: int) -> list[int]:
     ``t = C(m, k_rem) - rank`` fixes the next chosen position: it is the
     ``s``-th candidate, for the smallest stride ``s >= 1`` with
     ``C(m - s, k_rem) < t``.  Short expected strides walk candidate by
-    candidate with exact neighbour steps; long ones jump to a
-    float-lgamma estimate of ``s``, evaluate the binomial there exactly and
-    finish with exact neighbour steps, so floats only seed the search.
-    After each slot ``t`` drops by ``C(m - s, k_rem)``.
+    candidate with exact neighbour steps; a long one evaluates the binomial
+    exactly one candidate before a float-lgamma estimate of ``s`` and walks
+    forward from there, or from the first candidate if the binomial there
+    is already below ``t``, so floats only seed the search.  After each
+    slot ``t`` drops by ``C(m - s, k_rem)``.
 
     A dense shape (``n <= 8k``) whose ``t`` is longer than
     ``_SCALED_MIN_BITS`` takes its first slots in :func:`_scaled_walk`,
@@ -257,23 +253,17 @@ def unrank_combination(index: int, n: int, k: int, total: int) -> list[int]:
     if t >> _SCALED_MIN_BITS and n <= _SHORT_STRIDE * k:
         m, k_rem, t, y = _scaled_walk(out, n, m, k_rem, t, y)
     while k_rem > 0:
-        if m <= _SHORT_STRIDE * k_rem:
-            s, x = 1, y
-        else:
-            s = _stride_estimate(m, k_rem, t)
-            x = _comb_at_stride(y, m, k_rem, s)
-        # x = C(m - s, k_rem); make s the smallest stride with x < t
-        if x >= t:
-            while x >= t:
-                x = x * (m - s - k_rem) // (m - s)
-                s += 1
-        else:
-            while s > 1:
-                free = m - s + 1 - k_rem
-                prev = x * (m - s + 1) // free if free else 1  # C(m - s + 1, k_rem)
-                if prev >= t:
-                    break
-                x, s = prev, s - 1
+        s, x = 1, y
+        if m > _SHORT_STRIDE * k_rem:
+            # one candidate before the estimate, kept only if the stride lies beyond it
+            guess = max(1, _stride_estimate(m, k_rem, t) - 1)
+            at_guess = _comb_at_stride(y, m, k_rem, guess)
+            if at_guess >= t:
+                s, x = guess, at_guess
+        # x = C(m - s, k_rem) and the stride is at least s: step to the smallest with x < t
+        while x >= t:
+            x = x * (m - s - k_rem) // (m - s)
+            s += 1
         out.append(n - m + s - 1)
         t -= x
         m -= s

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from siqrng import extractor
 from siqrng.bits import BitBlock
 from siqrng.entropy_math import ProtocolAbortError, final_length
 from siqrng.estimation import ESTIMATE_ABORT_REASON, EstimationResult
@@ -291,20 +292,12 @@ class TestDualToeplitz:
         assert _smooth_length(m - 1) == m - 1
         _check_blocks(np.ones(m, dtype=np.uint8), [(m, k_out)], np.ones(m - 1, dtype=np.uint8))
 
-    def test_full_length_output_is_the_input_and_draws_no_seed(self, rng):
-        # e = 0 and t_e = 0 give K = n_z: T is empty, and an empty seed suffices
-        raw = BitBlock.from01(rng.integers(0, 2, 2500, dtype=np.uint8))
-        seed = FixedBits([])
-        final, _, summary = extract_session(raw, _est(e_bx=0.0), 0, seed)
-        assert final == raw
-        assert summary["toeplitz_seed_bits"] == seed.drawn == 0
-        assert summary["fft_max_deviation"] == 0.0
-
-    def test_transforms_have_the_block_seed_length(self, rng, transform_lengths):
+    def test_transforms_have_the_block_seed_length(self, rng, transform_lengths, monkeypatch):
         # the seed has max_block - 1 bits: one transform for it, two per pair
         # of hashed blocks, all at the circular length of that seed
+        monkeypatch.setattr(extractor, "BLOCK_SIZE", 3000)
         raw = BitBlock.from01(rng.integers(0, 2, 10_000, dtype=np.uint8))
-        _, _, summary = extract_session(raw, _est(), 20, rng, block_size=3000)
+        _, _, summary = extract_session(raw, _est(), 20, rng)
         blocks = summary["block_sizes"]
         assert blocks == [2500] * 4
         assert summary["toeplitz_seed_bits"] == max(blocks) - 1
@@ -431,6 +424,21 @@ class TestExtractSession:
         assert str(raised.value) == ESTIMATE_ABORT_REASON
         assert seed.drawn == 0
 
+    def test_t_e_below_one_is_refused_before_any_seed(self, rng):
+        # ProtocolParams refuses the same values; the stream holds enough
+        # bits for any seed, so a draw would show
+        raw = BitBlock.from01(rng.integers(0, 2, 5000, dtype=np.uint8))
+        for t_e, est in [
+            (0, _est(e_bx=0.0)),                   # K = n_z: the raw bits, unhashed
+            (0, _est(e_bx=0.02)),                  # a hashed output with eps_f = 1
+            (0, _est(e_bx=0.02, log2_eps=-10.0)),  # eps_f past 1
+            (-5, _est(e_bx=0.02)),                 # K past n_z
+        ]:
+            seed = FixedBits(np.zeros(10_000, dtype=np.uint8))
+            with pytest.raises(ValueError, match=f"t_e must be >= 1, got {t_e}"):
+                extract_session(raw, est, t_e, seed)
+            assert seed.drawn == 0
+
     def test_deterministic_given_seed_stream(self, rng):
         raw = BitBlock.from01(rng.integers(0, 2, 3000))
         outs = [
@@ -439,10 +447,11 @@ class TestExtractSession:
         ]
         assert outs[0] == outs[1]
 
-    def test_blocks_are_balanced_and_accounted(self, rng):
+    def test_blocks_are_balanced_and_accounted(self, rng, monkeypatch):
+        monkeypatch.setattr(extractor, "BLOCK_SIZE", 3000)
         raw = BitBlock.from01(rng.integers(0, 2, 10_000))
         final, report, summary = extract_session(
-            raw, _est(e_bx=0.05, log2_eps=-80.0), 20, rng, block_size=3000,
+            raw, _est(e_bx=0.05, log2_eps=-80.0), 20, rng
         )
         assert summary["n_blocks"] == 4
         assert sum(summary["block_sizes"]) == 10_000
@@ -450,14 +459,13 @@ class TestExtractSession:
         # union bound: eps_f = 2^-80 + 4 * 2^-20
         assert report.eps_f == pytest.approx(2.0**-80 + 4 * 2.0**-20, rel=1e-12)
 
-    def test_block_split_concatenates_block_outputs(self, rng):
+    def test_block_split_concatenates_block_outputs(self, rng, monkeypatch):
         # the blocked result equals extracting each balanced block separately
+        monkeypatch.setattr(extractor, "BLOCK_SIZE", 1000)
         raw01 = rng.integers(0, 2, 2000, dtype=np.uint8)
         raw = BitBlock.from01(raw01)
         est = _est(e_bx=0.05, log2_eps=-60.0)
-        final, _, summary = extract_session(
-            raw, est, 20, np.random.default_rng(3), block_size=1000,
-        )
+        final, _, summary = extract_session(raw, est, 20, np.random.default_rng(3))
         seed_bits = np.random.default_rng(3).integers(
             0, 2, summary["toeplitz_seed_bits"], dtype=np.uint8
         )
@@ -507,11 +515,11 @@ class TestExtractSession:
         raw01 = rng.integers(0, 2, n_z, dtype=np.uint8)
         est = _est(e_bx=e_bx, log2_eps=-60.0)
         t_e = 5
-        block_size = math.ceil(n_z / n_blocks)
-        final, _, summary = extract_session(
-            BitBlock.from01(raw01), est, t_e,
-            np.random.default_rng(seed), block_size=block_size,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extractor, "BLOCK_SIZE", math.ceil(n_z / n_blocks))
+            final, _, summary = extract_session(
+                BitBlock.from01(raw01), est, t_e, np.random.default_rng(seed)
+            )
         sizes = summary["block_sizes"]
         assert sum(sizes) == n_z and max(sizes) - min(sizes) <= 1
         ks = [final_length(m, est.e_pz_bound, t_e) for m in sizes]

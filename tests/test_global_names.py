@@ -145,8 +145,6 @@ def unread_definitions(package: Path) -> list[str]:
 # defaulted parameters only the tests pass, each with its reason
 TEST_ONLY_PARAMETERS = {
     "cli:main(argv)": "the console script passes none; the tests pass the argument list",
-    "extractor:extract_session(block_size)":
-        "small blocks test multi-block extraction; goes with the one-hash item",
 }
 
 

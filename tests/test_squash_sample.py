@@ -153,6 +153,14 @@ def _ranked_shapes(draw):
     return n, k, draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)))
 
 
+# shapes that straddle the neighbour-step / jump switch at n = 8k and reach
+# the fresh-binomial fallback: far jumps near the last index, and strides
+# of ~n/k that outgrow a short C(m - 1, k) at small k
+STRIDE_SHAPES = [(800, 100), (801, 100), (900, 100), (2000, 249), (2000, 250),
+                 (2000, 251), (4000, 3999), (1000, 3), (5000, 2), (12000, 7),
+                 (40000, 30), (300, 150), (3000, 1), (50000, 2)]
+
+
 class TestUnrankCombination:
     def test_lexicographic_minimum(self):
         assert unrank_combination(0, 4, 2, 6) == [0, 1]
@@ -185,12 +193,7 @@ class TestUnrankCombination:
             assert rank_combination(unrank_combination(i, n, k, total), n) == i
 
     def test_stride_paths_agree_with_walk(self, rng, monkeypatch):
-        # shapes straddle the neighbour-step / jump switch at n = 8k and reach
-        # the fresh-binomial fallback: far jumps near the last index, and
-        # strides of ~n/k that outgrow a short C(m - 1, k) at small k
-        for n, k in [(800, 100), (801, 100), (900, 100), (2000, 249), (2000, 250),
-                     (2000, 251), (4000, 3999), (1000, 3), (5000, 2), (12000, 7),
-                     (40000, 30), (300, 150), (3000, 1), (50000, 2)]:
+        for n, k in STRIDE_SHAPES:
             total = math.comb(n, k)
             picks = [0, total - 1, total // 2]
             picks += [int(rng.integers(0, 2**62)) * total // 2**62 for _ in range(8)]
@@ -230,6 +233,46 @@ class TestUnrankCombination:
         # the walk stopped on a short t, and on long strides with t still long
         assert any(t.bit_length() <= gate for _, _, t, _ in stops)
         assert any(m > 8 * k_rem and t.bit_length() > gate for m, k_rem, t, _ in stops)
+
+    def test_forced_stride_estimates_agree_with_walk(self, rng, monkeypatch):
+        # the float estimate only seeds the search: shifted either way off
+        # the smallest stride, or pinned to either end of its range, it
+        # leaves every subset as it is.  The counts show that estimates
+        # past the smallest stride (a restart from the first candidate)
+        # and short of it (a forward search of several steps) both ran
+        estimate = squash_sample._stride_estimate
+        forcings = {f"{shift:+d}": lambda m, r, s, shift=shift: s + shift
+                    for shift in (-5, -2, -1, 1, 2, 5)}
+        forcings["first"] = lambda m, r, s: 1
+        forcings["last"] = lambda m, r, s: m - r + 1
+        cases = []
+        for n, k in STRIDE_SHAPES:
+            total = math.comb(n, k)
+            picks = [0, total - 1, total // 2]
+            picks += [int(rng.integers(0, 2**62)) * total // 2**62 for _ in range(3)]
+            for i in picks:
+                expected = walk_unrank(i, n, k)
+                assert rank_combination(expected, n) == i
+                cases.append((n, k, total, i, expected))
+        for name, force in forcings.items():
+            calls = []  # (m, k_rem, forced stride) of each estimate
+
+            def forced(m, r, t):
+                calls.append((m, r, min(max(force(m, r, estimate(m, r, t)), 1), m - r + 1)))
+                return calls[-1][2]
+
+            monkeypatch.setattr(squash_sample, "_stride_estimate", forced)
+            past = short = 0
+            for n, k, total, i, expected in cases:
+                calls.clear()
+                got = unrank_combination(i, n, k, total)
+                assert got == expected, (name, n, k, i)
+                for m, r, s in calls:
+                    # the slot with m positions left chose its smallest stride
+                    smallest = expected[k - r] - (n - m) + 1
+                    past += s > smallest
+                    short += s < smallest
+            assert past if name in ("+1", "+2", "+5", "last") else short, (name, past, short)
 
     @settings(max_examples=60, deadline=None)
     @example((3000, 1500, 0))
